@@ -1,8 +1,9 @@
 """Experiment orchestration: config parsing, dispatch, CSV/JSON artifacts.
 
 Exit codes: 0 all hard-assert probes passed, 1 runtime failure or a failed
-probe, 2 config error. CSV bodies are byte-stable across reruns of the same
-config; timestamps live only in the manifest.
+probe, 2 config error. The whole config, every probe spec included, is
+schema-checked before any compute starts. CSV bodies are byte-stable across
+reruns of the same config; timestamps live only in the manifest.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ import argparse
 import concurrent.futures
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import jsonschema
@@ -36,19 +35,22 @@ from .mollify import (
     smooth_eval,
     uniform_convergence_probe,
 )
+from .reports import REPORT_HEADER, atomic_write, report_row, write_csv
 from .simulate import (OpenLoopSchedule, SimConfig, ZeroControl, dump_trajectories,
                        path_statistics, simulate_particles)
 
-PROBES = (
-    "convexity-preservation",
-    "cost-identity",
-    "duplication-consistency",
-    "feedback-roundtrip",
-    "lipschitz-preservation",
-    "permutation-invariance",
-    "time-holder",
-    "uniform-convergence",
-)
+# The mollify kind runs the probes it selects in this order.
+MOLLIFY_PROBES = ("lipschitz-preservation", "uniform-convergence", "convexity-preservation")
+
+_NUMBER = {"type": "number"}
+_ARRAY = {"type": "array"}
+_SEED = {"type": "integer", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_R = {"type": "number", "minimum": 1, "maximum": 2}
+_K_LIST = {"type": "array", "minItems": 1, "items": _COUNT}
+_HORIZON = {"t0": _NUMBER, "T": _NUMBER}
+_SMOOTHING = {"functional": {"enum": sorted(functional_registry())}, "k_list": _K_LIST,
+              "mc_reps": _COUNT}
 
 _MODEL_SCHEMA = {
     "type": "object",
@@ -57,17 +59,15 @@ _MODEL_SCHEMA = {
         {"required": ["d", "d_prime", "b", "sigma", "l1", "kappa", "UT"]},
     ],
     "properties": {
-        "registry": {"type": "string"},
+        "registry": {"enum": sorted(REGISTRY)},
         "name": {"type": "string"},
-        "d": {"type": "integer", "minimum": 1},
-        "d_prime": {"type": "integer", "minimum": 1},
+        "d": _COUNT,
+        "d_prime": _COUNT,
         "b": {"type": "array", "items": {"type": "string"}},
         "sigma": {"type": "array", "items": {"type": "array", "items": {"type": "string"}}},
         "l1": {"type": "string"},
         "kappa": {"type": "number", "exclusiveMinimum": 0},
         "UT": {"type": "string"},
-        "is_affine_lift": {"type": "boolean"},
-        "lift_convex": {"type": "boolean"},
     },
     "additionalProperties": False,
 }
@@ -76,10 +76,9 @@ _SIM_SCHEMA = {
     "type": "object",
     "required": ["t0", "T", "steps", "n_paths"],
     "properties": {
-        "t0": {"type": "number"},
-        "T": {"type": "number"},
-        "steps": {"type": "integer", "minimum": 1},
-        "n_paths": {"type": "integer", "minimum": 1},
+        **_HORIZON,
+        "steps": _COUNT,
+        "n_paths": _COUNT,
     },
     "additionalProperties": False,
 }
@@ -96,13 +95,145 @@ _GRID_SCHEMA = {
                 "type": "array",
                 "minItems": 3,
                 "maxItems": 3,
-                "items": {"type": "number"},
+                "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer"}],
             },
         },
-        "time_steps": {"type": "integer", "minimum": 1},
+        "time_steps": _COUNT,
         "margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
     },
     "additionalProperties": False,
+}
+
+
+# -- probes: each runner maps (spec, config) to a list of reports ------------------
+
+
+def _spec_model(spec, cfg):
+    return model_from_json(spec.get("model", cfg.get("model", {"registry": "LQ-decoupled"})))
+
+
+def _spec_horizon(spec):
+    return spec.get("t0", 0.0), spec.get("T", 1.0)
+
+
+def _probe_cost_identity(spec, cfg):
+    model = _spec_model(spec, cfg)
+    seed = spec.get("seed", cfg["seed"])
+    sim = SimConfig(seed=seed, **spec["sim"])
+    x0 = np.asarray(spec["x0"], dtype=np.float64)
+    g = np.random.default_rng(seed)
+    schedule = g.normal(size=(sim.steps,) + _as_atoms(x0).shape)
+    return [verify.cost_identity_check(model, sim, x0, OpenLoopSchedule(schedule),
+                                       threshold=spec.get("threshold", 1e-12))]
+
+
+def _probe_duplication(spec, cfg):
+    model = _spec_model(spec, cfg)
+    horizon = _spec_horizon(spec)
+    gs = _grid_from_config(spec["grid_small"], model, spec["base_n"], horizon)
+    gb = _grid_from_config(spec["grid_big"], model, spec["base_n"] * spec["m"], horizon)
+    pts = [np.asarray(p, dtype=np.float64) for p in spec["test_points"]]
+    return [verify.duplication_consistency(
+        model, spec["base_n"], spec["m"], gs, gb, horizon[0], horizon[1], pts,
+        threshold=spec.get("threshold", 2e-2))]
+
+
+def _probe_feedback(spec, cfg):
+    model = _spec_model(spec, cfg)
+    horizon = _spec_horizon(spec)
+    n = spec.get("n", 1)
+    grid = _grid_from_config(spec["grid"], model, n, horizon)
+    u = solve_hjb(model, n, grid, horizon[0], horizon[1])
+    sim = SimConfig(seed=spec.get("seed", cfg["seed"]), **spec["sim"])
+    return [verify.feedback_roundtrip(model, sim, np.asarray(spec["x0"], dtype=np.float64), u)]
+
+
+def _probe_permutation(spec, cfg):
+    model = _spec_model(spec, cfg)
+    horizon = _spec_horizon(spec)
+    grid = _grid_from_config(spec["grid"], model, 2, horizon)
+    u = solve_hjb(model, 2, grid, horizon[0], horizon[1])
+    return [verify.permutation_invariance_probe(u, threshold=spec.get("threshold", 1e-9))]
+
+
+def _probe_time_holder(spec, cfg):
+    model = _spec_model(spec, cfg)
+    horizon = _spec_horizon(spec)
+    n = spec.get("n", 1)
+    grid = _grid_from_config(spec["grid"], model, n, horizon)
+    u = solve_hjb(model, n, grid, horizon[0], horizon[1],
+                  max_stored_slices=grid.time_steps + 1)
+    return [verify.time_holder_probe(u, spec.get("r", 1.0))]
+
+
+def _smoothing(spec, cfg):
+    """(base functional, MC replicates, seed) of a mollifier probe spec."""
+    return (functional_registry()[spec["functional"]], spec.get("mc_reps", 4000),
+            spec.get("seed", cfg["seed"]))
+
+
+def _probe_lipschitz(spec, cfg):
+    base, reps, seed = _smoothing(spec, cfg)
+    return [lipschitz_preservation_probe(base, k, reps, seed) for k in spec["k_list"]]
+
+
+def _probe_uniform(spec, cfg):
+    base, reps, seed = _smoothing(spec, cfg)
+    fam = default_test_family(seed=seed + 1)
+    return [uniform_convergence_probe(base, spec["k_list"], fam, reps, seed)]
+
+
+def _probe_convexity(spec, cfg):
+    base, reps, seed = _smoothing(spec, cfg)
+    g = np.random.default_rng(seed + 2)
+    segs = []
+    for _ in range(spec.get("segments", 6)):
+        segs.append((g.uniform(-1, 1, 1), g.uniform(-1, 1, 1),
+                     g.uniform(-2, 2, (4, 1)), g.uniform(-2, 2, (4, 1)),
+                     float(g.uniform(0.2, 0.8))))
+    return [convexity_preservation_probe(base, spec["k_list"][0], reps, seed, segs)]
+
+
+def _spec(required, **properties) -> dict:
+    """Schema of a probe spec: the probe name, an optional seed, the probe's own keys."""
+    return {
+        "type": "object",
+        "required": ["probe", *required],
+        "properties": {"probe": {"type": "string"}, "seed": _SEED, **properties},
+        "additionalProperties": False,
+    }
+
+
+# probe name -> (JSON schema of its spec, runner)
+PROBES = {
+    "convexity-preservation": (
+        _spec(["functional", "k_list"], **_SMOOTHING, segments=_COUNT),
+        _probe_convexity),
+    "cost-identity": (
+        _spec(["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, threshold=_NUMBER),
+        _probe_cost_identity),
+    "duplication-consistency": (
+        _spec(["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
+              model=_MODEL_SCHEMA, base_n=_COUNT, m=_COUNT, grid_small=_GRID_SCHEMA,
+              grid_big=_GRID_SCHEMA, test_points={"type": "array", "items": _ARRAY},
+              threshold=_NUMBER),
+        _probe_duplication),
+    "feedback-roundtrip": (
+        _spec(["grid", "sim", "x0"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT,
+              grid=_GRID_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY),
+        _probe_feedback),
+    "lipschitz-preservation": (
+        _spec(["functional", "k_list"], **_SMOOTHING),
+        _probe_lipschitz),
+    "permutation-invariance": (
+        _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, grid=_GRID_SCHEMA, threshold=_NUMBER),
+        _probe_permutation),
+    "time-holder": (
+        _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT, grid=_GRID_SCHEMA, r=_R),
+        _probe_time_holder),
+    "uniform-convergence": (
+        _spec(["functional", "k_list"], **_SMOOTHING),
+        _probe_uniform),
 }
 
 CONFIG_SCHEMA = {
@@ -110,54 +241,62 @@ CONFIG_SCHEMA = {
     "required": ["kind", "seed"],
     "properties": {
         "kind": {"enum": ["simulate", "solve-hjb", "verify", "mollify", "sweep"]},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _SEED,
         "model": _MODEL_SCHEMA,
         "sim": _SIM_SCHEMA,
         "grid": _GRID_SCHEMA,
         "horizon": {
             "type": "object",
             "required": ["t0", "T"],
-            "properties": {"t0": {"type": "number"}, "T": {"type": "number"}},
+            "properties": _HORIZON,
             "additionalProperties": False,
         },
-        "x0": {"type": "array"},
-        "n": {"type": "integer", "minimum": 1},
-        "r": {"type": "number", "minimum": 1, "maximum": 2},
-        "probes": {"type": "array", "items": {"type": "object"}},
-        "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "mollify": {"type": "object"},
+        "x0": _ARRAY,
+        "n": _COUNT,
+        "r": _R,
+        "probes": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["probe"],
+                "properties": {"probe": {"enum": sorted(PROBES)}},
+                "allOf": [{"if": {"required": ["probe"], "properties": {"probe": {"const": name}}},
+                           "then": schema}
+                          for name, (schema, _) in PROBES.items()],
+            },
+        },
+        "k_list": _K_LIST,
+        "mollify": {
+            "type": "object",
+            "properties": {
+                "functional": _SMOOTHING["functional"],
+                "probes": {"type": "array", "items": {"enum": list(MOLLIFY_PROBES)}},
+                "mc_reps": _COUNT,
+                "segments": _COUNT,
+            },
+            "additionalProperties": False,
+        },
         "sweep": {"type": "object"},
         "out_dir": {"type": "string"},
-        "dump_cadence": {"type": "integer", "minimum": 1},
+        "dump_cadence": _COUNT,
         "dump_trajectories": {"type": "boolean"},
     },
     "additionalProperties": False,
 }
 
-
 class ConfigError(Exception):
     pass
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+# A JSON number such as 8.0 is an integer to JSON Schema, but not to range() or
+# np.empty(), which would fail on it after the check has passed. The schema
+# itself is checked by the tests; meta-validating it on every run would take
+# far longer than validating the config.
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)),
+)(CONFIG_SCHEMA)
 
 
 def _load_config(path: str) -> dict:
@@ -170,10 +309,9 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at byte offset {e.pos}: {e.msg}") from e
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation at {e.json_path}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
     return cfg
 
 
@@ -197,7 +335,7 @@ def _run_simulate(cfg, out_dir):
     stats = path_statistics(bundle, cfg.get("r", 2.0))
     rows = [[k, repr(v[0]), repr(v[1])] if isinstance(v, tuple) else [k, repr(v), ""]
             for k, v in sorted(stats.items())]
-    _write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)
+    write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)
     est = cost_finite(model, sim, x0, ZeroControl())
     summary = {"statistics": {k: list(v) if isinstance(v, tuple) else v for k, v in stats.items()},
                "zero_control_cost": {"mean": est.mean, "std_error": est.std_error}}
@@ -216,12 +354,12 @@ def _run_solve(cfg, out_dir):
         flat = u.values[k].reshape(-1)
         for idx in range(flat.size):
             rows.append([k, idx, repr(float(flat[idx]))])
-    _write_csv(os.path.join(out_dir, "results.csv"), ["slice", "node_index", "value"], rows)
+    write_csv(os.path.join(out_dir, "results.csv"), ["slice", "node_index", "value"], rows)
     sidecar = {"grid": grid.to_json(), "model": model.name, "n": n,
                "t0": horizon[0], "T": horizon[1], "dump_cadence": cadence,
                "stored_times": u.times.tolist()}
-    _atomic_write(os.path.join(out_dir, "grid.json"),
-                  json.dumps(sidecar, indent=2, sort_keys=True))
+    atomic_write(os.path.join(out_dir, "grid.json"),
+                 json.dumps(sidecar, indent=2, sort_keys=True))
     summary = {
         "grid": grid.to_json(),
         "stored_times": u.times.tolist(),
@@ -238,77 +376,31 @@ def _run_solve(cfg, out_dir):
 
 
 def _verify_probe(spec, cfg):
-    model = model_from_json(spec.get("model", cfg.get("model", {"registry": "LQ-decoupled"})))
-    kind = spec["probe"]
-    seed = spec.get("seed", cfg["seed"])
-    horizon = (spec.get("t0", 0.0), spec.get("T", 1.0))
-    if kind == "cost-identity":
-        sim = SimConfig(seed=seed, **spec["sim"])
-        x0 = np.asarray(spec["x0"], dtype=np.float64)
-        g = np.random.default_rng(seed)
-        schedule = g.normal(size=(sim.steps,) + _as_atoms(x0).shape)
-        return verify.cost_identity_check(model, sim, x0, OpenLoopSchedule(schedule),
-                                          threshold=spec.get("threshold", 1e-12))
-    if kind == "duplication-consistency":
-        gs = _grid_from_config(spec["grid_small"], model, spec["base_n"], horizon)
-        gb = _grid_from_config(spec["grid_big"], model, spec["base_n"] * spec["m"], horizon)
-        pts = [np.asarray(p, dtype=np.float64) for p in spec["test_points"]]
-        return verify.duplication_consistency(
-            model, spec["base_n"], spec["m"], gs, gb, horizon[0], horizon[1], pts,
-            threshold=spec.get("threshold", 2e-2))
-    if kind == "feedback-roundtrip":
-        n = spec.get("n", 1)
-        grid = _grid_from_config(spec["grid"], model, n, horizon)
-        u = solve_hjb(model, n, grid, horizon[0], horizon[1])
-        sim = SimConfig(seed=seed, **spec["sim"])
-        return verify.feedback_roundtrip(model, sim, np.asarray(spec["x0"], dtype=np.float64), u)
-    if kind == "permutation-invariance":
-        grid = _grid_from_config(spec["grid"], model, 2, horizon)
-        u = solve_hjb(model, 2, grid, horizon[0], horizon[1])
-        return verify.permutation_invariance_probe(u, threshold=spec.get("threshold", 1e-9))
-    if kind == "time-holder":
-        n = spec.get("n", 1)
-        grid = _grid_from_config(spec["grid"], model, n, horizon)
-        u = solve_hjb(model, n, grid, horizon[0], horizon[1],
-                      max_stored_slices=grid.time_steps + 1)
-        return verify.time_holder_probe(u, spec.get("r", 1.0))
-    raise ConfigError(f"unknown verify probe {kind!r}")
+    return PROBES[spec["probe"]][1](spec, cfg)
 
 
 def _run_verify(cfg, out_dir, jobs):
     probes = cfg.get("probes", [])
     if jobs > 1 and len(probes) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda s: _verify_probe(s, cfg), probes))
+            per_spec = list(pool.map(lambda s: _verify_probe(s, cfg), probes))
     else:
-        reports = [_verify_probe(s, cfg) for s in probes]
+        per_spec = [_verify_probe(s, cfg) for s in probes]
+    reports = [r for rs in per_spec for r in rs]
     return {"probes": [r.to_json() for r in reports]}, reports
 
 
 def _run_mollify(cfg, out_dir):
-    block = cfg.get("mollify", {})
-    name = block.get("functional", "mean")
-    base = functional_registry()[name]
-    k_list = cfg.get("k_list", [4, 16, 64])
-    seed = cfg["seed"]
+    # the mollify block, with its defaults, is the spec of every probe it selects
+    spec = {"functional": "mean", **cfg.get("mollify", {}),
+            "k_list": cfg.get("k_list", [4, 16, 64])}
+    selected = spec.pop("probes", MOLLIFY_PROBES)
     reports = []
-    which = block.get("probes", ["lipschitz", "uniform", "convexity"])
-    reps = block.get("mc_reps", 4000)
-    if "lipschitz" in which:
-        for k in k_list:
-            reports.append(lipschitz_preservation_probe(base, k, reps, seed))
-    if "uniform" in which:
-        fam = default_test_family(seed=seed + 1)
-        reports.append(uniform_convergence_probe(base, k_list, fam, reps, seed))
-    if "convexity" in which:
-        g = np.random.default_rng(seed + 2)
-        segs = []
-        for _ in range(block.get("segments", 6)):
-            segs.append((g.uniform(-1, 1, 1), g.uniform(-1, 1, 1),
-                         g.uniform(-2, 2, (4, 1)), g.uniform(-2, 2, (4, 1)),
-                         float(g.uniform(0.2, 0.8))))
-        reports.append(convexity_preservation_probe(base, k_list[0], reps, seed, segs))
-    sf = SmoothedFunctional(base, k_list[-1], reps, seed)
+    for name in MOLLIFY_PROBES:
+        if name in selected:
+            reports += _verify_probe(dict(spec, probe=name), cfg)
+    base, reps, seed = _smoothing(spec, cfg)
+    sf = SmoothedFunctional(base, spec["k_list"][-1], reps, seed)
     fam = default_test_family(count=3, seed=seed + 3)
     evals = [{"point": i, "estimate": list(smooth_eval(sf, x, a))} for i, (x, a) in enumerate(fam)]
     return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
@@ -331,8 +423,8 @@ def _run_sweep(cfg, out_dir):
     csv_rows = [[r["n"], repr(r["value"]), repr(r["std_error"]), r["mode"],
                  "" if r["gap_to_previous"] is None else repr(r["gap_to_previous"])]
                 for r in rows]
-    _write_csv(os.path.join(out_dir, "results.csv"),
-               ["n", "value", "std_error", "mode", "gap_to_previous"], csv_rows)
+    write_csv(os.path.join(out_dir, "results.csv"),
+              ["n", "value", "std_error", "mode", "gap_to_previous"], csv_rows)
     return {"sweep": rows}, []
 
 
@@ -359,23 +451,12 @@ def _cmd_run(args) -> int:
         else:
             summary, reports = _run_sweep(cfg, out_dir)
         if reports:
-            buf = io.StringIO()
-            write_reports_csv_to = os.path.join(out_dir, "results.csv")
-            w = csv.writer(buf)
-            w.writerow(["probe", "statistic", "threshold", "pass"])
-            for r in reports:
-                w.writerow([r.name, repr(r.statistic),
-                            "" if r.threshold is None else repr(r.threshold),
-                            "true" if r.passed else "false"])
-            _atomic_write(write_reports_csv_to, buf.getvalue())
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+            write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))
     except Exception as e:  # runtime failure contract: exit 1 with diagnostic
         print(f"runtime failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True, default=float))
+    atomic_write(os.path.join(out_dir, "summary.json"),
+                 json.dumps(summary, indent=2, sort_keys=True, default=float))
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
@@ -385,16 +466,13 @@ def _cmd_run(args) -> int:
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True))
+    atomic_write(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True))
     if reports:
         if args.format == "json":
             print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
         else:
-            for r in reports:
-                print(f"{r.name},{r.statistic!r},"
-                      f"{'' if r.threshold is None else repr(r.threshold)},"
-                      f"{'true' if r.passed else 'false'}")
+            csv.writer(sys.stdout, lineterminator="\n").writerows(map(report_row, reports))
     failed = [r.name for r in reports if not r.passed]
     if failed:
         print(f"failed probes: {', '.join(failed)}", file=sys.stderr)
@@ -403,22 +481,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    models = sorted(REGISTRY)
-    functionals = sorted(functional_registry())
-    probes = sorted(PROBES)
+    catalog = {"models": sorted(REGISTRY), "functionals": sorted(functional_registry()),
+               "probes": sorted(PROBES)}
     if args.format == "json":
-        print(json.dumps({"models": models, "functionals": functionals,
-                          "probes": probes}, indent=2, sort_keys=True))
+        print(json.dumps(catalog, indent=2, sort_keys=True))
     else:
-        print("models:")
-        for m in models:
-            print(f"  {m}")
-        print("functionals:")
-        for f in functionals:
-            print(f"  {f}")
-        print("probes:")
-        for p in probes:
-            print(f"  {p}")
+        for section, names in catalog.items():
+            print(f"{section}:")
+            for name in names:
+                print(f"  {name}")
     return 0
 
 

@@ -9,13 +9,11 @@ noise (discrete form of the cost lift identity).
 
 from __future__ import annotations
 
-import csv
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _as_atoms
+from .measures import mean_se
 from .models import ModelSpec
 from .simulate import (
     ControlPolicy,
@@ -38,8 +36,8 @@ class CostEstimate:
     valid: bool = True
 
     def __post_init__(self):
-        # invariant: the reported mean is the sum of the breakdown means
-        assert self.mean == self.running_l1 + self.running_l2 + self.terminal
+        if self.mean != self.running_l1 + self.running_l2 + self.terminal:
+            raise ValueError("mean must equal the sum of the breakdown means")
 
 
 def _per_path_terms(model: ModelSpec, bundle: PathBundle):
@@ -59,13 +57,12 @@ def _per_path_terms(model: ModelSpec, bundle: PathBundle):
 def _estimate(model, bundle) -> CostEstimate:
     c1, c2, cT = _per_path_terms(model, bundle)
     totals = c1 + c2 + cT
-    P = totals.size
-    se = float(totals.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+    _, se = mean_se(totals)
     m1, m2, mT = float(c1.mean()), float(c2.mean()), float(cT.mean())
     return CostEstimate(
         mean=m1 + m2 + mT,
         std_error=se,
-        n_paths=P,
+        n_paths=totals.size,
         running_l1=m1,
         running_l2=m2,
         terminal=mT,
@@ -112,31 +109,10 @@ def policy_compare(model: ModelSpec, cfg: SimConfig, x0, policies) -> PolicyComp
     best = per_path[order[0]]
     diffs = []
     for totals in per_path:
-        delta = totals - best
-        se = float(delta.std(ddof=1) / np.sqrt(delta.size)) if delta.size > 1 else 0.0
-        diffs.append((float(delta.mean()), se))
+        diffs.append(mean_se(totals - best))
     return PolicyComparison(
         labels=tuple(p.label for p in policies),
         estimates=tuple(estimates),
         ranking=order,
         diff_vs_best=tuple(diffs),
     )
-
-
-def experiment_row(model_id: str, n: int, t0: float, x0, policy_id: str,
-                   est: CostEstimate, dt: float) -> list:
-    """CSV row (model_id, n, t0, x0_hash, policy_id, mean, std_error, n_paths, dt)."""
-    digest = hashlib.sha256(np.ascontiguousarray(_as_atoms(x0)).tobytes()).hexdigest()[:16]
-    return [model_id, n, repr(t0), digest, policy_id,
-            repr(est.mean), repr(est.std_error), est.n_paths, repr(dt)]
-
-
-EXPERIMENT_HEADER = ["model_id", "n", "t0", "x0_hash", "policy_id",
-                     "mean", "std_error", "n_paths", "dt"]
-
-
-def write_experiment_rows(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EXPERIMENT_HEADER)
-        w.writerows(rows)

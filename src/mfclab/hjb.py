@@ -22,8 +22,6 @@ for sigma = 0 it is the classical monotone Lax-Friedrichs scheme.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -348,25 +346,3 @@ def riccati_lq_value(sigma: float, kappa: float, T: float, t: float, x,
         P, r = float(y[0]), float(y[1])
     sq = (atoms ** 2).sum(axis=1)
     return float(np.mean(0.5 * P * sq + r))
-
-
-def dump_values(u: GridValueFunction, csv_path, sidecar_path, cadence: int = 1) -> None:
-    """CSV (slice, node_index, value) every `cadence`-th stored slice + JSON sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slice", "node_index", "value"])
-        for k in range(0, u.values.shape[0], cadence):
-            flat = u.values[k].reshape(-1)
-            for idx in range(flat.size):
-                w.writerow([k, idx, repr(flat[idx])])
-    sidecar = {
-        "grid": u.grid.to_json(),
-        "model": u.model.name,
-        "n": u.n,
-        "t0": u.t0,
-        "T": u.T,
-        "dt": u.dt,
-        "stored_times": u.times.tolist(),
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)

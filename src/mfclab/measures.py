@@ -125,6 +125,13 @@ def rnorm(x, r: float) -> float:
     return float(np.mean(np.linalg.norm(a, axis=1) ** r) ** (1.0 / r))
 
 
+def mean_se(samples):
+    """Monte Carlo mean of the samples and its standard error (0 for one sample)."""
+    v = np.asarray(samples, dtype=np.float64)
+    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
+    return float(v.mean()), se
+
+
 def duplicate_atoms(x, m: int):
     """Repeat each atom m times; the induced empirical measure is unchanged."""
     if m < 1:

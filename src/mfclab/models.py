@@ -26,8 +26,6 @@ class ModelSpec:
     l1: ex.Expr
     kappa: float
     terminal: ex.Expr  # measure features only
-    is_affine_lift: bool = False
-    lift_convex: bool = False
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -86,8 +84,6 @@ class ModelSpec:
             "l1": ex.print_coefficient(self.l1),
             "kappa": self.kappa,
             "UT": ex.print_coefficient(self.terminal),
-            "is_affine_lift": self.is_affine_lift,
-            "lift_convex": self.lift_convex,
         }
 
 
@@ -148,7 +144,7 @@ def _lifted_batch(model: ModelSpec, states, strict=True):
 # -- registry ----------------------------------------------------------------
 
 
-def _build(name, d, d_prime, b, sigma, l1, kappa, UT, affine, convex) -> ModelSpec:
+def _build(name, d, d_prime, b, sigma, l1, kappa, UT) -> ModelSpec:
     return ModelSpec(
         name=name,
         d=d,
@@ -158,8 +154,6 @@ def _build(name, d, d_prime, b, sigma, l1, kappa, UT, affine, convex) -> ModelSp
         l1=ex.parse_coefficient(l1),
         kappa=kappa,
         terminal=ex.parse_coefficient(UT),
-        is_affine_lift=affine,
-        lift_convex=convex,
     )
 
 
@@ -167,19 +161,19 @@ def _registry() -> dict:
     return {
         # Constant coefficients: affine lift, convex lift, C^{1,1} by construction.
         "LQ-decoupled": _build(
-            "LQ-decoupled", 1, 1, ["0"], [["1"]], "0", 1.0, "0.5*m2", True, True
+            "LQ-decoupled", 1, 1, ["0"], [["1"]], "0", 1.0, "0.5*m2"
         ),
         # Affine mean interaction; lift stays affine linear and C^{1,1}.
         "LQ-mean-reverting": _build(
             "LQ-mean-reverting", 1, 1, ["-x[0] + m1[0]"], [["1"]], "0", 1.0,
-            "0.5*m2", True, True,
+            "0.5*m2",
         ),
         # Diffusion depends on the measure through a smooth scalar statistic
         # g(int zeta dmu) with g = tanh, zeta affine: Lipschitz with a C^{1,1}
         # lift (bounded smooth g of a linear statistic), but not affine.
         "tanh-interaction": _build(
             "tanh-interaction", 1, 1, ["-x[0]"], [["0.6 + 0.3*tanh(m1[0])"]],
-            "0.5*(x[0] - m1[0])^2", 1.0, "0.5*m2", False, False,
+            "0.5*(x[0] - m1[0])^2", 1.0, "0.5*m2",
         ),
     }
 
@@ -212,8 +206,6 @@ def model_from_json(doc) -> ModelSpec:
         doc["l1"],
         float(doc["kappa"]),
         doc["UT"],
-        bool(doc.get("is_affine_lift", False)),
-        bool(doc.get("lift_convex", False)),
     )
 
 

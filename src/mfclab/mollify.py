@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from . import expressions as ex
 from . import rng
-from .measures import _as_atoms, wasserstein_r
+from .measures import _as_atoms, mean_se, wasserstein_r
 from .reports import ProbeReport
 
 _MAX_REJECTION_ROUNDS = 10_000
@@ -193,13 +193,7 @@ def smooth_eval_general(base: BaseFunctional, n_samples: int, epsilon: float,
     vals = _coupled_values_general(base, n_samples, epsilon, mc_reps, seed,
                                    [(np.asarray(x, dtype=np.float64), atoms)],
                                    atoms.shape[0], atoms.shape[1])
-    return _mean_se(vals[0])
-
-
-def _mean_se(v: np.ndarray):
-    m = float(v.mean())
-    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
-    return m, se
+    return mean_se(vals[0])
 
 
 def smooth_eval(sf: SmoothedFunctional, x, mu):
@@ -208,7 +202,7 @@ def smooth_eval(sf: SmoothedFunctional, x, mu):
     vals = _coupled_values(sf.base, sf.k, sf.mc_reps, sf.seed,
                            [(np.asarray(x, dtype=np.float64), atoms)],
                            atoms.shape[0], atoms.shape[1])
-    return _mean_se(vals[0])
+    return mean_se(vals[0])
 
 
 # -- probes ---------------------------------------------------------------------
@@ -246,7 +240,7 @@ def lipschitz_preservation_probe(base: BaseFunctional, k: int, mc_reps: int, see
             skipped += 1
             continue
         vals = _coupled_values(base, k, mc_reps, seed + pi, [(x, a), (y, b)], n_atoms, d)
-        diff_mean, diff_se = _mean_se(vals[0] - vals[1])
+        diff_mean, diff_se = mean_se(vals[0] - vals[1])
         quotients.append(abs(diff_mean) / denom)
         stat = max(stat, (abs(diff_mean) - 3.0 * diff_se) / denom)
     return ProbeReport(
@@ -288,7 +282,7 @@ def uniform_convergence_probe(base: BaseFunctional, k_list, test_family,
         vals = _coupled_values(base, k, reps, seed + 1009 * ki, test_family, n_atoms, d)
         best, best_se = -np.inf, 0.0
         for qi, (x, atoms) in enumerate(test_family):
-            mean, se = _mean_se(vals[qi])
+            mean, se = mean_se(vals[qi])
             err = abs(mean - base.evaluate(x, atoms))
             if err > best:
                 best, best_se = err, se
@@ -332,7 +326,7 @@ def convexity_preservation_probe(base: BaseFunctional, k: int, mc_reps: int, see
         vals = _coupled_values(base, k, mc_reps, seed + 211 * si,
                                [(x, Xa), (y, Ya), mix], Xa.shape[0], Xa.shape[1])
         delta = lam * vals[0] + (1 - lam) * vals[1] - vals[2]
-        mean, se = _mean_se(delta)
+        mean, se = mean_se(delta)
         margins.append(mean + 3.0 * se)
         max_rep_abs = max(max_rep_abs, float(np.abs(delta).max()))
     return ProbeReport(

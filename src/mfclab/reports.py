@@ -1,10 +1,20 @@
-"""Probe reports: a uniform pass/fail + provenance record for all checks."""
+"""Probe reports and the artifact files they and the experiments are written to.
+
+A ProbeReport is the uniform pass/fail + provenance record for all checks.
+Every artifact goes through `atomic_write`, and every CSV artifact through
+`write_csv`, so the file mode, the atomic replace and the CSV dialect are
+decided here once.
+"""
 
 from __future__ import annotations
 
 import csv
-import json
+import io
+import os
+import secrets
 from dataclasses import dataclass, field
+
+REPORT_HEADER = ("probe", "statistic", "threshold", "pass")
 
 
 @dataclass(frozen=True)
@@ -44,28 +54,34 @@ class ProbeReport:
         }
 
 
-def report_from_json(doc: dict) -> ProbeReport:
-    return ProbeReport(
-        name=doc["name"],
-        samples=doc["samples"],
-        statistic=doc["statistic"],
-        threshold=doc["threshold"],
-        direction=doc.get("direction", "leq"),
-        provenance=doc.get("provenance", {}),
-        details=doc.get("details", {}),
-    )
+def report_row(r: ProbeReport) -> list:
+    """The REPORT_HEADER fields of one report, as text."""
+    return [r.name, repr(r.statistic), "" if r.threshold is None else repr(r.threshold),
+            "true" if r.passed else "false"]
 
 
-def write_reports_json(path, reports) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_json() for r in reports], fh, indent=2, sort_keys=True)
+def atomic_write(path, data: str) -> None:
+    """Replace `path` by a file holding `data`, in one rename.
+
+    The file is created with mode 0o666 so that the process umask applies, as
+    for any file a plain `open` creates.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def write_reports_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe", "statistic", "threshold", "pass"])
-        for r in reports:
-            w.writerow([r.name, repr(r.statistic),
-                        "" if r.threshold is None else repr(r.threshold),
-                        "true" if r.passed else "false"])
+def write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    atomic_write(path, buf.getvalue())

@@ -9,14 +9,14 @@ in `verify` lean on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .measures import _as_atoms
-from .models import ModelSpec, _lifted_batch
+from .measures import _as_atoms, mean_se
+from .models import ModelSpec
+from .reports import write_csv
 
 BLOWUP_LIMIT = 1.0e8
 
@@ -28,15 +28,12 @@ class SimConfig:
     steps: int
     n_paths: int
     seed: int
-    scheme: str = "euler-maruyama"
 
     def __post_init__(self):
         if not self.T > self.t0:
             raise ValueError("need T > t0")
         if self.steps < 1 or self.n_paths < 1:
             raise ValueError("steps and n_paths must be >= 1")
-        if self.scheme != "euler-maruyama":
-            raise ValueError("only the Euler-Maruyama scheme is supported")
 
     @property
     def dt(self) -> float:
@@ -144,34 +141,7 @@ def wiener_increments(cfg: SimConfig, d_prime: int) -> np.ndarray:
     return np.sqrt(cfg.dt) * z
 
 
-def _step_states(model, states, controls, dW, dt, coeff_eval):
-    """One explicit step on all paths; coeff_eval supplies (B, Sigma) atoms."""
-    B, S = coeff_eval(model, states)
-    drift = (-controls + B) * dt
-    noise = np.einsum("pnij,pj->pni", S, dW)
-    return states + drift + noise
-
-
-def _finite_coeffs(model, states):
-    """Direct evaluation b(x_i, mu), sigma(x_i, mu) on every path.
-
-    Non-strict: a path that drives a coefficient out of its domain produces
-    non-finite values confined to that path, which the blow-up guard retires.
-    """
-    m1, m2 = model.features(states)
-    m1b = m1[:, None, :]
-    m2b = m2[:, None]
-    return (model.drift_at(states, m1b, m2b, strict=False),
-            model.sigma_at(states, m1b, m2b, strict=False))
-
-
-def _lifted_coeffs(model, states):
-    """Evaluation through the lift: atom representation of B(X), Sigma(X)."""
-    B, S, _, _ = _lifted_batch(model, states, strict=False)
-    return B, S
-
-
-def _integrate(model, cfg, x0, policy, coeff_eval, increments):
+def _integrate(model, cfg, x0, policy, increments):
     atoms = _as_atoms(x0)
     n, d = atoms.shape
     if d != model.d:
@@ -195,8 +165,14 @@ def _integrate(model, cfg, x0, policy, coeff_eval, increments):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"policy produced non-finite controls at step {k}")
         trace[:, k] = a
+        # Non-strict: a path that drives a coefficient out of its domain gets
+        # non-finite values confined to that path, which the blow-up guard retires.
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = _step_states(model, cur, a, increments[:, k], cfg.dt, coeff_eval)
+            m1, m2 = model.features(cur)
+            m1b, m2b = m1[:, None, :], m2[:, None]
+            B = model.drift_at(cur, m1b, m2b, strict=False)
+            sig = model.sigma_at(cur, m1b, m2b, strict=False)
+            nxt = cur + (-a + B) * cfg.dt + np.einsum("pnij,pj->pni", sig, increments[:, k])
         bad = ~np.all(np.isfinite(nxt) & (np.abs(nxt) <= BLOWUP_LIMIT), axis=(1, 2))
         newly = bad & (dead < 0)
         dead[newly] = k + 1
@@ -211,7 +187,7 @@ def _integrate(model, cfg, x0, policy, coeff_eval, increments):
 def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: ControlPolicy,
                        increments: np.ndarray | None = None) -> PathBundle:
     """Integrate dX_i = [-a_i + b(X_i, mu_X)] ds + sigma(X_i, mu_X) dW, shared W."""
-    return _integrate(model, cfg, x0, policy, _finite_coeffs, increments)
+    return _integrate(model, cfg, x0, policy, increments)
 
 
 def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: ControlPolicy,
@@ -221,20 +197,13 @@ def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy
     Controls are piecewise constant on the atom partition (one d-vector per
     atom), so the update coincides with the finite system's, atom by atom.
     """
-    return _integrate(model, cfg, atoms, lifted_policy, _lifted_coeffs, increments)
+    return _integrate(model, cfg, atoms, lifted_policy, increments)
 
 
 def _rnorm_along(states, r):
     """|x|_r per (path, step): states (P, K, n, d) -> (P, K)."""
     norms = np.sqrt((states ** 2).sum(axis=-1))
     return (norms ** r).mean(axis=-1) ** (1.0 / r)
-
-
-def _mean_se(v):
-    v = np.asarray(v, dtype=np.float64)
-    m = float(v.mean())
-    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
-    return m, se
 
 
 def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = None) -> dict:
@@ -244,27 +213,21 @@ def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = 
     sup_dev = _rnorm_along(dev, r).max(axis=1)
     incr = bundle.increments
     out = {
-        "mean_sup_rnorm": _mean_se(sup_norm),
-        "mean_sup_deviation": _mean_se(sup_dev),
-        "increment_mean": _mean_se(incr.reshape(-1)),
+        "mean_sup_rnorm": mean_se(sup_norm),
+        "mean_sup_deviation": mean_se(sup_dev),
+        "increment_mean": mean_se(incr.reshape(-1)),
         "increment_var_over_dt": float(incr.var(ddof=1) / bundle.dt),
         "n_paths": bundle.n_paths,
         "dead_paths": int((bundle.dead_step >= 0).sum()),
     }
     if baseline is not None:
         diff = bundle.states - baseline.states
-        out["mean_sup_diff"] = _mean_se(_rnorm_along(diff, r).max(axis=1))
+        out["mean_sup_diff"] = mean_se(_rnorm_along(diff, r).max(axis=1))
     return out
 
 
 def dump_trajectories(bundle: PathBundle, path) -> None:
     """CSV dump with columns (path, step, particle, coord, value)."""
-    P, K, n, d = bundle.states.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "step", "particle", "coord", "value"])
-        for p in range(P):
-            for k in range(K):
-                for i in range(n):
-                    for j in range(d):
-                        w.writerow([p, k, i, j, repr(bundle.states[p, k, i, j])])
+    values = bundle.states.reshape(-1).tolist()
+    rows = ([*index, repr(v)] for index, v in zip(np.ndindex(bundle.states.shape), values))
+    write_csv(path, ["path", "step", "particle", "coord", "value"], rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .costs import cost_finite, cost_lifted
 from .hjb import GridSpec, GridValueFunction, required_time_steps, solve_hjb, synthesize_feedback
-from .measures import _as_atoms, duplicate_atoms, rnorm
+from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import ProbeReport
 from .simulate import (
@@ -162,10 +162,9 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
     worst_delta = np.inf
     for pol in perturbed:
         bundle = simulate_particles(model, cfg, atoms, pol, increments)
-        delta = totals_of(bundle) - base_totals
-        se = float(delta.std(ddof=1) / np.sqrt(delta.size)) if delta.size > 1 else 0.0
-        margins.append(float(delta.mean()) + se_margin * se)
-        worst_delta = min(worst_delta, float(delta.mean()))
+        mean, se = mean_se(totals_of(bundle) - base_totals)
+        margins.append(mean + se_margin * se)
+        worst_delta = min(worst_delta, mean)
     stat = min(margins) if state_gap == 0.0 else -np.inf
     return ProbeReport(
         name=f"feedback-roundtrip[{model.name}]",

@@ -1,13 +1,46 @@
+import contextlib
+import csv
+import io
 import json
+import os
 
 import numpy as np
+import pytest
 
+from mfclab import cli
 from mfclab.cli import main
 
 
 def _write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _listed_probes():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["list", "--format", "json"])
+    return json.loads(out.getvalue())["probes"]
+
+
+LISTED_PROBES = _listed_probes()
+
+_GRID_1D = {"axes": [[-3.0, 3.0, 17]]}
+_GRID_2D = {"axes": [[-3.0, 3.0, 17]] * 2}
+_SIM = {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4}
+# One small valid spec per probe name, too small for every verdict to pass.
+SMALL_SPECS = {
+    "convexity-preservation": {"functional": "mean", "k_list": [2], "mc_reps": 50,
+                               "segments": 2},
+    "cost-identity": {"sim": _SIM, "x0": [[0.5]]},
+    "duplication-consistency": {"base_n": 1, "m": 2, "grid_small": _GRID_1D,
+                                "grid_big": _GRID_2D, "test_points": [[0.5]]},
+    "feedback-roundtrip": {"grid": _GRID_1D, "sim": _SIM, "x0": [[0.5]]},
+    "lipschitz-preservation": {"functional": "mean", "k_list": [2, 4], "mc_reps": 50},
+    "permutation-invariance": {"grid": _GRID_2D},
+    "time-holder": {"grid": _GRID_1D},
+    "uniform-convergence": {"functional": "mean", "k_list": [2, 8], "mc_reps": 50},
+}
 
 
 def test_list_contains_registry(capsys):
@@ -33,6 +66,10 @@ def test_list_stable_across_runs(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_config_schema_is_valid():
+    type(cli._CONFIG_VALIDATOR).check_schema(cli.CONFIG_SCHEMA)
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"kind": "simulate", ')
@@ -42,9 +79,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
-    cfg = _write(tmp_path / "c.json", {"kind": "simulate", "seed": 1, "bogus": 1})
-    assert main(["run", "--config", cfg]) == 2
-    assert "$" in capsys.readouterr().err
+    cases = [
+        ({"kind": "simulate", "seed": 1, "bogus": 1}, "$"),
+        ({"kind": "mollify", "seed": 1, "mollify": {"probes": ["nope"]}}, "$.mollify.probes[0]"),
+        ({"kind": "mollify", "seed": 1, "mollify": {"mc_reps": "many"}}, "$.mollify.mc_reps"),
+        ({"kind": "mollify", "seed": 1, "mollify": {"functional": "nope"}},
+         "$.mollify.functional"),
+        ({"kind": "mollify", "seed": 1, "k_list": []}, "$.k_list"),
+    ]
+    for doc, pointer in cases:
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, doc
+        assert f"at {pointer}" in capsys.readouterr().err
 
 
 def test_simulate_end_to_end_and_reproducible(tmp_path):
@@ -207,7 +253,7 @@ def test_mollify_kind(tmp_path):
         "kind": "mollify",
         "seed": 4,
         "k_list": [2, 4],
-        "mollify": {"functional": "mean", "probes": ["lipschitz"], "mc_reps": 400},
+        "mollify": {"functional": "mean", "probes": ["lipschitz-preservation"], "mc_reps": 400},
     })
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
@@ -228,3 +274,58 @@ def test_sweep_kind(tmp_path):
     rows = (out / "results.csv").read_text().strip().splitlines()
     assert rows[0] == "n,value,std_error,mode,gap_to_previous"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("name", LISTED_PROBES)
+def test_verify_runs_every_listed_probe(tmp_path, capsys, name):
+    cfg = _write(tmp_path / "c.json",
+                 {"kind": "verify", "seed": 2, "probes": [{"probe": name, **SMALL_SPECS[name]}]})
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    # at these sizes a verdict may fail (exit 1), but the probe must run
+    assert code in (0, 1) and "runtime failure" not in err and "config error" not in err, err
+    with open(out / "results.csv", newline="") as fh:
+        reported = [row[0] for row in csv.reader(fh)][1:]
+    assert reported and all(r.startswith(name) for r in reported)
+
+
+@pytest.mark.parametrize("name", LISTED_PROBES)
+def test_probe_spec_without_keys_exits_2(tmp_path, capsys, name):
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 2, "probes": [{"probe": name}]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "at $.probes[0]: " in err and "is a required property" in err
+
+
+def test_invalid_second_probe_fails_before_first_computes(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.verify, "cost_identity_check", lambda *a, **k: calls.append(a))
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 2, "probes": [
+        {"probe": "cost-identity", **SMALL_SPECS["cost-identity"]},
+        {"probe": "duplication-consistency", "base_n": 1},
+    ]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "at $.probes[1]: " in capsys.readouterr().err
+    assert calls == []
+
+
+def test_artifact_modes_follow_umask(tmp_path):
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate",
+        "seed": 9,
+        "model": {"registry": "LQ-decoupled"},
+        "sim": {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4},
+        "x0": [[1.0]],
+        "dump_trajectories": True,
+    })
+    out = tmp_path / "o"
+    old = os.umask(0o027)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["manifest.json", "results.csv", "summary.json", "trajectories.csv"]
+    for p in out.iterdir():
+        assert p.stat().st_mode & 0o777 == 0o640, p.name

@@ -122,18 +122,11 @@ def test_invalid_paths_flag_estimate():
     assert not est.valid
 
 
-def test_experiment_row_format(tmp_path):
-    from mfclab.costs import EXPERIMENT_HEADER, experiment_row, write_experiment_rows
-
-    model = m.registry_model("LQ-decoupled")
-    est = m.cost_finite(model, _cfg(), np.array([[1.0]]), m.ZeroControl())
-    row = experiment_row("LQ-decoupled", 1, 0.0, np.array([[1.0]]), "zero", est, 1 / 16)
-    assert len(row) == len(EXPERIMENT_HEADER)
-    out = tmp_path / "exp.csv"
-    write_experiment_rows(out, [row])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "model_id"
-    assert len(lines) == 2
+def test_estimate_rejects_inconsistent_breakdown():
+    """The invariant holds under `python -O` too, where an assert would vanish."""
+    with pytest.raises(ValueError):
+        m.CostEstimate(mean=1.0, std_error=0.0, n_paths=1, running_l1=0.5,
+                       running_l2=0.25, terminal=0.0)
 
 
 def test_quadrature_consistency_halving_dt():

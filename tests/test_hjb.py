@@ -149,19 +149,3 @@ def test_storage_decimation(lq_model):
     u = m.solve_hjb(lq_model, 1, grid, 0.0, 1.0, max_stored_slices=17)
     assert u.values.shape[0] <= 18
     assert u.times[0] == 0.0 and u.times[-1] == 1.0
-
-
-def test_dump_values(tmp_path, lq_model):
-    from mfclab.hjb import dump_values
-
-    grid = sized_grid(lq_model, 1, (-1.0, 1.0, 9))
-    u = m.solve_hjb(lq_model, 1, grid, 0.0, 0.05, max_stored_slices=3)
-    csv_path = tmp_path / "u.csv"
-    side = tmp_path / "u.json"
-    dump_values(u, csv_path, side)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "slice,node_index,value"
-    import json
-
-    doc = json.loads(side.read_text())
-    assert doc["grid"]["axes"] == [[-1.0, 1.0, 9]]

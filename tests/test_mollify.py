@@ -146,20 +146,6 @@ def test_convexity_second_moment_pointwise():
         assert delta.min() >= -1e-12
 
 
-def test_probe_report_serialization(tmp_path):
-    from mfclab.reports import report_from_json, write_reports_csv, write_reports_json
-
-    base = m.functional_registry()["mean"]
-    rep = m.lipschitz_preservation_probe(base, 4, 200, seed=30, pair_count=4)
-    again = report_from_json(rep.to_json())
-    assert again.passed == rep.passed and again.statistic == rep.statistic
-    write_reports_json(tmp_path / "r.json", [rep])
-    write_reports_csv(tmp_path / "r.csv", [rep])
-    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-    assert lines[0] == "probe,statistic,threshold,pass"
-    assert len(lines) == 2
-
-
 def test_general_entry_decouples_width_and_samples():
     """psi_{N,eps}: wider mollifier means larger second-moment bias at fixed N."""
     from mfclab.mollify import smooth_eval_general
