@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, verify
-from .costs import cost_finite
+from .costs import _estimate
 from .hjb import GridSpec, required_time_steps, riccati_lq_value, solve_hjb
 from .measures import _as_atoms
 from .models import REGISTRY, model_from_json
@@ -83,21 +83,19 @@ _SIM_SCHEMA = {
     "additionalProperties": False,
 }
 
+# one grid axis: [lo, hi, points]
+_AXIS = {
+    "type": "array",
+    "minItems": 3,
+    "maxItems": 3,
+    "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer"}],
+}
+
 _GRID_SCHEMA = {
     "type": "object",
     "required": ["axes"],
     "properties": {
-        "axes": {
-            "type": "array",
-            "minItems": 1,
-            "maxItems": 3,
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer"}],
-            },
-        },
+        "axes": {"type": "array", "minItems": 1, "maxItems": 3, "items": _AXIS},
         "time_steps": _COUNT,
         "margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
     },
@@ -276,12 +274,27 @@ CONFIG_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "sweep": {"type": "object"},
+        "sweep": {
+            "type": "object",
+            "required": ["base_atoms", "grid_axis"],
+            "properties": {
+                "base_atoms": _ARRAY,
+                "grid_axis": _AXIS,
+                "duplications": {"type": "array", "items": _COUNT},
+                "sim": _SIM_SCHEMA,
+            },
+            "additionalProperties": False,
+        },
         "out_dir": {"type": "string"},
         "dump_cadence": _COUNT,
         "dump_trajectories": {"type": "boolean"},
     },
     "additionalProperties": False,
+    "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+               "then": {"required": required}}
+              for kind, required in (("simulate", ["model", "sim", "x0"]),
+                                     ("solve-hjb", ["model", "grid"]),
+                                     ("sweep", ["model", "sweep"]))],
 }
 
 class ConfigError(Exception):
@@ -330,13 +343,17 @@ def _run_simulate(cfg, out_dir):
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
     bundle = simulate_particles(model, sim, x0, ZeroControl())
+    if bundle.any_dead:
+        dead = bundle.dead_step[bundle.dead_step >= 0]
+        raise FloatingPointError(f"{dead.size} of {bundle.n_paths} paths blew up; "
+                                 f"the first at step {dead.min()} of {bundle.steps}")
     if cfg.get("dump_trajectories", False):
         dump_trajectories(bundle, os.path.join(out_dir, "trajectories.csv"))
     stats = path_statistics(bundle, cfg.get("r", 2.0))
     rows = [[k, repr(v[0]), repr(v[1])] if isinstance(v, tuple) else [k, repr(v), ""]
             for k, v in sorted(stats.items())]
     write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)
-    est = cost_finite(model, sim, x0, ZeroControl())
+    est, _ = _estimate(model, bundle)
     summary = {"statistics": {k: list(v) if isinstance(v, tuple) else v for k, v in stats.items()},
                "zero_control_cost": {"mean": est.mean, "std_error": est.std_error}}
     return summary, []

@@ -54,12 +54,13 @@ def _per_path_terms(model: ModelSpec, bundle: PathBundle):
     return dt * l1.sum(axis=1), dt * l2.sum(axis=1), term
 
 
-def _estimate(model, bundle) -> CostEstimate:
+def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.ndarray]:
+    """Cost estimate of an integrated ensemble, and its per-path totals (P,)."""
     c1, c2, cT = _per_path_terms(model, bundle)
     totals = c1 + c2 + cT
     _, se = mean_se(totals)
     m1, m2, mT = float(c1.mean()), float(c2.mean()), float(cT.mean())
-    return CostEstimate(
+    est = CostEstimate(
         mean=m1 + m2 + mT,
         std_error=se,
         n_paths=totals.size,
@@ -68,20 +69,21 @@ def _estimate(model, bundle) -> CostEstimate:
         terminal=mT,
         valid=not bundle.any_dead,
     )
+    return est, totals
 
 
 def cost_finite(model: ModelSpec, cfg: SimConfig, x0, policy: ControlPolicy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J_n estimate: path average of the running-plus-terminal quadrature."""
     bundle = simulate_particles(model, cfg, x0, policy, increments)
-    return _estimate(model, bundle)
+    return _estimate(model, bundle)[0]
 
 
 def cost_lifted(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: ControlPolicy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J estimate on the atom representation (E_n restriction of the lifted problem)."""
     bundle = simulate_lifted_atoms(model, cfg, atoms, lifted_policy, increments)
-    return _estimate(model, bundle)
+    return _estimate(model, bundle)[0]
 
 
 @dataclass(frozen=True)
@@ -97,22 +99,14 @@ def policy_compare(model: ModelSpec, cfg: SimConfig, x0, policies) -> PolicyComp
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
     increments = wiener_increments(cfg, model.d_prime)
-    per_path = []
-    estimates = []
-    for pol in policies:
-        bundle = simulate_particles(model, cfg, x0, pol, increments)
-        c1, c2, cT = _per_path_terms(model, bundle)
-        totals = c1 + c2 + cT
-        per_path.append(totals)
-        estimates.append(_estimate(model, bundle))
+    estimates, per_path = zip(*(
+        _estimate(model, simulate_particles(model, cfg, x0, pol, increments))
+        for pol in policies))
     order = tuple(int(i) for i in np.argsort([e.mean for e in estimates], kind="stable"))
     best = per_path[order[0]]
-    diffs = []
-    for totals in per_path:
-        diffs.append(mean_se(totals - best))
     return PolicyComparison(
         labels=tuple(p.label for p in policies),
-        estimates=tuple(estimates),
+        estimates=estimates,
         ranking=order,
-        diff_vs_best=tuple(diffs),
+        diff_vs_best=tuple(mean_se(totals - best) for totals in per_path),
     )

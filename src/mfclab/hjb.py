@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .measures import _as_atoms
 from .models import ModelSpec
@@ -158,8 +157,10 @@ class GridValueFunction:
     def slice_for_time(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
-    def _interpolator(self, k: int) -> RegularGridInterpolator:
+    def _interpolator(self, k: int):
         if k not in self._interp_cache:
+            from scipy.interpolate import RegularGridInterpolator
+
             self._interp_cache[k] = RegularGridInterpolator(
                 tuple(self.grid.coords()), self.values[k], method="linear"
             )
@@ -295,6 +296,8 @@ def synthesize_feedback(u: GridValueFunction) -> MarkovFeedback:
     Space: multilinear on the gradient field; time: nearest stored slice;
     queries outside the grid clamp to the boundary.
     """
+    from scipy.interpolate import RegularGridInterpolator
+
     coords = tuple(u.grid.coords())
     lo = np.array([a[0] for a in u.grid.axes])
     hi = np.array([a[1] for a in u.grid.axes])

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class UnsupportedShapeError(ValueError):
@@ -173,6 +172,8 @@ def wasserstein_r(mu, nu, r: float) -> float:
         raise UnsupportedShapeError(
             "transport between unequal atom counts requires d = 1"
         )
+    from scipy.optimize import linear_sum_assignment
+
     diff = a[:, None, :] - b[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** r
     rows, cols = linear_sum_assignment(cost)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expressions as ex
 from . import rng
@@ -40,6 +39,8 @@ def bump_constants(d: int) -> dict:
 
     eta(z) = C exp(1/(|z|^2 - 1)) on |z| < 1, with C fixed by integral one.
     """
+    from scipy.integrate import quad
+
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     raw, _ = quad(lambda r: r ** (d - 1) * math.exp(1.0 / (r * r - 1.0)), 0.0, 1.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costs import cost_finite, cost_lifted
+from .costs import _estimate, cost_finite, cost_lifted
 from .hjb import GridSpec, GridValueFunction, required_time_steps, solve_hjb, synthesize_feedback
 from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
@@ -137,8 +137,6 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
     (b) on common noise, no constant-offset perturbation of the feedback beats
     it beyond `se_margin` paired std errors.
     """
-    from .costs import _per_path_terms
-
     atoms = _as_atoms(x0)
     policy = synthesize_feedback(u)
     increments = wiener_increments(cfg, model.d_prime)
@@ -153,16 +151,12 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
             e[axis] = off
             perturbed.append(ShiftedPolicy(policy, e, label=f"feedback{off:+.2f}e{axis}"))
 
-    def totals_of(bundle):
-        c1, c2, cT = _per_path_terms(model, bundle)
-        return c1 + c2 + cT
-
-    base_totals = totals_of(fin)
+    base_totals = _estimate(model, fin)[1]
     margins = []
     worst_delta = np.inf
     for pol in perturbed:
         bundle = simulate_particles(model, cfg, atoms, pol, increments)
-        mean, se = mean_se(totals_of(bundle) - base_totals)
+        mean, se = mean_se(_estimate(model, bundle)[1] - base_totals)
         margins.append(mean + se_margin * se)
         worst_delta = min(worst_delta, mean)
     stat = min(margins) if state_gap == 0.0 else -np.inf

@@ -3,11 +3,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mfclab import cli
+from mfclab import cli, simulate
 from mfclab.cli import main
 
 
@@ -86,11 +88,18 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "mollify", "seed": 1, "mollify": {"functional": "nope"}},
          "$.mollify.functional"),
         ({"kind": "mollify", "seed": 1, "k_list": []}, "$.k_list"),
+        ({"kind": "simulate", "seed": 1}, "$"),
+        ({"kind": "solve-hjb", "seed": 1}, "$"),
+        ({"kind": "sweep", "seed": 1, "model": {"registry": "LQ-decoupled"}, "sweep": {}},
+         "$.sweep"),
+        ({"kind": "sweep", "seed": 1, "model": {"registry": "LQ-decoupled"},
+          "sweep": {"base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 61], "bogus": 1}},
+         "$.sweep"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, doc
-        assert f"at {pointer}" in capsys.readouterr().err
+        assert f"at {pointer}: " in capsys.readouterr().err, doc
 
 
 def test_simulate_end_to_end_and_reproducible(tmp_path):
@@ -111,6 +120,63 @@ def test_simulate_end_to_end_and_reproducible(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert "mfclab" in manifest["versions"]
+
+
+def test_simulate_integrates_once(tmp_path, monkeypatch):
+    calls = []
+    integrate = simulate._integrate
+    monkeypatch.setattr(simulate, "_integrate", lambda *a: calls.append(1) or integrate(*a))
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate",
+        "seed": 9,
+        "model": {"registry": "LQ-decoupled"},
+        "sim": {"t0": 0.0, "T": 0.5, "steps": 8, "n_paths": 16},
+        "x0": [[1.0]],
+    })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_blown_up_simulate_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate",
+        "seed": 1,
+        "model": {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]],
+                  "l1": "0.5*x[0]^2", "kappa": 1.0, "UT": "0.5*m2"},
+        "sim": {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4},
+        "x0": [[3.0]],
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "4 of 4 paths blew up; the first at step " in err, err
+    assert not (out / "summary.json").exists()
+
+
+def test_scipy_submodules_load_only_where_called(tmp_path):
+    """`list` and a simulate run never call the assignment solver, the
+    interpolator or the quadrature, so they must not import them."""
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate",
+        "seed": 3,
+        "model": {"registry": "tanh-interaction"},
+        "sim": {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4},
+        "x0": [[0.5], [-0.5]],
+    })
+    script = (
+        "import sys\n"
+        "from mfclab.cli import main\n"
+        "assert main(['list']) == 0\n"
+        f"assert main(['run', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.integrate')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_seed_override(tmp_path):

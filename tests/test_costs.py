@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from mfclab import costs
+from mfclab.measures import mean_se
 
 
 def _cfg(**kw):
@@ -76,6 +78,30 @@ def test_policy_compare_duplicate_policy():
                             [m.ZeroControl(), m.ZeroControl()])
     delta, se = comp.diff_vs_best[1]
     assert delta == 0.0 and se == 0.0
+
+
+def test_policy_compare_prices_each_policy_once(monkeypatch):
+    model = m.registry_model("tanh-interaction")
+    cfg = _cfg(n_paths=32)
+    x0 = np.array([[0.5], [-1.0]])
+    pols = [m.ZeroControl(), m.OpenLoopSchedule(np.full((16, 2, 1), 0.3))]
+    # reference: each policy priced alone on the shared increments, and the
+    # paired differences formed from the per-path quadrature terms
+    increments = m.wiener_increments(cfg, model.d_prime)
+    want = [m.cost_finite(model, cfg, x0, p, increments) for p in pols]
+    totals = []
+    for p in pols:
+        c1, c2, cT = costs._per_path_terms(
+            model, m.simulate_particles(model, cfg, x0, p, increments))
+        totals.append(c1 + c2 + cT)
+    best = int(np.argmin([e.mean for e in want]))
+    calls = []
+    terms = costs._per_path_terms
+    monkeypatch.setattr(costs, "_per_path_terms", lambda *a: calls.append(1) or terms(*a))
+    comp = m.policy_compare(model, cfg, x0, pols)
+    assert len(calls) == 2
+    assert comp.estimates == tuple(want)
+    assert comp.diff_vs_best == tuple(mean_se(t - totals[best]) for t in totals)
 
 
 def test_policy_compare_requires_two():

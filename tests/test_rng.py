@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mfclab import rng
 
@@ -56,3 +57,20 @@ def test_cross_stream_independence():
     assert abs(corr) < 4.0 / np.sqrt(x.size)
     adjacent = np.corrcoef(x[:-1], x[1:])[0, 1]
     assert abs(adjacent) < 4.0 / np.sqrt(x.size)
+
+
+# Random123 known-answer vectors for Philox4x32-10: (counter, key, output)
+PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF, 0xFFFFFFFF),
+     (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+@pytest.mark.parametrize("ctr, key, want", PHILOX_KAT)
+def test_philox_known_answers(ctr, key, want):
+    got = rng._philox4x32(*ctr, *key)
+    assert tuple(int(w) for w in got) == want
