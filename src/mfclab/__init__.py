@@ -48,6 +48,7 @@ from .hjb import (
     grid_gradient,
     required_time_steps,
     riccati_lq_value,
+    sized_grid,
     solve_hjb,
     synthesize_feedback,
 )

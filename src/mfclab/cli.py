@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__, verify
 from .costs import _estimate
-from .hjb import GridSpec, required_time_steps, riccati_lq_value, solve_hjb
+from .hjb import GridSpec, riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
@@ -234,11 +234,23 @@ PROBES = {
         _probe_uniform),
 }
 
+# kind -> (config keys it requires, name of its runner); the order is the schema's
+# enum order. Every runner maps (config, out_dir, jobs) to (summary, reports). They
+# are looked up by name when called, so a wrapper bound to the module attribute
+# (perfbench/tracer.py wraps _run_verify) is the one that runs.
+KINDS = {
+    "simulate": (["model", "sim", "x0"], "_run_simulate"),
+    "solve-hjb": (["model", "grid"], "_run_solve"),
+    "verify": ([], "_run_verify"),
+    "mollify": ([], "_run_mollify"),
+    "sweep": (["model", "sweep"], "_run_sweep"),
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["kind", "seed"],
     "properties": {
-        "kind": {"enum": ["simulate", "solve-hjb", "verify", "mollify", "sweep"]},
+        "kind": {"enum": list(KINDS)},
         "seed": _SEED,
         "model": _MODEL_SCHEMA,
         "sim": _SIM_SCHEMA,
@@ -292,9 +304,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
                "then": {"required": required}}
-              for kind, required in (("simulate", ["model", "sim", "x0"]),
-                                     ("solve-hjb", ["model", "grid"]),
-                                     ("sweep", ["model", "sweep"]))],
+              for kind, (required, _) in KINDS.items()],
 }
 
 class ConfigError(Exception):
@@ -329,16 +339,17 @@ def _load_config(path: str) -> dict:
 
 
 def _grid_from_config(block: dict, model, n, horizon) -> GridSpec:
-    axes = tuple(tuple(a) for a in block["axes"])
-    margin = block.get("margin", 0.25)
-    if "time_steps" in block:
-        return GridSpec(axes=axes, time_steps=block["time_steps"], margin=margin)
-    probe = GridSpec(axes=axes, time_steps=1, margin=margin)
-    steps = required_time_steps(model, n, probe, horizon[0], horizon[1])
-    return GridSpec(axes=axes, time_steps=steps, margin=margin)
+    return sized_grid(model, n, block["axes"], horizon[0], horizon[1],
+                      time_steps=block.get("time_steps"), margin=block.get("margin", 0.25))
 
 
-def _run_simulate(cfg, out_dir):
+def _horizon(cfg) -> tuple:
+    """(t0, T) of the config's horizon block; (0, 1) without one."""
+    horizon = cfg.get("horizon", {"t0": 0.0, "T": 1.0})
+    return horizon["t0"], horizon["T"]
+
+
+def _run_simulate(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
@@ -359,10 +370,10 @@ def _run_simulate(cfg, out_dir):
     return summary, []
 
 
-def _run_solve(cfg, out_dir):
+def _run_solve(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
     n = cfg.get("n", 1)
-    horizon = (cfg["horizon"]["t0"], cfg["horizon"]["T"]) if "horizon" in cfg else (0.0, 1.0)
+    horizon = _horizon(cfg)
     grid = _grid_from_config(cfg["grid"], model, n, horizon)
     u = solve_hjb(model, n, grid, horizon[0], horizon[1])
     cadence = cfg.get("dump_cadence", 1)
@@ -407,7 +418,7 @@ def _run_verify(cfg, out_dir, jobs):
     return {"probes": [r.to_json() for r in reports]}, reports
 
 
-def _run_mollify(cfg, out_dir):
+def _run_mollify(cfg, out_dir, jobs):
     # the mollify block, with its defaults, is the spec of every probe it selects
     spec = {"functional": "mean", **cfg.get("mollify", {}),
             "k_list": cfg.get("k_list", [4, 16, 64])}
@@ -423,10 +434,10 @@ def _run_mollify(cfg, out_dir):
     return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
 
 
-def _run_sweep(cfg, out_dir):
+def _run_sweep(cfg, out_dir, jobs):
     block = cfg["sweep"]
     model = model_from_json(cfg["model"])
-    horizon = (cfg["horizon"]["t0"], cfg["horizon"]["T"]) if "horizon" in cfg else (0.0, 1.0)
+    horizon = _horizon(cfg)
     base = np.asarray(block["base_atoms"], dtype=np.float64)
     fams = {}
     for m in block.get("duplications", [1, 2]):
@@ -456,17 +467,7 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        kind = cfg["kind"]
-        if kind == "simulate":
-            summary, reports = _run_simulate(cfg, out_dir)
-        elif kind == "solve-hjb":
-            summary, reports = _run_solve(cfg, out_dir)
-        elif kind == "verify":
-            summary, reports = _run_verify(cfg, out_dir, args.jobs)
-        elif kind == "mollify":
-            summary, reports = _run_mollify(cfg, out_dir)
-        else:
-            summary, reports = _run_sweep(cfg, out_dir)
+        summary, reports = globals()[KINDS[cfg["kind"]][1]](cfg, out_dir, args.jobs)
         if reports:
             write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))
     except Exception as e:  # runtime failure contract: exit 1 with diagnostic

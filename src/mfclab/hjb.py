@@ -32,6 +32,10 @@ from .models import ModelSpec
 from .simulate import MarkovFeedback
 
 CFL_SAFETY = 0.9
+# Factor on the terminal-slice step count: absorbs moderate gradient growth
+# during the march, where the bound is re-checked every slice.
+STEP_SAFETY = 1.3
+MAX_AXES = 3
 
 
 class CFLError(RuntimeError):
@@ -50,8 +54,8 @@ class GridSpec:
     margin: float = 0.25
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 3:
-            raise ValueError("grids support 1 to 3 axes (n*d <= 3)")
+        if not 1 <= len(self.axes) <= MAX_AXES:
+            raise ValueError(f"grids support 1 to {MAX_AXES} axes (n*d <= {MAX_AXES})")
         for lo, hi, pts in self.axes:
             if pts < 8:
                 raise ValueError("need at least 8 points per axis")
@@ -71,6 +75,10 @@ class GridSpec:
     def shape(self) -> tuple:
         return tuple(pts for _, _, pts in self.axes)
 
+    def bounds(self):
+        """(lo, hi) arrays of the grid's extent, one entry per axis."""
+        return np.array([a[0] for a in self.axes]), np.array([a[1] for a in self.axes])
+
     def core_bounds(self):
         return [
             (lo + self.margin * (hi - lo), hi - self.margin * (hi - lo))
@@ -83,21 +91,6 @@ class GridSpec:
             "time_steps": self.time_steps,
             "margin": self.margin,
         }
-
-
-def _pad_linear(u: np.ndarray) -> np.ndarray:
-    """One ghost layer per side on every axis, by linear extrapolation."""
-    for ax in range(u.ndim):
-        first = [slice(None)] * u.ndim
-        second = list(first)
-        first[ax] = slice(0, 1)
-        second[ax] = slice(1, 2)
-        lo = 2.0 * u[tuple(first)] - u[tuple(second)]
-        first[ax] = slice(-1, None)
-        second[ax] = slice(-2, -1)
-        hi = 2.0 * u[tuple(first)] - u[tuple(second)]
-        u = np.concatenate([lo, u, hi], axis=ax)
-    return u
 
 
 def _shift(padded: np.ndarray, offsets: dict) -> np.ndarray:
@@ -113,11 +106,11 @@ def _derivatives(u: np.ndarray, h: np.ndarray):
     """Central gradients, axis second differences, and cross stencils.
 
     Returns (grads (*shape, nd), second_diffs list, crosses dict {(a,b): array}).
-    Ghost extrapolation makes boundary gradients one-sided and boundary
-    curvature zero.
+    One ghost layer per side, by linear extrapolation (odd reflection), makes
+    boundary gradients one-sided and boundary curvature zero.
     """
     nd = u.ndim
-    p = _pad_linear(u)
+    p = np.pad(u, 1, mode="reflect", reflect_type="odd")
     grads = []
     d2 = []
     for a in range(nd):
@@ -157,25 +150,24 @@ class GridValueFunction:
     def slice_for_time(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
-    def _interpolator(self, k: int):
-        if k not in self._interp_cache:
+    def _interpolate(self, t: float, pts: np.ndarray, gradient: bool = False) -> np.ndarray:
+        """Multilinear interpolation of the nearest stored slice (or of its
+        gradient field, shape (P, nd)) at points (P, nd) clamped to the grid."""
+        k = self.slice_for_time(t)
+        if (gradient, k) not in self._interp_cache:
             from scipy.interpolate import RegularGridInterpolator
 
-            self._interp_cache[k] = RegularGridInterpolator(
-                tuple(self.grid.coords()), self.values[k], method="linear"
+            data = grid_gradient(self, k) if gradient else self.values[k]
+            self._interp_cache[gradient, k] = RegularGridInterpolator(
+                tuple(self.grid.coords()), data, method="linear"
             )
-        return self._interp_cache[k]
+        return self._interp_cache[gradient, k](np.clip(pts, *self.grid.bounds()))
 
     def value_at(self, t: float, points) -> np.ndarray:
         """Multilinear value at nearest stored slice; queries clamped to the grid."""
         pts = np.asarray(points, dtype=np.float64)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        lo = np.array([a[0] for a in self.grid.axes])
-        hi = np.array([a[1] for a in self.grid.axes])
-        pts = np.clip(pts, lo, hi)
-        out = self._interpolator(self.slice_for_time(t))(pts)
-        return float(out[0]) if squeeze else out
+        out = self._interpolate(t, np.atleast_2d(pts))
+        return float(out[0]) if pts.ndim == 1 else out
 
     def core_mask(self) -> np.ndarray:
         mask = np.ones(self.grid.shape(), dtype=bool)
@@ -188,7 +180,8 @@ class GridValueFunction:
 
 
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
-    """Per-node coefficient arrays (fixed in time): b, l1, A_n, lambda_min, U_T."""
+    """Per-node coefficient arrays (fixed in time): b, l1, A_n, lambda_min, U_T,
+    and Lam = max over nodes of Tr A_n, the diffusion part of the CFL bound."""
     nd = n * model.d
     if len(grid.axes) != nd:
         raise ValueError(f"grid has {len(grid.axes)} axes but n*d = {nd}")
@@ -204,30 +197,39 @@ def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
     A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
     lam_min = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)
     uT = np.asarray(model.terminal_at(m1, m2), dtype=np.float64)
-    return atoms, b, l1, A, lam_min, uT
+    Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
+    return b, l1, A, lam_min, Lam, uT
 
 
-def _cfl_bound(Lam: float, Theta: float, hmin: float) -> float:
-    return CFL_SAFETY / (2.0 * Lam / hmin ** 2 + Theta / hmin)
-
-
-def required_time_steps(model: ModelSpec, n: int, grid: GridSpec,
-                        t0: float, T: float, safety: float = 1.3) -> int:
-    """Step count suggestion from the terminal-slice CFL estimate.
-
-    The solver re-checks the bound every slice with the current gradients;
-    the safety factor absorbs moderate gradient growth during the march.
-    """
-    _, b, _, A, _, uT = _node_coefficients(model, n, grid)
-    h = grid.spacings()
+def _march_terms(model: ModelSpec, n: int, b: np.ndarray, Lam: float, u: np.ndarray,
+                 h: np.ndarray):
+    """Derivatives of slice u, the costate p = n Du, the transport speeds
+    |b - p/kappa| per axis, and the explicit CFL bound on the time step."""
     nd = n * model.d
-    grads, _, _ = _derivatives(uT, h)
+    grads, d2, crosses = _derivatives(u, h)
     p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
     speeds = np.abs(-b + p / model.kappa).reshape(grads.shape[:-1] + (nd,))
     Theta = float(speeds.reshape(-1, nd).max(axis=0).sum())
-    Lam = float(np.einsum("...aa->...", A).max())
-    bound = _cfl_bound(Lam, Theta, float(h.min()))
-    return max(1, math.ceil(safety * (T - t0) / bound))
+    hmin = float(h.min())
+    bound = CFL_SAFETY / (2.0 * Lam / hmin ** 2 + Theta / hmin)
+    return d2, crosses, p, speeds, bound
+
+
+def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
+    """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
+    b, _, _, _, Lam, uT = _node_coefficients(model, n, grid)
+    bound = _march_terms(model, n, b, Lam, uT, grid.spacings())[-1]
+    return max(1, math.ceil(STEP_SAFETY * (T - t0) / bound))
+
+
+def sized_grid(model: ModelSpec, n: int, axes, t0: float, T: float,
+               time_steps: int | None = None, margin: float = 0.25) -> GridSpec:
+    """GridSpec with the given step count, or the CFL-derived one when it is None."""
+    axes = tuple(tuple(a) for a in axes)
+    if time_steps is None:
+        time_steps = required_time_steps(model, n, GridSpec(axes, time_steps=1, margin=margin),
+                                         t0, T)
+    return GridSpec(axes=axes, time_steps=time_steps, margin=margin)
 
 
 def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: float = 1.0,
@@ -236,28 +238,24 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     if T <= t0:
         raise ValueError("need T > t0")
     nd = n * model.d
-    if nd > 3:
-        raise ValueError(f"n*d = {nd} exceeds the supported grid dimension 3")
-    atoms, b, l1, A, lam_min, uT = _node_coefficients(model, n, grid)
+    if nd > MAX_AXES:
+        raise ValueError(f"n*d = {nd} exceeds the supported grid dimension {MAX_AXES}")
+    b, l1, A, lam_min, Lam, uT = _node_coefficients(model, n, grid)
     h = grid.spacings()
-    hmin = float(h.min())
     diagA = np.einsum("...aa->...a", A)
-    Lam = float(diagA.sum(axis=-1).max())
     K = grid.time_steps
     dt = (T - t0) / K
 
     stride = max(1, math.ceil((K + 1) / max_stored_slices))
-    keep = {0, K} | {k for k in range(0, K + 1, stride)}
-    stored = {K: uT.copy()}
+    kept = sorted({0, K} | set(range(0, K + 1, stride)))
+    row = {k: i for i, k in enumerate(kept)}
+    values = np.empty((len(kept),) + uT.shape)
+    values[-1] = uT
 
-    u = uT.copy()
+    u = uT
     inv2k = 1.0 / (2.0 * model.kappa)
     for k in range(K - 1, -1, -1):
-        grads, d2, crosses = _derivatives(u, h)
-        p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
-        speeds = np.abs(-b + p / model.kappa).reshape(grads.shape[:-1] + (nd,))
-        Theta = float(speeds.reshape(-1, nd).max(axis=0).sum())
-        bound = _cfl_bound(Lam, Theta, hmin)
+        d2, crosses, p, speeds, bound = _march_terms(model, n, b, Lam, u, h)
         if dt > bound:
             raise CFLError(dt, bound, math.ceil((T - t0) / bound))
         Hbar = (-(b * p).sum(-1) - l1 + (p ** 2).sum(-1) * inv2k).mean(-1)
@@ -270,12 +268,10 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         u = u + dt * rhs
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite values while marching at slice {k}")
-        if k in keep:
-            stored[k] = u.copy()
+        if k in row:
+            values[row[k]] = u
 
-    ks = sorted(stored)
-    times = t0 + dt * np.array(ks, dtype=np.float64)
-    values = np.stack([stored[k] for k in ks], axis=0)
+    times = t0 + dt * np.array(kept, dtype=np.float64)
     return GridValueFunction(grid=grid, model=model, n=n, t0=t0, T=T, dt=dt,
                              times=times, values=values)
 
@@ -296,24 +292,11 @@ def synthesize_feedback(u: GridValueFunction) -> MarkovFeedback:
     Space: multilinear on the gradient field; time: nearest stored slice;
     queries outside the grid clamp to the boundary.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
-    coords = tuple(u.grid.coords())
-    lo = np.array([a[0] for a in u.grid.axes])
-    hi = np.array([a[1] for a in u.grid.axes])
     nd = u.n * u.d
-    cache: dict = {}
-
-    def grad_interp(k: int):
-        if k not in cache:
-            g = grid_gradient(u, k)
-            cache[k] = RegularGridInterpolator(coords, g, method="linear")
-        return cache[k]
 
     def fn(t, states):
         P = states.shape[0]
-        pts = np.clip(states.reshape(P, nd), lo, hi)
-        g = grad_interp(u.slice_for_time(t))(pts)        # (P, nd)
+        g = u._interpolate(t, states.reshape(P, nd), gradient=True)
         return (g * (u.n / u.model.kappa)).reshape(P, u.n, u.d)
 
     return MarkovFeedback(fn, label="hjb-feedback")

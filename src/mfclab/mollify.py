@@ -199,11 +199,7 @@ def smooth_eval_general(base: BaseFunctional, n_samples: int, epsilon: float,
 
 def smooth_eval(sf: SmoothedFunctional, x, mu):
     """Monte Carlo estimate of phi_k(x, mu); returns (mean, std_error)."""
-    atoms = _as_atoms(mu)
-    vals = _coupled_values(sf.base, sf.k, sf.mc_reps, sf.seed,
-                           [(np.asarray(x, dtype=np.float64), atoms)],
-                           atoms.shape[0], atoms.shape[1])
-    return mean_se(vals[0])
+    return smooth_eval_general(sf.base, sf.k, sf.epsilon, sf.mc_reps, sf.seed, x, mu)
 
 
 # -- probes ---------------------------------------------------------------------

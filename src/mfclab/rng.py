@@ -67,8 +67,9 @@ def pair_normals(seed: int, tag: int, i0, i1, i2):
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
-def normals(seed: int, tag: int, i0, i1, count: int):
-    """`count` N(0,1) values per (i0, i1) index pair, shape broadcast(i0,i1) + (count,).
+def _blocks(pair, seed: int, tag: int, i0, i1, count: int):
+    """`count` values of the pair stream `pair` per (i0, i1) index pair, shape
+    broadcast(i0, i1) + (count,).
 
     Consecutive values come from counter blocks i2 = 0, 1, ... so the draw for a
     given (seed, tag, i0, i1, j) never depends on how many others were requested.
@@ -78,22 +79,18 @@ def normals(seed: int, tag: int, i0, i1, count: int):
     shape = np.broadcast_shapes(i0.shape, i1.shape)
     blocks = (count + 1) // 2
     blk = np.arange(blocks, dtype=np.uint64).reshape((1,) * len(shape) + (blocks,))
-    z0, z1 = pair_normals(seed, tag, i0[..., None], i1[..., None], blk)
+    v0, v1 = pair(seed, tag, i0[..., None], i1[..., None], blk)
     out = np.empty(shape + (2 * blocks,))
-    out[..., 0::2] = z0
-    out[..., 1::2] = z1
+    out[..., 0::2] = v0
+    out[..., 1::2] = v1
     return out[..., :count]
+
+
+def normals(seed: int, tag: int, i0, i1, count: int):
+    """`count` N(0,1) values per (i0, i1) index pair; block layout as in _blocks()."""
+    return _blocks(pair_normals, seed, tag, i0, i1, count)
 
 
 def uniforms(seed: int, tag: int, i0, i1, count: int):
-    """`count` U(0,1) values per (i0, i1) index pair; block layout as in normals()."""
-    i0 = np.asarray(i0)
-    i1 = np.asarray(i1)
-    shape = np.broadcast_shapes(i0.shape, i1.shape)
-    blocks = (count + 1) // 2
-    blk = np.arange(blocks, dtype=np.uint64).reshape((1,) * len(shape) + (blocks,))
-    u0, u1 = pair_uniforms(seed, tag, i0[..., None], i1[..., None], blk)
-    out = np.empty(shape + (2 * blocks,))
-    out[..., 0::2] = u0
-    out[..., 1::2] = u1
-    return out[..., :count]
+    """`count` U(0,1) values per (i0, i1) index pair; block layout as in _blocks()."""
+    return _blocks(pair_uniforms, seed, tag, i0, i1, count)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import _estimate, cost_finite, cost_lifted
-from .hjb import GridSpec, GridValueFunction, required_time_steps, solve_hjb, synthesize_feedback
+from .hjb import (MAX_AXES, GridSpec, GridValueFunction, sized_grid, solve_hjb,
+                  synthesize_feedback)
 from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import ProbeReport
@@ -31,8 +32,8 @@ def duplication_consistency(model: ModelSpec, base_n: int, m: int,
                             t0: float, T: float, test_points,
                             compare_times=None, threshold: float = 2e-2) -> ProbeReport:
     """Solve u_n and u_{mn} independently; compare values on duplicated atoms."""
-    if base_n * m * model.d > 3:
-        raise ValueError("duplicated problem exceeds the n*d <= 3 grid limit")
+    if base_n * m * model.d > MAX_AXES:
+        raise ValueError(f"duplicated problem exceeds the n*d <= {MAX_AXES} grid limit")
     u_small = solve_hjb(model, base_n, grid_small, t0, T)
     u_big = solve_hjb(model, base_n * m, grid_big, t0, T)
     times = list(compare_times) if compare_times is not None else [t0, 0.5 * (t0 + T), T]
@@ -65,6 +66,7 @@ def cost_identity_check(model: ModelSpec, cfg: SimConfig, x0, policy,
     increments = wiener_increments(cfg, model.d_prime)
     cf = cost_finite(model, cfg, x0, policy, increments)
     cl = cost_lifted(model, cfg, x0, policy, increments)
+    _require_valid(cf, cl)
     scale = max(abs(cf.mean), abs(cl.mean), 1.0)
     rel = abs(cf.mean - cl.mean) / scale
     return ProbeReport(
@@ -76,6 +78,12 @@ def cost_identity_check(model: ModelSpec, cfg: SimConfig, x0, policy,
         details={"finite_mean": cf.mean, "lifted_mean": cl.mean,
                  "bit_identical": cf.mean == cl.mean},
     )
+
+
+def _require_valid(*estimates) -> None:
+    """An estimate over an ensemble whose paths blew up is no estimate."""
+    if not all(est.valid for est in estimates):
+        raise FloatingPointError("paths blew up; the Monte Carlo cost estimate is invalid")
 
 
 def semiconcavity_probe(value_fn, pairs, lambdas, degenerate_tol: float = 1e-8) -> dict:
@@ -236,11 +244,10 @@ def time_holder_probe(u: GridValueFunction, r: float, n_gaps: int = 5) -> ProbeR
 
 
 def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: float, T: float,
-                      mc_cfg: SimConfig | None = None, grid_margin: float = 0.25,
-                      max_grid_nd: int = 3, safety: float = 1.3) -> list:
+                      mc_cfg: SimConfig | None = None) -> list:
     """Value sequence u_n(t0, x(n)) along measure-convergent atom families.
 
-    atom_families maps n -> atom array (n, d). For n*d <= max_grid_nd the value
+    atom_families maps n -> atom array (n, d). For n*d <= MAX_AXES the value
     comes from a grid solve; beyond that from the Monte Carlo cost of the
     per-atom application of the smallest-n synthesized feedback (an upper
     bound; exact for decoupled benchmarks). Returns rows of dicts.
@@ -251,11 +258,8 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
     for n in sorted(atom_families):
         atoms = _as_atoms(atom_families[n])
         nd = n * model.d
-        if nd <= max_grid_nd:
-            grid = GridSpec(axes=tuple([tuple(grid_axis)] * nd), time_steps=1, margin=grid_margin)
-            steps = required_time_steps(model, n, grid, t0, T, safety=safety)
-            grid = GridSpec(axes=grid.axes, time_steps=steps, margin=grid_margin)
-            u = solve_hjb(model, n, grid, t0, T)
+        if nd <= MAX_AXES:
+            u = solve_hjb(model, n, sized_grid(model, n, [grid_axis] * nd, t0, T), t0, T)
             value = u.value_at(t0, atoms.reshape(-1))
             se = 0.0
             mode = "grid"
@@ -275,6 +279,7 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
 
             pol = MarkovFeedback(per_atom, label="per-atom-feedback")
             est = cost_finite(model, mc_cfg, atoms, pol)
+            _require_valid(est)
             value, se, mode = est.mean, est.std_error, "mc-upper-bound"
         gap = None if prev is None else value - prev
         rows.append({"n": n, "value": float(value), "std_error": float(se),

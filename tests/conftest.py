@@ -8,10 +8,8 @@ AXIS_2D = (-3.0, 3.0, 121)  # h = 0.05 so the probe points {-1, 0, 1} are grid n
 
 
 def sized_grid(model, n, axis, t0=0.0, T=1.0, margin=0.25):
-    """GridSpec with a CFL-feasible step count for the given model."""
-    probe = m.GridSpec(axes=(tuple(axis),) * (n * model.d), time_steps=1, margin=margin)
-    steps = m.required_time_steps(model, n, probe, t0, T)
-    return m.GridSpec(axes=probe.axes, time_steps=steps, margin=margin)
+    """CFL-sized GridSpec with the same axis repeated on each of the n*d axes."""
+    return m.sized_grid(model, n, [axis] * (n * model.d), t0, T, margin=margin)
 
 
 @pytest.fixture(scope="session")

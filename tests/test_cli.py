@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mfclab import cli, simulate
+from mfclab import cli, registry_model, simulate, sized_grid
 from mfclab.cli import main
 
 
@@ -153,6 +153,28 @@ def test_blown_up_simulate_exits_1(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+# b = x^3 drives every path from x0 = 3 (or 6) to overflow within 50 steps
+_CUBIC = {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
+          "UT": "0.5*m2"}
+_BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "verify", "seed": 1, "probes": [
+        {"probe": "cost-identity", "model": _CUBIC, "sim": _BLOW_UP_SIM, "x0": [[3.0]]}]},
+    {"kind": "sweep", "seed": 1, "model": _CUBIC,
+     "sweep": {"base_atoms": [[6.0]], "grid_axis": [-4.0, 4.0, 41], "duplications": [1, 4],
+               "sim": _BLOW_UP_SIM}},
+], ids=["cost-identity", "sweep-mc"])
+def test_blown_up_cost_estimate_exits_1(tmp_path, capsys, doc):
+    cfg = _write(tmp_path / "c.json", doc)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure: FloatingPointError: paths blew up" in err, err
+    assert not (out / "summary.json").exists()
+
+
 def test_scipy_submodules_load_only_where_called(tmp_path):
     """`list` and a simulate run never call the assignment solver, the
     interpolator or the quadrature, so they must not import them."""
@@ -262,6 +284,25 @@ def test_solve_hjb_end_to_end(tmp_path):
     want = 0.25 + 0.5 * np.log(2.0)
     assert abs(summary["value_at_x0"] - want) < 2e-2
     assert abs(summary["riccati_value_at_x0"] - want) < 1e-8
+
+
+def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):
+    grid = {"axes": [[-2.0, 2.0, 21]] * 2, "margin": 0.2}
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "solve-hjb",
+        "seed": 1,
+        "model": {"registry": "LQ-mean-reverting"},
+        "n": 2,
+        "grid": grid,
+        "horizon": {"t0": 0.25, "T": 0.75},
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    want = sized_grid(registry_model("LQ-mean-reverting"), 2, grid["axes"], 0.25, 0.75,
+                      margin=0.2)
+    assert json.loads((out / "grid.json").read_text())["grid"] == want.to_json()
+    default_horizon = sized_grid(registry_model("LQ-mean-reverting"), 2, grid["axes"], 0.0, 1.0)
+    assert want.time_steps != default_horizon.time_steps
 
 
 def test_verify_concurrent_jobs_match_serial(tmp_path):

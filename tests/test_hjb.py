@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from mfclab.hjb import _derivatives
 from conftest import AXIS_1D, lq_exact, sized_grid
 
 
@@ -81,6 +82,23 @@ def test_grid_gradient_exact_on_quadratics(lq_u1):
     assert np.abs(g[1:-1] - x[1:-1]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("nd", [1, 2, 3])
+def test_boundary_stencil_is_one_sided_with_zero_curvature(nd):
+    g = np.random.default_rng(nd)
+    u = g.normal(size=(9, 8, 10)[:nd])
+    h = np.array([0.3, 0.5, 0.7])[:nd]
+    grads, d2, _ = _derivatives(u, h)
+    for a in range(nd):
+        ua = np.moveaxis(u, a, 0)
+        ga = np.moveaxis(grads[..., a], a, 0)
+        da = np.moveaxis(d2[a], a, 0)
+        assert np.allclose(ga[0], (ua[1] - ua[0]) / h[a], rtol=0, atol=1e-12)
+        assert np.allclose(ga[-1], (ua[-1] - ua[-2]) / h[a], rtol=0, atol=1e-12)
+        assert np.allclose(ga[1:-1], (ua[2:] - ua[:-2]) / (2 * h[a]), rtol=0, atol=1e-12)
+        assert np.abs(da[[0, -1]]).max() <= 1e-12
+        assert np.allclose(da[1:-1], ua[2:] - 2 * ua[1:-1] + ua[:-2], rtol=0, atol=1e-12)
+
+
 def test_grid_gradient_symmetric_two_particles(lq_u2):
     g = m.grid_gradient(lq_u2, 0)
     assert np.allclose(g[..., 0], g[..., 1].T, atol=1e-12)
@@ -149,3 +167,17 @@ def test_storage_decimation(lq_model):
     u = m.solve_hjb(lq_model, 1, grid, 0.0, 1.0, max_stored_slices=17)
     assert u.values.shape[0] <= 18
     assert u.times[0] == 0.0 and u.times[-1] == 1.0
+
+
+def test_stored_slices_are_the_kept_march_slices(meanrev_model):
+    t0, T = 0.25, 1.0
+    grid = sized_grid(meanrev_model, 1, (-2.0, 2.0, 21), t0, T)
+    K = grid.time_steps
+    full = m.solve_hjb(meanrev_model, 1, grid, t0, T, max_stored_slices=K + 1)
+    u = m.solve_hjb(meanrev_model, 1, grid, t0, T, max_stored_slices=7)
+    stride = -(-(K + 1) // 7)
+    kept = sorted({0, K} | set(range(0, K + 1, stride)))
+    assert stride > 1 and kept[-2] != K
+    assert np.array_equal(u.times, t0 + u.dt * np.array(kept, dtype=np.float64))
+    assert np.array_equal(full.times, t0 + full.dt * np.arange(K + 1, dtype=np.float64))
+    assert np.array_equal(u.values, full.values[kept])

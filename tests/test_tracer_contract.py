@@ -5,10 +5,13 @@ The tracer module is loaded by path and never installed: install() would
 rebind mfclab's functions for the rest of the test session.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import mfclab as m
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -21,6 +24,9 @@ COUNTED_PARAMETERS = {
     "expressions.evaluate": ("e",),
     "rng.normals": ("i0", "i1", "count"),
     "rng.uniforms": ("i0", "i1", "count"),
+    "rng.pair_normals": ("i0", "i1", "i2"),
+    "rng.pair_uniforms": ("i0", "i1", "i2"),
+    "hjb.feedback_query": ("states",),
 }
 
 
@@ -31,8 +37,17 @@ def _load_tracer():
     return module
 
 
+def _feedback_query():
+    """The closure the tracer wraps as hjb.feedback_query: synthesize_feedback(u).fn."""
+    model = m.registry_model("LQ-decoupled")
+    grid = m.sized_grid(model, 1, [(-1.0, 1.0, 9)], 0.0, 0.1)
+    return m.synthesize_feedback(m.solve_hjb(model, 1, grid, 0.0, 0.1)).fn
+
+
 def _resolve(layer: str, name: str):
     """Look the name up the way tracer.install() does."""
+    if (layer, name) == ("hjb", "feedback_query"):
+        return _feedback_query()
     module = importlib.import_module(f"mfclab.{layer}")
     owner_name, _, attr = name.rpartition(".")
     owner = getattr(module, owner_name, None) if owner_name else module
@@ -53,3 +68,9 @@ def test_counted_functions_keep_their_parameter_names():
         layer, _, name = key.partition(".")
         signature = inspect.signature(_resolve(layer, name))
         assert set(params) <= set(signature.parameters), (key, signature)
+
+
+def test_integration_counter_reads_path_bundle_fields():
+    # the integration counter reads out.states and out.control_trace
+    fields = {f.name for f in dataclasses.fields(m.PathBundle)}
+    assert {"states", "control_trace"} <= fields
