@@ -29,6 +29,7 @@ from .models import REGISTRY, model_from_json
 from .mollify import (
     SmoothedFunctional,
     convexity_preservation_probe,
+    default_segment_family,
     default_test_family,
     functional_registry,
     lipschitz_preservation_probe,
@@ -183,12 +184,7 @@ def _probe_uniform(spec, cfg):
 
 def _probe_convexity(spec, cfg):
     base, reps, seed = _smoothing(spec, cfg)
-    g = np.random.default_rng(seed + 2)
-    segs = []
-    for _ in range(spec.get("segments", 6)):
-        segs.append((g.uniform(-1, 1, 1), g.uniform(-1, 1, 1),
-                     g.uniform(-2, 2, (4, 1)), g.uniform(-2, 2, (4, 1)),
-                     float(g.uniform(0.2, 0.8))))
+    segs = default_segment_family(spec.get("segments", 6), seed + 2)
     return [convexity_preservation_probe(base, spec["k_list"][0], reps, seed, segs)]
 
 
@@ -335,6 +331,13 @@ def _load_config(path: str) -> dict:
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+    # a schema-valid model document can still hold a bad expression, shape or index
+    specs = [("$", cfg)] + [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
+    for pointer, spec in (s for s in specs if "model" in s[1]):
+        try:
+            model_from_json(spec["model"])
+        except ValueError as e:
+            raise ConfigError(f"bad model at {pointer}.model: {e}") from e
     return cfg
 
 
@@ -377,11 +380,9 @@ def _run_solve(cfg, out_dir, jobs):
     grid = _grid_from_config(cfg["grid"], model, n, horizon)
     u = solve_hjb(model, n, grid, horizon[0], horizon[1])
     cadence = cfg.get("dump_cadence", 1)
-    rows = []
-    for k in range(0, u.values.shape[0], cadence):
-        flat = u.values[k].reshape(-1)
-        for idx in range(flat.size):
-            rows.append([k, idx, repr(float(flat[idx]))])
+    rows = ([k, idx, repr(v)]
+            for k, values in zip(range(0, u.values.shape[0], cadence), u.values[::cadence])
+            for idx, v in enumerate(values.reshape(-1).tolist()))
     write_csv(os.path.join(out_dir, "results.csv"), ["slice", "node_index", "value"], rows)
     sidecar = {"grid": grid.to_json(), "model": model.name, "n": n,
                "t0": horizon[0], "T": horizon[1], "dump_cadence": cadence,

@@ -10,6 +10,7 @@ each other with the coordinate index on the last axis of x and m1.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -225,48 +226,47 @@ def print_coefficient(e: Expr) -> str:
     return _print(e, 0)
 
 
+# BinOp and Call implementations; operator functions keep constants Python floats.
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "^": np.power, **{f: getattr(np, f) for f in FUNCTIONS}}
+
+# Strict-mode domain rules: (tests the result, else the last operand before the
+# call, so a constant 1/0 raises EvaluationError; violation test; message).
+_DOMAIN = {
+    "/": (False, lambda v: v == 0, "division by zero"),
+    "log": (False, lambda v: v <= 0, "log of non-positive value"),
+    "sqrt": (False, lambda v: v < 0, "sqrt of negative value"),
+    "^": (True, lambda v: ~np.isfinite(v), "power produced a non-finite value"),
+}
+
+
 def _eval(e: Expr, x, m1, m2, strict: bool):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        if e.kind == "x":
-            if x is None:
-                raise EvaluationError("x[...] is not available in this context")
-            return np.asarray(x)[..., e.index]
-        if e.kind == "m1":
-            return np.asarray(m1)[..., e.index]
-        return m2
+        if e.kind == "m2":
+            return m2
+        if e.kind == "x" and x is None:
+            raise EvaluationError("x[...] is not available in this context")
+        return np.asarray(x if e.kind == "x" else m1)[..., e.index]
     if isinstance(e, Neg):
         return -_eval(e.arg, x, m1, m2, strict)
-    if isinstance(e, Call):
-        v = _eval(e.arg, x, m1, m2, strict)
-        if e.func == "log":
-            if strict and np.any(np.asarray(v) <= 0):
-                raise EvaluationError("log of non-positive value")
-            return np.log(v)
-        if e.func == "sqrt":
-            if strict and np.any(np.asarray(v) < 0):
-                raise EvaluationError("sqrt of negative value")
-            return np.sqrt(v)
-        return getattr(np, e.func)(v)
     if isinstance(e, BinOp):
-        a = _eval(e.left, x, m1, m2, strict)
-        b = _eval(e.right, x, m1, m2, strict)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if strict and np.any(np.asarray(b) == 0):
-                raise EvaluationError("division by zero")
-            return a / b
-        out = np.power(a, b)
-        if strict and np.any(~np.isfinite(np.asarray(out))):
-            raise EvaluationError("power produced a non-finite value")
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+        key, args = e.op, (_eval(e.left, x, m1, m2, strict), _eval(e.right, x, m1, m2, strict))
+    elif isinstance(e, Call):
+        key, args = e.func, (_eval(e.arg, x, m1, m2, strict),)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    rule = _DOMAIN.get(key) if strict else None
+    if rule is None:
+        return _APPLY[key](*args)
+    on_result, violated, message = rule
+    if not on_result and np.any(violated(np.asarray(args[-1]))):
+        raise EvaluationError(message)
+    out = _APPLY[key](*args)
+    if on_result and np.any(violated(np.asarray(out))):
+        raise EvaluationError(message)
+    return out
 
 
 def evaluate(e: Expr, x=None, m1=None, m2=None, strict: bool = True):
@@ -283,14 +283,17 @@ def evaluate(e: Expr, x=None, m1=None, m2=None, strict: bool = True):
     return out
 
 
+def variables(e: Expr):
+    """The Var nodes of the tree, left to right."""
+    if isinstance(e, Var):
+        yield e
+    elif isinstance(e, BinOp):
+        yield from variables(e.left)
+        yield from variables(e.right)
+    elif isinstance(e, (Neg, Call)):
+        yield from variables(e.arg)
+
+
 def free_variables(e: Expr) -> set:
     """Names referenced by the tree ('x', 'm1', 'm2')."""
-    if isinstance(e, Var):
-        return {e.kind}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    return set()
+    return {v.kind for v in variables(e)}

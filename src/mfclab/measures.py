@@ -117,6 +117,12 @@ def moment_r(mu, r: float) -> float:
     return float(np.mean(np.linalg.norm(a, axis=1) ** r))
 
 
+def moments(atoms):
+    """(m1, m2): mean and second moment of each empirical measure; atoms (..., n, d)."""
+    a = np.asarray(atoms, dtype=np.float64)
+    return a.mean(axis=-2), (a ** 2).sum(axis=-1).mean(axis=-1)
+
+
 def rnorm(x, r: float) -> float:
     """|x|_r = n^{-1/r} (sum_i |x_i|^r)^{1/r}; satisfies rnorm(x,r)^r = M_r(mu_x)."""
     _check_r(r)

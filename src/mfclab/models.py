@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .measures import _as_atoms, wasserstein_r
+from .measures import _as_atoms, moments, wasserstein_r
 
 
 @dataclass(frozen=True)
@@ -36,37 +36,35 @@ class ModelSpec:
             raise ValueError(f"sigma needs shape {self.d} x {self.d_prime}")
         if "x" in ex.free_variables(self.terminal):
             raise ValueError("terminal cost may only use measure features m1, m2")
+        trees = (*self.drift, *(e for row in self.sigma for e in row), self.l1, self.terminal)
+        for v in (v for e in trees for v in ex.variables(e)):
+            if v.kind != "m2" and v.index >= self.d:
+                raise ValueError(f"{ex.print_coefficient(v)} indexes past d = {self.d}")
 
     # -- feature extraction ------------------------------------------------
 
     def features(self, atoms):
         """(m1, m2) of the empirical measure; atoms shape (..., n, d)."""
-        a = np.asarray(atoms, dtype=np.float64)
-        m1 = a.mean(axis=-2)
-        m2 = (a ** 2).sum(axis=-1).mean(axis=-1)
-        return m1, m2
+        return moments(atoms)
 
     # -- vectorized coefficient evaluation ---------------------------------
 
+    @staticmethod
+    def _at(e, x, m1, m2, strict):
+        """One coefficient tree at x (..., d), broadcast to the point shape (...)."""
+        return np.broadcast_to(ex.evaluate(e, x, m1, m2, strict=strict), np.asarray(x).shape[:-1])
+
     def drift_at(self, x, m1, m2, strict=True):
         """b(x, mu): x shape (..., d) -> (..., d)."""
-        cols = [np.broadcast_to(ex.evaluate(e, x, m1, m2, strict=strict),
-                                np.asarray(x).shape[:-1])
-                for e in self.drift]
-        return np.stack(cols, axis=-1)
+        return np.stack([self._at(e, x, m1, m2, strict) for e in self.drift], axis=-1)
 
     def sigma_at(self, x, m1, m2, strict=True):
         """sigma(x, mu): x shape (..., d) -> (..., d, d')."""
-        base = np.asarray(x).shape[:-1]
-        rows = []
-        for row in self.sigma:
-            rows.append([np.broadcast_to(ex.evaluate(e, x, m1, m2, strict=strict), base)
-                         for e in row])
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        return np.stack([np.stack([self._at(e, x, m1, m2, strict) for e in row], axis=-1)
+                         for row in self.sigma], axis=-2)
 
     def l1_at(self, x, m1, m2, strict=True):
-        return np.broadcast_to(ex.evaluate(self.l1, x, m1, m2, strict=strict),
-                               np.asarray(x).shape[:-1])
+        return self._at(self.l1, x, m1, m2, strict)
 
     def terminal_at(self, m1, m2, strict=True):
         return ex.evaluate(self.terminal, None, m1, m2, strict=strict)
@@ -129,15 +127,15 @@ def lifted_coefficients(model: ModelSpec, atoms) -> LiftedCoefficients:
     return LiftedCoefficients(B[0], S[0], float(L1[0]), float(UT[0]))
 
 
-def _lifted_batch(model: ModelSpec, states, strict=True):
+def _lifted_batch(model: ModelSpec, states):
     """Vectorized lift evaluation over leading batch axes; states (..., n, d)."""
     m1, m2 = model.features(states)
     m1b = m1[..., None, :]
     m2b = m2[..., None]
-    B = model.drift_at(states, m1b, m2b, strict=strict)
-    S = model.sigma_at(states, m1b, m2b, strict=strict)
-    L1 = model.l1_at(states, m1b, m2b, strict=strict).mean(axis=-1)
-    UT = model.terminal_at(m1, m2, strict=strict)
+    B = model.drift_at(states, m1b, m2b)
+    S = model.sigma_at(states, m1b, m2b)
+    L1 = model.l1_at(states, m1b, m2b).mean(axis=-1)
+    UT = model.terminal_at(m1, m2)
     return B, S, L1, UT
 
 
@@ -211,10 +209,8 @@ def model_from_json(doc) -> ModelSpec:
 
 # -- assumption probe ---------------------------------------------------------
 
-
-def assumption_probe(model: ModelSpec, sample_count: int, radius: float, rng_seed: int,
-                     r: float = 1.0, n_atoms: int = 4) -> dict:
-    """Sampled Lipschitz estimates for b, sigma, l1, U_T w.r.t. |.| x d_r.
+def assumption_probe(model: ModelSpec, sample_count: int, radius: float, rng_seed: int) -> dict:
+    """Sampled Lipschitz estimates for b, sigma, l1, U_T w.r.t. |.| x d_1 on 4-atom measures.
 
     Reports the max difference quotient over random pairs inside the radius and
     flags coefficients whose quotient keeps growing when the radius doubles
@@ -223,33 +219,27 @@ def assumption_probe(model: ModelSpec, sample_count: int, radius: float, rng_see
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")
 
+    def coefficients(point, atoms):
+        m1, m2 = model.features(atoms)
+        return (model.drift_at(point, m1, m2), model.sigma_at(point, m1, m2),
+                model.l1_at(point, m1, m2), model.terminal_at(m1, m2))
+
     def estimate(rad: float, seed_shift: int) -> dict:
         rng = np.random.default_rng(rng_seed + seed_shift)
         best = {"b": 0.0, "sigma": 0.0, "l1": 0.0, "UT": 0.0}
         for _ in range(sample_count):
-            ax = rng.uniform(-rad, rad, size=(n_atoms, model.d))
-            ay = rng.uniform(-rad, rad, size=(n_atoms, model.d))
-            px = rng.uniform(-rad, rad, size=model.d)
-            py = rng.uniform(-rad, rad, size=model.d)
-            dr = wasserstein_r(ax, ay, r)
-            denom = np.linalg.norm(px - py) + dr
+            atoms = rng.uniform(-rad, rad, size=(2, 4, model.d))
+            points = rng.uniform(-rad, rad, size=(2, model.d))
+            dr = wasserstein_r(atoms[0], atoms[1], 1.0)
+            denom = np.linalg.norm(points[0] - points[1]) + dr
             if denom < 1e-12:
                 continue
-            m1x, m2x = model.features(ax)
-            m1y, m2y = model.features(ay)
-            bq = np.linalg.norm(model.drift_at(px, m1x, m2x) - model.drift_at(py, m1y, m2y))
-            sq = np.linalg.norm(model.sigma_at(px, m1x, m2x) - model.sigma_at(py, m1y, m2y))
-            lq = abs(float(model.l1_at(px, m1x, m2x)) - float(model.l1_at(py, m1y, m2y)))
-            uq = abs(float(model.terminal_at(m1x, m2x)) - float(model.terminal_at(m1y, m2y)))
-            if dr < 1e-12:  # U_T only moves with the measure
-                uq_den = None
-            else:
-                uq_den = dr
-            best["b"] = max(best["b"], bq / denom)
-            best["sigma"] = max(best["sigma"], sq / denom)
-            best["l1"] = max(best["l1"], lq / denom)
-            if uq_den is not None:
-                best["UT"] = max(best["UT"], uq / uq_den)
+            # U_T only moves with the measure, so its quotient is taken over d_r alone
+            for key, vx, vy, den in zip(best, coefficients(points[0], atoms[0]),
+                                        coefficients(points[1], atoms[1]),
+                                        (denom, denom, denom, dr)):
+                if den >= 1e-12:
+                    best[key] = max(best[key], np.linalg.norm(vx - vy) / den)
         return best
 
     at_radius = estimate(radius, 0)

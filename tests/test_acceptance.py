@@ -152,16 +152,13 @@ def test_criterion_6_mollifier_suite():
                                                  seed=101, pair_count=16)
             lip_ok = lip_ok and rep.passed
 
-    from mfclab.mollify import default_test_family
+    from mfclab.mollify import default_segment_family, default_test_family
 
     fam = default_test_family(count=20, n_atoms=5, d=1, radius=2.0, seed=5)
     unif = m.uniform_convergence_probe(reg["second-moment"], k_list, fam,
                                        [300_000, 100_000, 50_000], seed=13)
 
-    g = np.random.default_rng(3)
-    segs = [(g.uniform(-1, 1, 1), g.uniform(-1, 1, 1),
-             g.uniform(-2, 2, (4, 1)), g.uniform(-2, 2, (4, 1)),
-             float(g.uniform(0.2, 0.8))) for _ in range(8)]
+    segs = default_segment_family(8, seed=3)
     conv_m2 = m.convexity_preservation_probe(reg["second-moment"], 4, 10_000, 17, segs)
     conv_lin = m.convexity_preservation_probe(reg["mean"], 4, 10_000, 19, segs)
     linear_exact = conv_lin.details["max_replicate_abs_defect"] <= 1e-12

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mfclab import cli, registry_model, simulate, sized_grid
+from mfclab import cli, registry_model, simulate, sized_grid, solve_hjb
 from mfclab.cli import main
 
 
@@ -30,6 +30,8 @@ LISTED_PROBES = _listed_probes()
 _GRID_1D = {"axes": [[-3.0, 3.0, 17]]}
 _GRID_2D = {"axes": [[-3.0, 3.0, 17]] * 2}
 _SIM = {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4}
+_D1_MODEL = {"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
+             "UT": "m2"}
 # One small valid spec per probe name, too small for every verdict to pass.
 SMALL_SPECS = {
     "convexity-preservation": {"functional": "mean", "k_list": [2], "mc_reps": 50,
@@ -95,6 +97,14 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "sweep", "seed": 1, "model": {"registry": "LQ-decoupled"},
           "sweep": {"base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 61], "bogus": 1}},
          "$.sweep"),
+        ({"kind": "simulate", "seed": 1, "model": dict(_D1_MODEL, b=["x[3]"]),
+          "sim": {"t0": 0.0, "T": 1.0, "steps": 4, "n_paths": 2}, "x0": [[0.0]]}, "$.model"),
+        ({"kind": "solve-hjb", "seed": 1, "model": dict(_D1_MODEL, l1="x[0"),
+          "grid": _GRID_1D}, "$.model"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            {"probe": "time-holder", "grid": _GRID_1D},
+            {"probe": "time-holder", "grid": _GRID_1D, "model": dict(_D1_MODEL, UT="m1[1]")}]},
+         "$.probes[1].model"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -350,9 +360,14 @@ def test_solve_dump_cadence_and_sidecar(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     side = json.loads((out / "grid.json").read_text())
     assert side["grid"]["axes"] == [[-2.0, 2.0, 17]]
-    rows = (out / "results.csv").read_text().strip().splitlines()[1:]
-    slices = sorted({int(r.split(",")[0]) for r in rows})
-    assert all(s % 4 == 0 for s in slices)
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    model = registry_model("LQ-decoupled")
+    u = solve_hjb(model, 1, sized_grid(model, 1, [[-2.0, 2.0, 17]], 0.0, 0.2), 0.0, 0.2)
+    want = [[str(k), str(idx), repr(float(v))]
+            for k in range(0, u.values.shape[0], 4)
+            for idx, v in enumerate(u.values[k].reshape(-1))]
+    assert len(want) > 17 and rows == want
 
 
 def test_mollify_kind(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,24 @@ def test_division_by_zero():
 def test_sqrt_domain():
     with pytest.raises(ex.EvaluationError):
         ex.evaluate(ex.parse_coefficient("sqrt(x[0])"), x=np.array([-4.0]))
+
+
+@pytest.mark.parametrize("src, x, message, loose", [
+    ("1/x[0]", 0.0, "division by zero", np.inf),
+    ("log(x[0])", 0.0, "log of non-positive value", -np.inf),
+    ("sqrt(x[0])", -1.0, "sqrt of negative value", np.nan),
+    ("x[0]^0.5", -1.0, "power produced a non-finite value", np.nan),
+    ("1/0", None, "division by zero", None),
+    ("x[0] + m2", None, "x[...] is not available in this context", None),
+])
+def test_strict_domain_rules(src, x, message, loose):
+    """Each strict rule raises its message; strict=False lets the value through."""
+    e = ex.parse_coefficient(src)
+    xs = None if x is None else np.array([x])
+    with pytest.raises(ex.EvaluationError, match=re.escape(message)):
+        ex.evaluate(e, xs, m2=1.0)
+    if loose is not None:
+        np.testing.assert_array_equal(ex.evaluate(e, xs, m2=1.0, strict=False), loose)
 
 
 def test_precedence():

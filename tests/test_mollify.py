@@ -123,11 +123,19 @@ def test_convexity_endpoints_bitwise_zero():
     base = m.functional_registry()["second-moment"]
     Xa, Ya = np.array([[0.5], [1.0]]), np.array([[-0.5], [0.2]])
     for lam in (0.0, 1.0):
-        vals = _coupled_values(base, 4, 64, 19,
+        vals = _coupled_values(base, 4, 0.25, 64, 19,
                                [(np.zeros(1), Xa), (np.zeros(1), Ya),
-                                (np.zeros(1), lam * Xa + (1 - lam) * Ya)], 2, 1)
+                                (np.zeros(1), lam * Xa + (1 - lam) * Ya)])
         delta = lam * vals[0] + (1 - lam) * vals[1] - vals[2]
         assert np.all(delta == 0.0)
+
+
+def test_coupled_queries_must_share_atom_shape():
+    """One index draw serves every query, so an atom count that differs is refused."""
+    base = m.functional_registry()["mean"]
+    with pytest.raises(ValueError, match="one atom shape"):
+        _coupled_values(base, 4, 0.25, 8, 1, [(np.zeros(1), np.zeros((2, 1))),
+                                              (np.zeros(1), np.zeros((3, 1)))])
 
 
 def test_convexity_second_moment_pointwise():
@@ -140,8 +148,8 @@ def test_convexity_second_moment_pointwise():
     rep = m.convexity_preservation_probe(base, 4, 800, 21, segs)
     assert rep.passed
     for x, y, Xa, Ya, lam in segs:
-        vals = _coupled_values(base, 4, 800, 23, [(x, Xa), (y, Ya),
-                               (lam * x + (1 - lam) * y, lam * Xa + (1 - lam) * Ya)], 4, 1)
+        vals = _coupled_values(base, 4, 0.25, 800, 23, [(x, Xa), (y, Ya),
+                               (lam * x + (1 - lam) * y, lam * Xa + (1 - lam) * Ya)])
         delta = lam * vals[0] + (1 - lam) * vals[1] - vals[2]
         assert delta.min() >= -1e-12
 

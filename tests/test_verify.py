@@ -107,6 +107,15 @@ def test_time_holder_needs_full_storage(lq_model):
         m.time_holder_probe(u, 1.0)
 
 
+@pytest.mark.parametrize("steps", [6, 9])
+def test_time_holder_needs_two_gaps(lq_model, steps):
+    """Below 16 steps fewer than two dyadic gaps of >= 4 steps fit: no ratio sequence."""
+    grid = m.sized_grid(lq_model, 1, [(-3.0, 3.0, 9)], 0.0, 0.5, time_steps=steps)
+    u = m.solve_hjb(lq_model, 1, grid, 0.0, 0.5, max_stored_slices=steps + 1)
+    with pytest.raises(ValueError, match="at least 16 time steps"):
+        m.time_holder_probe(u, 1.0)
+
+
 def test_feedback_roundtrip_smoke(lq_u1):
     model = m.registry_model("LQ-decoupled")
     cfg = m.SimConfig(t0=0.0, T=1.0, steps=32, n_paths=400, seed=55)
