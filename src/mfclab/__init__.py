@@ -8,23 +8,18 @@ from .expressions import (
     print_coefficient,
 )
 from .measures import (
-    EmpiricalMeasure,
     UnsupportedShapeError,
-    VectorTuple,
     brute_force_wasserstein,
     duplicate_atoms,
-    moment_r,
     rnorm,
     wasserstein_r,
 )
 from .models import (
     ModelSpec,
     REGISTRY,
-    assumption_probe,
     feedback_map,
     hamiltonian,
     l2_conjugate,
-    lifted_coefficients,
     model_from_json,
     registry_model,
 )

@@ -24,7 +24,7 @@ import scipy
 from . import __version__, verify
 from .costs import _estimate
 from .hjb import GridSpec, riccati_lq_value, sized_grid, solve_hjb
-from .measures import _as_atoms
+from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
     SmoothedFunctional,
@@ -331,14 +331,48 @@ def _load_config(path: str) -> dict:
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
-    # a schema-valid model document can still hold a bad expression, shape or index
-    specs = [("$", cfg)] + [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
-    for pointer, spec in (s for s in specs if "model" in s[1]):
-        try:
-            model_from_json(spec["model"])
-        except ValueError as e:
-            raise ConfigError(f"bad model at {pointer}.model: {e}") from e
+    _check_values(cfg)
     return cfg
+
+
+# probe name -> {grid key in its spec: particle count n of the solve on that grid}
+_PROBE_GRIDS = {
+    "duplication-consistency": lambda s: {"grid_small": s["base_n"],
+                                          "grid_big": s["base_n"] * s["m"]},
+    "feedback-roundtrip": lambda s: {"grid": s.get("n", 1)},
+    "permutation-invariance": lambda s: {"grid": 2},
+    "time-holder": lambda s: {"grid": s.get("n", 1)},
+}
+
+
+def _check_values(cfg) -> None:
+    """What a schema-valid config can still get wrong, named by pointer: a bad
+    expression, shape or index in a model document, T <= t0, or a grid whose
+    axis count is not n*d."""
+    probes = [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
+    models = {}
+    for pointer, spec in [("$", cfg)] + probes:
+        if "model" in spec:
+            try:
+                models[pointer] = model_from_json(spec["model"])
+            except ValueError as e:
+                raise ConfigError(f"bad model at {pointer}.model: {e}") from e
+    horizons = [("$.horizon", cfg.get("horizon")), ("$.sim", cfg.get("sim")),
+                ("$.sweep.sim", cfg.get("sweep", {}).get("sim"))]
+    grids = [("$.grid", cfg["grid"], cfg.get("n", 1), "$")] if cfg["kind"] == "solve-hjb" else []
+    for pointer, spec in probes:
+        horizons += [(pointer, spec), (f"{pointer}.sim", spec.get("sim"))]
+        counts = _PROBE_GRIDS.get(spec["probe"], lambda s: {})(spec)
+        grids += [(f"{pointer}.{key}", spec[key], n, pointer) for key, n in counts.items()]
+    for pointer, block in horizons:
+        t0, T = _spec_horizon(block or {})  # an absent block is the default (0, 1)
+        if not T > t0:
+            raise ConfigError(f"bad horizon at {pointer}: need T > t0, got t0 = {t0}, T = {T}")
+    for pointer, grid, n, owner in grids:
+        d = models.get(owner, models.get("$", REGISTRY["LQ-decoupled"])).d
+        if len(grid["axes"]) != n * d:
+            raise ConfigError(f"bad grid at {pointer}: {len(grid['axes'])} axes "
+                              f"but n*d = {n}*{d} = {n * d}")
 
 
 def _grid_from_config(block: dict, model, n, horizon) -> GridSpec:
@@ -439,10 +473,9 @@ def _run_sweep(cfg, out_dir, jobs):
     block = cfg["sweep"]
     model = model_from_json(cfg["model"])
     horizon = _horizon(cfg)
-    base = np.asarray(block["base_atoms"], dtype=np.float64)
     fams = {}
     for m in block.get("duplications", [1, 2]):
-        arr = np.repeat(_as_atoms(base), m, axis=0)
+        arr = duplicate_atoms(block["base_atoms"], m)
         fams[arr.shape[0]] = arr
     mc_cfg = None
     if "sim" in block:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import _as_atoms
-from .models import ModelSpec
+from .models import ModelSpec, _lifted_batch, feedback_map, hamiltonian
 from .simulate import MarkovFeedback
 
 CFL_SAFETY = 0.9
@@ -68,6 +68,13 @@ class GridSpec:
 
     def coords(self):
         return [np.linspace(lo, hi, pts) for lo, hi, pts in self.axes]
+
+    def node_atoms(self, n: int, d: int) -> np.ndarray:
+        """The grid nodes read as n-atom tuples in R^d, shape (*shape, n, d)."""
+        if len(self.axes) != n * d:
+            raise ValueError(f"grid has {len(self.axes)} axes but n*d = {n * d}")
+        nodes = np.stack(np.meshgrid(*self.coords(), indexing="ij"), axis=-1)
+        return nodes.reshape(nodes.shape[:-1] + (n, d))
 
     def spacings(self) -> np.ndarray:
         return np.array([(hi - lo) / (pts - 1) for lo, hi, pts in self.axes])
@@ -180,23 +187,14 @@ class GridValueFunction:
 
 
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
-    """Per-node coefficient arrays (fixed in time): b, l1, A_n, lambda_min, U_T,
-    and Lam = max over nodes of Tr A_n, the diffusion part of the CFL bound."""
+    """Per-node coefficient arrays (fixed in time): b (*shape, n, d), l1
+    (*shape, n), A_n, lambda_min, U_T, and Lam = max over nodes of Tr A_n, the
+    diffusion part of the CFL bound."""
     nd = n * model.d
-    if len(grid.axes) != nd:
-        raise ValueError(f"grid has {len(grid.axes)} axes but n*d = {nd}")
-    mesh = np.meshgrid(*grid.coords(), indexing="ij")
-    nodes = np.stack(mesh, axis=-1)                      # (*shape, nd)
-    atoms = nodes.reshape(nodes.shape[:-1] + (n, model.d))
-    m1, m2 = model.features(atoms)
-    m1b, m2b = m1[..., None, :], m2[..., None]
-    b = model.drift_at(atoms, m1b, m2b)                  # (*shape, n, d)
-    sig = model.sigma_at(atoms, m1b, m2b)                # (*shape, n, d, d')
-    l1 = model.l1_at(atoms, m1b, m2b)                    # (*shape, n)
+    b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
     sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
     A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
     lam_min = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)
-    uT = np.asarray(model.terminal_at(m1, m2), dtype=np.float64)
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
     return b, l1, A, lam_min, Lam, uT
 
@@ -204,11 +202,12 @@ def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
 def _march_terms(model: ModelSpec, n: int, b: np.ndarray, Lam: float, u: np.ndarray,
                  h: np.ndarray):
     """Derivatives of slice u, the costate p = n Du, the transport speeds
-    |b - p/kappa| per axis, and the explicit CFL bound on the time step."""
+    |-b + a| per axis at the control a = feedback_map(p), and the explicit CFL
+    bound on the time step."""
     nd = n * model.d
     grads, d2, crosses = _derivatives(u, h)
     p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
-    speeds = np.abs(-b + p / model.kappa).reshape(grads.shape[:-1] + (nd,))
+    speeds = np.abs(-b + feedback_map(p, model.kappa)).reshape(grads.shape[:-1] + (nd,))
     Theta = float(speeds.reshape(-1, nd).max(axis=0).sum())
     hmin = float(h.min())
     bound = CFL_SAFETY / (2.0 * Lam / hmin ** 2 + Theta / hmin)
@@ -253,12 +252,11 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     values[-1] = uT
 
     u = uT
-    inv2k = 1.0 / (2.0 * model.kappa)
     for k in range(K - 1, -1, -1):
         d2, crosses, p, speeds, bound = _march_terms(model, n, b, Lam, u, h)
         if dt > bound:
             raise CFLError(dt, bound, math.ceil((T - t0) / bound))
-        Hbar = (-(b * p).sum(-1) - l1 + (p ** 2).sum(-1) * inv2k).mean(-1)
+        Hbar = hamiltonian(b, l1, p, model.kappa).mean(-1)
         theta_eff = np.maximum(0.0, speeds - lam_min[..., None] / h)
         rhs = -Hbar
         for a in range(nd):
@@ -297,7 +295,7 @@ def synthesize_feedback(u: GridValueFunction) -> MarkovFeedback:
     def fn(t, states):
         P = states.shape[0]
         g = u._interpolate(t, states.reshape(P, nd), gradient=True)
-        return (g * (u.n / u.model.kappa)).reshape(P, u.n, u.d)
+        return feedback_map(g * u.n, u.model.kappa).reshape(P, u.n, u.d)
 
     return MarkovFeedback(fn, label="hjb-feedback")
 

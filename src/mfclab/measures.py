@@ -1,16 +1,15 @@
-"""Empirical measures on R^d: moments, r-norms, Wasserstein distances, lifts.
+"""Atom arrays on R^d: moments, r-norms, Wasserstein distances, duplication.
 
 An n-point atom array plays two roles at once: the empirical measure
 mu_x = (1/n) sum_i delta_{x_i}, and the piecewise-constant random variable
 sum_i x_i 1_{((i-1)/n, i/n)} on (0,1) whose push-forward is mu_x. Order matters
-for the second reading (VectorTuple), not for the first (EmpiricalMeasure).
+for the second reading, not for the first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,7 @@ class UnsupportedShapeError(ValueError):
 
 
 def _as_atoms(obj) -> np.ndarray:
-    """Coerce to a (n, d) float array; accepts EmpiricalMeasure, VectorTuple, arrays."""
-    if isinstance(obj, (EmpiricalMeasure, VectorTuple)):
-        return obj.atoms
+    """Coerce to a (n, d) float array; a 1-D input is n atoms in d = 1."""
     a = np.asarray(obj, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
@@ -31,90 +28,9 @@ def _as_atoms(obj) -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("atom coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """n equally weighted Dirac atoms in R^d; equality is permutation-invariant."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        a = _as_atoms(self.atoms)
-        _check_finite(a)
-        object.__setattr__(self, "atoms", a)
-
-    @property
-    def n(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.atoms.shape[1]
-
-    def canonical(self) -> np.ndarray:
-        """Atoms sorted lexicographically (the comparison key)."""
-        order = np.lexsort(self.atoms.T[::-1])
-        return self.atoms[order]
-
-    def __eq__(self, other):
-        if not isinstance(other, EmpiricalMeasure):
-            return NotImplemented
-        if self.atoms.shape != other.atoms.shape:
-            return False
-        return bool(np.array_equal(self.canonical(), other.canonical()))
-
-    def __hash__(self):
-        return hash(self.canonical().tobytes())
-
-    def to_json(self):
-        return self.atoms.tolist()
-
-    @classmethod
-    def from_json(cls, data) -> "EmpiricalMeasure":
-        return cls(np.asarray(data, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class VectorTuple:
-    """Ordered state tuple x in (R^d)^n; forgetting order yields the measure."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        a = _as_atoms(self.components)
-        _check_finite(a)
-        object.__setattr__(self, "components", a)
-
-    @property
-    def atoms(self) -> np.ndarray:
-        return self.components
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.components.shape[1]
-
-    def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.components.copy())
-
-
 def _check_r(r: float):
     if not (1.0 <= r <= 2.0):
         raise ValueError(f"r must lie in [1, 2], got {r}")
-
-
-def moment_r(mu, r: float) -> float:
-    """r-th moment M_r(mu) = (1/n) sum_i |x_i|^r."""
-    _check_r(r)
-    a = _as_atoms(mu)
-    return float(np.mean(np.linalg.norm(a, axis=1) ** r))
 
 
 def moments(atoms):
@@ -123,11 +39,14 @@ def moments(atoms):
     return a.mean(axis=-2), (a ** 2).sum(axis=-1).mean(axis=-1)
 
 
-def rnorm(x, r: float) -> float:
-    """|x|_r = n^{-1/r} (sum_i |x_i|^r)^{1/r}; satisfies rnorm(x,r)^r = M_r(mu_x)."""
+def rnorm(x, r: float):
+    """|x|_r = n^{-1/r} (sum_i |x_i|^r)^{1/r} over leading axes; x (..., n, d) -> (...).
+
+    rnorm(x, r)^r is the r-th moment (1/n) sum_i |x_i|^r of mu_x.
+    """
     _check_r(r)
-    a = _as_atoms(x)
-    return float(np.mean(np.linalg.norm(a, axis=1) ** r) ** (1.0 / r))
+    a = np.asarray(x, dtype=np.float64)
+    return (np.sqrt((a ** 2).sum(axis=-1)) ** r).mean(axis=-1) ** (1.0 / r)
 
 
 def mean_se(samples):
@@ -141,9 +60,7 @@ def duplicate_atoms(x, m: int):
     """Repeat each atom m times; the induced empirical measure is unchanged."""
     if m < 1:
         raise ValueError("duplication factor must be >= 1")
-    a = _as_atoms(x)
-    out = np.repeat(a, m, axis=0)
-    return VectorTuple(out) if isinstance(x, VectorTuple) else out
+    return np.repeat(_as_atoms(x), m, axis=0)
 
 
 def _quantile_distance_1d(a: np.ndarray, b: np.ndarray, r: float) -> float:

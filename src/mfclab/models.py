@@ -1,4 +1,5 @@
-"""Coefficient bundles (b, sigma, l1, l2, U_T), Hamiltonian, feedback map, lifts.
+"""Coefficient bundles (b, sigma, l1, l2, U_T), their lift to atom tuples, and
+the Hamiltonian and feedback map the HJB solver calls.
 
 The control cost is fixed to the quadratic family l2(a) = kappa |a|^2 / 2, so
 the convex conjugate and the gradient inverse have closed forms and the growth
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .measures import _as_atoms, moments, wasserstein_r
+from .measures import moments
 
 
 @dataclass(frozen=True)
@@ -99,43 +100,24 @@ def feedback_map(p, kappa: float):
     return np.asarray(p, dtype=np.float64) / kappa
 
 
-def hamiltonian(x, mu, p, model: ModelSpec) -> float:
-    """H(x, mu, p) = -b(x,mu).p - l1(x,mu) + l2*(p)."""
-    atoms = _as_atoms(mu)
-    m1, m2 = model.features(atoms)
-    xv = np.asarray(x, dtype=np.float64).reshape(model.d)
-    pv = np.asarray(p, dtype=np.float64).reshape(model.d)
-    b = model.drift_at(xv, m1, m2)
-    l1 = model.l1_at(xv, m1, m2)
-    return float(-(b * pv).sum() - l1 + l2_conjugate(pv, model.kappa))
-
-
-@dataclass(frozen=True)
-class LiftedCoefficients:
-    """Atom representation of B(X), Sigma(X), L1(X), U_T(X) on E_n."""
-
-    B: np.ndarray       # (n, d)
-    Sigma: np.ndarray   # (n, d, d')
-    L1: float
-    UT: float
-
-
-def lifted_coefficients(model: ModelSpec, atoms) -> LiftedCoefficients:
-    """Component-wise lift evaluation: B_i = b(x_i, mu_x), etc."""
-    a = _as_atoms(atoms)
-    B, S, L1, UT = _lifted_batch(model, a[None, ...])
-    return LiftedCoefficients(B[0], S[0], float(L1[0]), float(UT[0]))
+def hamiltonian(b, l1, p, kappa: float):
+    """Per-atom H = -b.p - l1 + l2*(p): b, p (..., n, d), l1 (..., n) -> (..., n)."""
+    return -(b * p).sum(axis=-1) - l1 + l2_conjugate(p, kappa)
 
 
 def _lifted_batch(model: ModelSpec, states):
-    """Vectorized lift evaluation over leading batch axes; states (..., n, d)."""
+    """Lifted coefficients at atom tuples states (..., n, d): B_i = b(x_i, mu_x),
+    Sigma_i, L1_i per atom (not averaged) and U_T(mu_x).
+
+    Shapes: B (..., n, d), Sigma (..., n, d, d'), L1 (..., n), U_T (...).
+    """
     m1, m2 = model.features(states)
     m1b = m1[..., None, :]
     m2b = m2[..., None]
     B = model.drift_at(states, m1b, m2b)
     S = model.sigma_at(states, m1b, m2b)
-    L1 = model.l1_at(states, m1b, m2b).mean(axis=-1)
-    UT = model.terminal_at(m1, m2)
+    L1 = model.l1_at(states, m1b, m2b)
+    UT = np.broadcast_to(model.terminal_at(m1, m2), m2.shape)  # also a constant U_T
     return B, S, L1, UT
 
 
@@ -205,53 +187,3 @@ def model_from_json(doc) -> ModelSpec:
         float(doc["kappa"]),
         doc["UT"],
     )
-
-
-# -- assumption probe ---------------------------------------------------------
-
-def assumption_probe(model: ModelSpec, sample_count: int, radius: float, rng_seed: int) -> dict:
-    """Sampled Lipschitz estimates for b, sigma, l1, U_T w.r.t. |.| x d_1 on 4-atom measures.
-
-    Reports the max difference quotient over random pairs inside the radius and
-    flags coefficients whose quotient keeps growing when the radius doubles
-    (evidence against a global Lipschitz bound). Report-only, never a gate.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-
-    def coefficients(point, atoms):
-        m1, m2 = model.features(atoms)
-        return (model.drift_at(point, m1, m2), model.sigma_at(point, m1, m2),
-                model.l1_at(point, m1, m2), model.terminal_at(m1, m2))
-
-    def estimate(rad: float, seed_shift: int) -> dict:
-        rng = np.random.default_rng(rng_seed + seed_shift)
-        best = {"b": 0.0, "sigma": 0.0, "l1": 0.0, "UT": 0.0}
-        for _ in range(sample_count):
-            atoms = rng.uniform(-rad, rad, size=(2, 4, model.d))
-            points = rng.uniform(-rad, rad, size=(2, model.d))
-            dr = wasserstein_r(atoms[0], atoms[1], 1.0)
-            denom = np.linalg.norm(points[0] - points[1]) + dr
-            if denom < 1e-12:
-                continue
-            # U_T only moves with the measure, so its quotient is taken over d_r alone
-            for key, vx, vy, den in zip(best, coefficients(points[0], atoms[0]),
-                                        coefficients(points[1], atoms[1]),
-                                        (denom, denom, denom, dr)):
-                if den >= 1e-12:
-                    best[key] = max(best[key], np.linalg.norm(vx - vy) / den)
-        return best
-
-    at_radius = estimate(radius, 0)
-    at_double = estimate(2.0 * radius, 1)
-    flagged = sorted(
-        k for k in at_radius
-        if at_double[k] > 1.5 * max(at_radius[k], 1e-12) and at_double[k] > 1e-9
-    )
-    return {
-        "radius": radius,
-        "sample_count": sample_count,
-        "estimates": at_radius,
-        "estimates_double_radius": at_double,
-        "flagged_non_lipschitz": flagged,
-    }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .measures import _as_atoms, mean_se
+from .measures import _as_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import write_csv
 
@@ -200,17 +200,11 @@ def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy
     return _integrate(model, cfg, atoms, lifted_policy, increments)
 
 
-def _rnorm_along(states, r):
-    """|x|_r per (path, step): states (P, K, n, d) -> (P, K)."""
-    norms = np.sqrt((states ** 2).sum(axis=-1))
-    return (norms ** r).mean(axis=-1) ** (1.0 / r)
-
-
 def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = None) -> dict:
     """Monte Carlo counterparts of the a-priori path estimates, with std errors."""
-    sup_norm = _rnorm_along(bundle.states, r).max(axis=1)
+    sup_norm = rnorm(bundle.states, r).max(axis=1)
     dev = bundle.states - bundle.states[:, :1]
-    sup_dev = _rnorm_along(dev, r).max(axis=1)
+    sup_dev = rnorm(dev, r).max(axis=1)
     incr = bundle.increments
     out = {
         "mean_sup_rnorm": mean_se(sup_norm),
@@ -222,7 +216,7 @@ def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = 
     }
     if baseline is not None:
         diff = bundle.states - baseline.states
-        out["mean_sup_diff"] = mean_se(_rnorm_along(diff, r).max(axis=1))
+        out["mean_sup_diff"] = mean_se(rnorm(diff, r).max(axis=1))
     return out
 
 

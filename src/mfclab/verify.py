@@ -19,6 +19,7 @@ from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import ProbeReport
 from .simulate import (
+    MarkovFeedback,
     ShiftedPolicy,
     SimConfig,
     simulate_lifted_atoms,
@@ -218,11 +219,7 @@ def time_holder_probe(u: GridValueFunction, r: float) -> ProbeReport:
     if len(gaps) < 2:
         raise ValueError(f"time-Holder probe needs at least 16 time steps, got {K}")
     core = u.core_mask()
-    mesh = np.meshgrid(*u.grid.coords(), indexing="ij")
-    nodes = np.stack(mesh, axis=-1)
-    atoms = nodes.reshape(nodes.shape[:-1] + (u.n, u.d))
-    norms = ((np.sqrt((atoms ** 2).sum(-1)) ** r).mean(-1)) ** (1.0 / r)
-    weight = (1.0 + norms)[core]
+    weight = (1.0 + rnorm(u.grid.node_atoms(u.n, u.d), r))[core]
     ratios = []
     for g in gaps:
         worst = 0.0
@@ -275,9 +272,6 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
                 P, nn, d = states.shape
                 flat = states.reshape(P * nn, 1, d)
                 return fb.fn(t, flat).reshape(P, nn, d)
-
-            from .simulate import MarkovFeedback
-
             pol = MarkovFeedback(per_atom, label="per-atom-feedback")
             est = cost_finite(model, mc_cfg, atoms, pol)
             _require_valid(est)

@@ -32,6 +32,7 @@ _GRID_2D = {"axes": [[-3.0, 3.0, 17]] * 2}
 _SIM = {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4}
 _D1_MODEL = {"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
              "UT": "m2"}
+_D2_MODEL = dict(_D1_MODEL, d=2, b=["0", "0"], sigma=[["1"], ["1"]])
 # One small valid spec per probe name, too small for every verdict to pass.
 SMALL_SPECS = {
     "convexity-preservation": {"functional": "mean", "k_list": [2], "mc_reps": 50,
@@ -105,6 +106,37 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
             {"probe": "time-holder", "grid": _GRID_1D},
             {"probe": "time-holder", "grid": _GRID_1D, "model": dict(_D1_MODEL, UT="m1[1]")}]},
          "$.probes[1].model"),
+        # T <= t0 in a horizon, a probe spec or a sim block
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D,
+          "horizon": {"t0": 1.0, "T": 1.0}}, "$.horizon"),
+        ({"kind": "verify", "seed": 1, "probes": [{"probe": "time-holder", "grid": _GRID_1D,
+                                                  "T": -1.0}]}, "$.probes[0]"),
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": dict(_SIM, T=0.0),
+          "x0": [[0.0]]}, "$.sim"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["cost-identity"], probe="cost-identity", sim=dict(_SIM, t0=0.5))]},
+         "$.probes[0].sim"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 17], "sim": dict(_SIM, T=-1.0)}},
+         "$.sweep.sim"),
+        # grid axis count != n*d
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "n": 2, "grid": _GRID_1D},
+         "$.grid"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 grid_small=_GRID_2D)]}, "$.probes[0].grid_small"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 grid_big=_GRID_1D)]}, "$.probes[0].grid_big"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip", n=2)]},
+         "$.probes[0].grid"),
+        ({"kind": "verify", "seed": 1, "probes": [{"probe": "time-holder", "grid": _GRID_2D}]},
+         "$.probes[0].grid"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            {"probe": "permutation-invariance", "grid": _GRID_1D}]}, "$.probes[0].grid"),
+        ({"kind": "verify", "seed": 1, "model": _D2_MODEL, "probes": [
+            {"probe": "time-holder", "grid": _GRID_1D}]}, "$.probes[0].grid"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)

@@ -123,6 +123,26 @@ def test_feedback_constant_for_affine_value():
     assert np.abs(a - 1.0).max() <= 1e-9
 
 
+def test_constant_terminal_cost_stays_constant():
+    """U_T = 1 with b = 0, l1 = 0: u = 1 at every node and time."""
+    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]],
+                               "l1": "0", "kappa": 1.0, "UT": "1"})
+    grid = m.sized_grid(model, 2, [(-1.0, 1.0, 9)] * 2, 0.0, 0.1)
+    u = m.solve_hjb(model, 2, grid, 0.0, 0.1)
+    assert u.values.shape == (grid.time_steps + 1, 9, 9)
+    assert np.all(u.values == 1.0)
+
+
+def test_node_atoms_checks_the_axis_count():
+    grid = m.GridSpec(axes=((-1.0, 1.0, 8), (0.0, 2.0, 9)), time_steps=1)
+    atoms = grid.node_atoms(2, 1)
+    assert atoms.shape == (8, 9, 2, 1)
+    assert atoms[3, 4].tolist() == [[grid.coords()[0][3]], [grid.coords()[1][4]]]
+    assert grid.node_atoms(1, 2).shape == (8, 9, 1, 2)
+    with pytest.raises(ValueError, match="n\\*d = 3"):
+        grid.node_atoms(3, 1)
+
+
 def test_feedback_permutation_symmetry(lq_u2):
     pol = m.synthesize_feedback(lq_u2)
     states = np.array([[[0.5], [-1.0]], [[1.2], [0.3]]])

@@ -3,7 +3,7 @@ import pytest
 
 import mfclab as m
 from mfclab import expressions as ex
-from mfclab.models import LiftedCoefficients
+from mfclab.models import _lifted_batch
 
 
 def test_l2_conjugate_examples():
@@ -43,58 +43,78 @@ def test_young_fenchel():
 
 
 def test_hamiltonian_examples():
-    mu = m.EmpiricalMeasure(np.array([[0.0]]))
+    atoms = np.array([[0.5]])
     lq = m.registry_model("LQ-decoupled")
-    assert m.hamiltonian([0.0], mu, [2.0], lq) == 2.0  # H = p^2/2
     drift1 = m.model_from_json(
         {"d": 1, "d_prime": 1, "b": ["1"], "sigma": [["0"]], "l1": "0",
          "kappa": 1.0, "UT": "m2"})
-    assert m.hamiltonian([0.0], mu, [2.0], drift1) == 0.0  # -2 + 2
     lconst = m.model_from_json(
         {"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]], "l1": "3",
          "kappa": 1.0, "UT": "m2"})
-    assert m.hamiltonian([0.5], mu, [0.0], lconst) == -3.0
+    # H = p^2/2; -2 + 2; -3
+    for model, p, want in ((lq, 2.0, 2.0), (drift1, 2.0, 0.0), (lconst, 0.0, -3.0)):
+        b, _, l1, _ = _lifted_batch(model, atoms)
+        assert m.hamiltonian(b, l1, np.array([[p]]), model.kappa).tolist() == [want]
 
 
 def test_hamiltonian_decomposition_exact():
-    """Same arithmetic path as the three sub-evaluations."""
+    """Same arithmetic path as the sub-evaluations, atom by atom over a batch."""
     model = m.registry_model("tanh-interaction")
     g = np.random.default_rng(2)
-    for _ in range(20):
-        atoms = g.normal(size=(3, 1))
-        x, p = g.normal(size=1), g.normal(size=1)
-        m1, m2 = model.features(atoms)
-        b = model.drift_at(x, m1, m2)
-        l1 = model.l1_at(x, m1, m2)
-        want = float(-(b * p).sum() - l1 + m.l2_conjugate(p, model.kappa))
-        assert m.hamiltonian(x, atoms, p, model) == want
+    atoms, p = g.normal(size=(20, 3, 1)), g.normal(size=(20, 3, 1))
+    b, _, l1, _ = _lifted_batch(model, atoms)
+    want = -(b * p).sum(-1) - l1 + m.l2_conjugate(p, model.kappa)
+    assert np.array_equal(m.hamiltonian(b, l1, p, model.kappa), want)
+
+
+def test_hamiltonian_duality_with_feedback_map():
+    """H = sup_a [(a - b).p - l1 - l2(a)], attained at a* = feedback_map(p)."""
+    g = np.random.default_rng(3)
+    for _ in range(50):
+        kappa = g.uniform(0.1, 5.0)
+        shape = (8, int(g.integers(1, 4)), int(g.integers(1, 4)))  # (P, n, d)
+        b, p, a = (g.normal(scale=3.0, size=shape) for _ in range(3))
+        l1 = g.normal(scale=3.0, size=shape[:-1])
+
+        def objective(a):
+            return ((a - b) * p).sum(-1) - l1 - 0.5 * kappa * (a ** 2).sum(-1)
+
+        H = m.hamiltonian(b, l1, p, kappa)
+        scale = 1.0 + np.abs(b * p).sum(-1) + np.abs(l1) + (p ** 2).sum(-1) / kappa
+        assert np.all(np.abs(H - objective(m.feedback_map(p, kappa))) <= 1e-12 * scale)
+        assert np.all(H >= objective(a) - 1e-12 * scale)
 
 
 def test_lifted_coefficients_examples():
     meanfield = m.model_from_json(
         {"d": 1, "d_prime": 1, "b": ["m1[0]"], "sigma": [["2"]], "l1": "0",
          "kappa": 1.0, "UT": "0.5*m2"})
-    lc = m.lifted_coefficients(meanfield, np.array([[0.0], [2.0]]))
-    assert isinstance(lc, LiftedCoefficients)
-    assert np.array_equal(lc.B, np.array([[1.0], [1.0]]))       # mean = 1
-    assert np.all(lc.Sigma == 2.0)
-    assert lc.L1 == 0.0
-    lc2 = m.lifted_coefficients(meanfield, np.array([[1.0], [1.0]]))
-    assert lc2.UT == 0.5
+    B, S, L1, UT = _lifted_batch(meanfield, np.array([[0.0], [2.0]]))
+    assert np.array_equal(B, np.array([[1.0], [1.0]]))       # mean = 1
+    assert np.all(S == 2.0)
+    assert np.array_equal(L1, np.zeros(2))                   # per atom
+    UT = _lifted_batch(meanfield, np.array([[1.0], [1.0]]))[3]
+    assert UT == 0.5
+
+
+def test_lifted_constant_terminal_has_the_batch_shape():
+    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]],
+                               "l1": "0", "kappa": 1.0, "UT": "1"})
+    UT = _lifted_batch(model, np.zeros((4, 3, 2, 1)))[3]
+    assert UT.shape == (4, 3) and np.all(UT == 1.0)
 
 
 def test_lifted_permutation_equivariance():
     model = m.registry_model("tanh-interaction")
     atoms = np.array([[0.3], [1.2], [-0.7], [0.1]])
     perm = np.array([2, 0, 3, 1])
-    a = m.lifted_coefficients(model, atoms)
+    a = _lifted_batch(model, atoms)
     # n=4 feature means are permutation-sensitive in float; compare against the
     # same-mean evaluation by fixing the atom order in the features
-    b = m.lifted_coefficients(model, atoms[perm])
-    assert np.allclose(a.B[perm], b.B, atol=1e-13)
-    assert np.allclose(a.Sigma[perm], b.Sigma, atol=1e-13)
-    assert abs(a.L1 - b.L1) < 1e-13
-    assert abs(a.UT - b.UT) < 1e-13
+    b = _lifted_batch(model, atoms[perm])
+    for ca, cb in zip(a[:3], b[:3]):   # B, Sigma, L1 permute with the atoms
+        assert np.allclose(ca[perm], cb, atol=1e-13)
+    assert abs(a[3] - b[3]) < 1e-13
 
 
 def test_terminal_rejects_state_variable():
@@ -129,27 +149,3 @@ def test_sigma_shape_validation():
     with pytest.raises(ValueError):
         m.model_from_json({"d": 2, "d_prime": 1, "b": ["0", "0"], "sigma": [["1"]],
                            "l1": "0", "kappa": 1.0, "UT": "m2"})
-
-
-def test_assumption_probe_linear_drift():
-    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["x[0]"], "sigma": [["1"]],
-                               "l1": "0", "kappa": 1.0, "UT": "m2"})
-    rep = model and m.assumption_probe(model, 400, 1.0, rng_seed=3)
-    assert 0.8 <= rep["estimates"]["b"] <= 1.0 + 1e-9
-    assert "b" not in rep["flagged_non_lipschitz"]
-
-
-def test_assumption_probe_constant_is_zero():
-    model = m.registry_model("LQ-decoupled")
-    rep = m.assumption_probe(model, 100, 1.0, rng_seed=4)
-    assert rep["estimates"]["b"] == 0.0
-    assert rep["estimates"]["sigma"] == 0.0
-
-
-def test_assumption_probe_flags_quadratic():
-    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["x[0]^2"], "sigma": [["1"]],
-                               "l1": "0", "kappa": 1.0, "UT": "m2"})
-    rep = m.assumption_probe(model, 400, 1.0, rng_seed=5)
-    assert "b" in rep["flagged_non_lipschitz"]
-    # sampled quotient sup roughly doubles with the radius
-    assert rep["estimates_double_radius"]["b"] > 1.5 * rep["estimates"]["b"]

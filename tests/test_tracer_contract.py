@@ -74,3 +74,15 @@ def test_integration_counter_reads_path_bundle_fields():
     # the integration counter reads out.states and out.control_trace
     fields = {f.name for f in dataclasses.fields(m.PathBundle)}
     assert {"states", "control_trace"} <= fields
+
+
+def test_solve_hjb_evaluates_node_coefficients_once(monkeypatch):
+    """The tracer's models layer times _lifted_batch; each solve must call it once."""
+    from mfclab import hjb
+    model = m.registry_model("tanh-interaction")
+    grid = m.sized_grid(model, 2, [(-1.0, 1.0, 9)] * 2, 0.0, 0.1)
+    calls = []
+    lifted = hjb._lifted_batch
+    monkeypatch.setattr(hjb, "_lifted_batch", lambda *a: calls.append(1) or lifted(*a))
+    m.solve_hjb(model, 2, grid, 0.0, 0.1)
+    assert len(calls) == 1
