@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__, verify
 from .costs import _estimate
-from .hjb import GridSpec, riccati_lq_value, sized_grid, solve_hjb
+from .hjb import riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
@@ -104,88 +104,73 @@ _GRID_SCHEMA = {
 }
 
 
-# -- probes: each runner maps (spec, config) to a list of reports ------------------
+# -- probes: each runner maps (spec, model, horizon, grids) to a list of reports ----
+# `_verify_probe` resolves them; grids maps a grid key to (n, sized grid) per solve.
+
+_DEFAULT_MODEL = {"registry": "LQ-decoupled"}  # when neither spec nor config names one
+_MC_REPS = 4000  # Monte Carlo replicates of a mollifier probe without `mc_reps`
 
 
-def _spec_model(spec, cfg):
-    return model_from_json(spec.get("model", cfg.get("model", {"registry": "LQ-decoupled"})))
+def _spec_horizon(block, pointer=None):
+    """(t0, T) of a probe spec, horizon or sim block, [0, 1] where it sets neither;
+    T <= t0 is a config error at `pointer`."""
+    t0, T = block.get("t0", 0.0), block.get("T", 1.0)
+    if not T > t0:
+        raise ConfigError(f"bad horizon at {pointer}: need T > t0, got t0 = {t0}, T = {T}")
+    return t0, T
 
 
-def _spec_horizon(spec):
-    return spec.get("t0", 0.0), spec.get("T", 1.0)
-
-
-def _probe_cost_identity(spec, cfg):
-    model = _spec_model(spec, cfg)
-    seed = spec.get("seed", cfg["seed"])
-    sim = SimConfig(seed=seed, **spec["sim"])
+def _probe_cost_identity(spec, model, horizon, grids):
+    sim = SimConfig(seed=spec["seed"], **spec["sim"])
     x0 = np.asarray(spec["x0"], dtype=np.float64)
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(spec["seed"])
     schedule = g.normal(size=(sim.steps,) + _as_atoms(x0).shape)
     return [verify.cost_identity_check(model, sim, x0, OpenLoopSchedule(schedule),
                                        threshold=spec.get("threshold", 1e-12))]
 
 
-def _probe_duplication(spec, cfg):
-    model = _spec_model(spec, cfg)
-    horizon = _spec_horizon(spec)
-    gs = _grid_from_config(spec["grid_small"], model, spec["base_n"], horizon)
-    gb = _grid_from_config(spec["grid_big"], model, spec["base_n"] * spec["m"], horizon)
-    pts = [np.asarray(p, dtype=np.float64) for p in spec["test_points"]]
+def _probe_duplication(spec, model, horizon, grids):
+    pts = [np.reshape(p, (grids["grid_small"][0], model.d)) for p in spec["test_points"]]
     return [verify.duplication_consistency(
-        model, spec["base_n"], spec["m"], gs, gb, horizon[0], horizon[1], pts,
-        threshold=spec.get("threshold", 2e-2))]
+        model, spec["base_n"], spec["m"], grids["grid_small"][1], grids["grid_big"][1],
+        *horizon, pts, threshold=spec.get("threshold", 2e-2))]
 
 
-def _probe_feedback(spec, cfg):
-    model = _spec_model(spec, cfg)
-    horizon = _spec_horizon(spec)
-    n = spec.get("n", 1)
-    grid = _grid_from_config(spec["grid"], model, n, horizon)
-    u = solve_hjb(model, n, grid, horizon[0], horizon[1])
-    sim = SimConfig(seed=spec.get("seed", cfg["seed"]), **spec["sim"])
-    return [verify.feedback_roundtrip(model, sim, np.asarray(spec["x0"], dtype=np.float64), u)]
+def _probe_feedback(spec, model, horizon, grids):
+    n, grid = grids["grid"]
+    u = solve_hjb(model, n, grid, *horizon)
+    sim = SimConfig(seed=spec["seed"], **spec["sim"])
+    return [verify.feedback_roundtrip(model, sim, np.reshape(spec["x0"], (n, model.d)), u)]
 
 
-def _probe_permutation(spec, cfg):
-    model = _spec_model(spec, cfg)
-    horizon = _spec_horizon(spec)
-    grid = _grid_from_config(spec["grid"], model, 2, horizon)
-    u = solve_hjb(model, 2, grid, horizon[0], horizon[1])
+def _probe_permutation(spec, model, horizon, grids):
+    u = solve_hjb(model, *grids["grid"], *horizon)
     return [verify.permutation_invariance_probe(u, threshold=spec.get("threshold", 1e-9))]
 
 
-def _probe_time_holder(spec, cfg):
-    model = _spec_model(spec, cfg)
-    horizon = _spec_horizon(spec)
-    n = spec.get("n", 1)
-    grid = _grid_from_config(spec["grid"], model, n, horizon)
-    u = solve_hjb(model, n, grid, horizon[0], horizon[1],
-                  max_stored_slices=grid.time_steps + 1)
+def _probe_time_holder(spec, model, horizon, grids):
+    n, grid = grids["grid"]
+    u = solve_hjb(model, n, grid, *horizon, max_stored_slices=grid.time_steps + 1)
     return [verify.time_holder_probe(u, spec.get("r", 1.0))]
 
 
-def _smoothing(spec, cfg):
-    """(base functional, MC replicates, seed) of a mollifier probe spec."""
-    return (functional_registry()[spec["functional"]], spec.get("mc_reps", 4000),
-            spec.get("seed", cfg["seed"]))
+def _probe_lipschitz(spec, model, horizon, grids):
+    base = functional_registry()[spec["functional"]]
+    return [lipschitz_preservation_probe(base, k, spec.get("mc_reps", _MC_REPS), spec["seed"])
+            for k in spec["k_list"]]
 
 
-def _probe_lipschitz(spec, cfg):
-    base, reps, seed = _smoothing(spec, cfg)
-    return [lipschitz_preservation_probe(base, k, reps, seed) for k in spec["k_list"]]
+def _probe_uniform(spec, model, horizon, grids):
+    fam = default_test_family(seed=spec["seed"] + 1)
+    return [uniform_convergence_probe(functional_registry()[spec["functional"]], spec["k_list"],
+                                      fam, spec.get("mc_reps", _MC_REPS), spec["seed"])]
 
 
-def _probe_uniform(spec, cfg):
-    base, reps, seed = _smoothing(spec, cfg)
-    fam = default_test_family(seed=seed + 1)
-    return [uniform_convergence_probe(base, spec["k_list"], fam, reps, seed)]
-
-
-def _probe_convexity(spec, cfg):
-    base, reps, seed = _smoothing(spec, cfg)
-    segs = default_segment_family(spec.get("segments", 6), seed + 2)
-    return [convexity_preservation_probe(base, spec["k_list"][0], reps, seed, segs)]
+def _probe_convexity(spec, model, horizon, grids):
+    segs = default_segment_family(spec.get("segments", 6), spec["seed"] + 2)
+    return [convexity_preservation_probe(functional_registry()[spec["functional"]],
+                                         spec["k_list"][0], spec.get("mc_reps", _MC_REPS),
+                                         spec["seed"], segs)]
 
 
 def _spec(required, **properties) -> dict:
@@ -198,48 +183,51 @@ def _spec(required, **properties) -> dict:
     }
 
 
-# probe name -> (JSON schema of its spec, runner)
+# probe name -> (JSON schema of its spec, runner, solves). The solves map each grid
+# key to the particle count n of the solve on that grid, a function of the spec.
+_SOLVE_AT_N = {"grid": lambda s: s.get("n", 1)}
 PROBES = {
     "convexity-preservation": (
         _spec(["functional", "k_list"], **_SMOOTHING, segments=_COUNT),
-        _probe_convexity),
+        _probe_convexity, {}),
     "cost-identity": (
         _spec(["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, threshold=_NUMBER),
-        _probe_cost_identity),
+        _probe_cost_identity, {}),
     "duplication-consistency": (
         _spec(["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
               model=_MODEL_SCHEMA, base_n=_COUNT, m=_COUNT, grid_small=_GRID_SCHEMA,
               grid_big=_GRID_SCHEMA, test_points={"type": "array", "items": _ARRAY},
               threshold=_NUMBER),
-        _probe_duplication),
+        _probe_duplication,
+        {"grid_small": lambda s: s["base_n"], "grid_big": lambda s: s["base_n"] * s["m"]}),
     "feedback-roundtrip": (
         _spec(["grid", "sim", "x0"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT,
               grid=_GRID_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY),
-        _probe_feedback),
+        _probe_feedback, _SOLVE_AT_N),
     "lipschitz-preservation": (
         _spec(["functional", "k_list"], **_SMOOTHING),
-        _probe_lipschitz),
+        _probe_lipschitz, {}),
     "permutation-invariance": (
         _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, grid=_GRID_SCHEMA, threshold=_NUMBER),
-        _probe_permutation),
+        _probe_permutation, {"grid": lambda s: 2}),
     "time-holder": (
         _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT, grid=_GRID_SCHEMA, r=_R),
-        _probe_time_holder),
+        _probe_time_holder, _SOLVE_AT_N),
     "uniform-convergence": (
         _spec(["functional", "k_list"], **_SMOOTHING),
-        _probe_uniform),
+        _probe_uniform, {}),
 }
 
-# kind -> (config keys it requires, name of its runner); the order is the schema's
-# enum order. Every runner maps (config, out_dir, jobs) to (summary, reports). They
-# are looked up by name when called, so a wrapper bound to the module attribute
-# (perfbench/tracer.py wraps _run_verify) is the one that runs.
+# kind -> (config keys it requires, name of its runner, solves); the order is the
+# schema's enum order. Every runner maps (config, out_dir, jobs) to (summary,
+# reports). They are looked up by name when called, so a wrapper bound to the
+# module attribute (perfbench/tracer.py wraps _run_verify) is the one that runs.
 KINDS = {
-    "simulate": (["model", "sim", "x0"], "_run_simulate"),
-    "solve-hjb": (["model", "grid"], "_run_solve"),
-    "verify": ([], "_run_verify"),
-    "mollify": ([], "_run_mollify"),
-    "sweep": (["model", "sweep"], "_run_sweep"),
+    "simulate": (["model", "sim", "x0"], "_run_simulate", {}),
+    "solve-hjb": (["model", "grid"], "_run_solve", _SOLVE_AT_N),
+    "verify": ([], "_run_verify", {}),
+    "mollify": ([], "_run_mollify", {}),
+    "sweep": (["model", "sweep"], "_run_sweep", {}),
 }
 
 CONFIG_SCHEMA = {
@@ -268,7 +256,7 @@ CONFIG_SCHEMA = {
                 "properties": {"probe": {"enum": sorted(PROBES)}},
                 "allOf": [{"if": {"required": ["probe"], "properties": {"probe": {"const": name}}},
                            "then": schema}
-                          for name, (schema, _) in PROBES.items()],
+                          for name, (schema, *_) in PROBES.items()],
             },
         },
         "k_list": _K_LIST,
@@ -300,7 +288,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
                "then": {"required": required}}
-              for kind, (required, _) in KINDS.items()],
+              for kind, (required, *_) in KINDS.items()],
 }
 
 class ConfigError(Exception):
@@ -335,55 +323,55 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-# probe name -> {grid key in its spec: particle count n of the solve on that grid}
-_PROBE_GRIDS = {
-    "duplication-consistency": lambda s: {"grid_small": s["base_n"],
-                                          "grid_big": s["base_n"] * s["m"]},
-    "feedback-roundtrip": lambda s: {"grid": s.get("n", 1)},
-    "permutation-invariance": lambda s: {"grid": 2},
-    "time-holder": lambda s: {"grid": s.get("n", 1)},
-}
-
-
 def _check_values(cfg) -> None:
     """What a schema-valid config can still get wrong, named by pointer: a bad
-    expression, shape or index in a model document, T <= t0, or a grid whose
-    axis count is not n*d."""
-    probes = [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
-    models = {}
-    for pointer, spec in [("$", cfg)] + probes:
-        if "model" in spec:
+    model document, T <= t0, a sim window its solve does not cover, a grid whose
+    axis count is not n*d, or a point whose size is not. The config is checked
+    as one more spec, with its `horizon` block as the horizon."""
+    specs = [("$", cfg, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
+    specs += [(f"$.probes[{i}]", p, PROBES[p["probe"]][2], (p, f"$.probes[{i}]"))
+              for i, p in enumerate(cfg.get("probes", []))]
+    for pointer, spec, solves, horizon in specs:
+        try:
+            d = model_from_json(spec.get("model", cfg.get("model", _DEFAULT_MODEL))).d
+        except ValueError as e:
+            raise ConfigError(f"bad model at {pointer}.model: {e}") from e
+        t0, T = _spec_horizon(*horizon)
+        sim = _spec_horizon(spec.get("sim", {}), f"{pointer}.sim")
+        # a feedback from the solve is simulated inside its horizon; a sweep's Monte
+        # Carlo row stands for u_n(t0, x), so its window is the horizon
+        if spec.get("probe") == "feedback-roundtrip" and not (t0 <= sim[0] and sim[1] <= T):
+            raise ConfigError(f"bad sim window at {pointer}.sim: [{sim[0]}, {sim[1]}] "
+                              f"is not inside the horizon [{t0}, {T}]")
+        sweep_sim = spec.get("sweep", {}).get("sim")
+        if sweep_sim and _spec_horizon(sweep_sim, "$.sweep.sim") != (t0, T):
+            raise ConfigError(f"bad sim window at $.sweep.sim: [{sweep_sim['t0']}, "
+                              f"{sweep_sim['T']}] is not the horizon [{t0}, {T}]")
+        counts = {key: count(spec) for key, count in solves.items()}
+        for key, n in counts.items():
+            if len(spec[key]["axes"]) != n * d:
+                raise ConfigError(f"bad grid at {pointer}.{key}: {len(spec[key]['axes'])} axes "
+                                  f"but n*d = {n}*{d} = {n * d}")
+        points = [("x0", spec["x0"], "grid")] if "grid" in counts and "x0" in spec else []
+        points += [(f"test_points[{j}]", point, "grid_small")
+                   for j, point in enumerate(spec.get("test_points", []))]
+        for key, point, grid in points:
             try:
-                models[pointer] = model_from_json(spec["model"])
-            except ValueError as e:
-                raise ConfigError(f"bad model at {pointer}.model: {e}") from e
-    horizons = [("$.horizon", cfg.get("horizon")), ("$.sim", cfg.get("sim")),
-                ("$.sweep.sim", cfg.get("sweep", {}).get("sim"))]
-    grids = [("$.grid", cfg["grid"], cfg.get("n", 1), "$")] if cfg["kind"] == "solve-hjb" else []
-    for pointer, spec in probes:
-        horizons += [(pointer, spec), (f"{pointer}.sim", spec.get("sim"))]
-        counts = _PROBE_GRIDS.get(spec["probe"], lambda s: {})(spec)
-        grids += [(f"{pointer}.{key}", spec[key], n, pointer) for key, n in counts.items()]
-    for pointer, block in horizons:
-        t0, T = _spec_horizon(block or {})  # an absent block is the default (0, 1)
-        if not T > t0:
-            raise ConfigError(f"bad horizon at {pointer}: need T > t0, got t0 = {t0}, T = {T}")
-    for pointer, grid, n, owner in grids:
-        d = models.get(owner, models.get("$", REGISTRY["LQ-decoupled"])).d
-        if len(grid["axes"]) != n * d:
-            raise ConfigError(f"bad grid at {pointer}: {len(grid['axes'])} axes "
-                              f"but n*d = {n}*{d} = {n * d}")
+                size = np.asarray(point, dtype=np.float64).size
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad point at {pointer}.{key}: {e}") from e
+            if size != counts[grid] * d:
+                raise ConfigError(f"bad point at {pointer}.{key}: {size} numbers but n*d = "
+                                  f"{counts[grid]}*{d} = {counts[grid] * d}")
 
 
-def _grid_from_config(block: dict, model, n, horizon) -> GridSpec:
-    return sized_grid(model, n, block["axes"], horizon[0], horizon[1],
-                      time_steps=block.get("time_steps"), margin=block.get("margin", 0.25))
-
-
-def _horizon(cfg) -> tuple:
-    """(t0, T) of the config's horizon block; (0, 1) without one."""
-    horizon = cfg.get("horizon", {"t0": 0.0, "T": 1.0})
-    return horizon["t0"], horizon["T"]
+def _sized_grids(spec, solves, model, horizon) -> dict:
+    """{grid key: (n, grid)} for each solve of a spec, each grid sized once."""
+    counts = {key: count(spec) for key, count in solves.items()}
+    return {key: (n, sized_grid(model, n, spec[key]["axes"], *horizon,
+                                time_steps=spec[key].get("time_steps"),
+                                margin=spec[key].get("margin", 0.25)))
+            for key, n in counts.items()}
 
 
 def _run_simulate(cfg, out_dir, jobs):
@@ -409,10 +397,9 @@ def _run_simulate(cfg, out_dir, jobs):
 
 def _run_solve(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
-    n = cfg.get("n", 1)
-    horizon = _horizon(cfg)
-    grid = _grid_from_config(cfg["grid"], model, n, horizon)
-    u = solve_hjb(model, n, grid, horizon[0], horizon[1])
+    horizon = _spec_horizon(cfg.get("horizon", {}))
+    [(n, grid)] = _sized_grids(cfg, KINDS["solve-hjb"][2], model, horizon).values()
+    u = solve_hjb(model, n, grid, *horizon)
     cadence = cfg.get("dump_cadence", 1)
     rows = ([k, idx, repr(v)]
             for k, values in zip(range(0, u.values.shape[0], cadence), u.values[::cadence])
@@ -431,7 +418,7 @@ def _run_solve(cfg, out_dir, jobs):
     if "x0" in cfg:
         pt = np.asarray(cfg["x0"], dtype=np.float64).reshape(-1)
         summary["value_at_x0"] = u.value_at(horizon[0], pt)
-        if model.name == "LQ-decoupled":
+        if model == REGISTRY["LQ-decoupled"]:  # the oracle's coefficients, not its name
             summary["riccati_value_at_x0"] = riccati_lq_value(
                 1.0, model.kappa, horizon[1], horizon[0], pt.reshape(n, model.d),
                 rk_steps=10 * grid.time_steps)
@@ -439,7 +426,14 @@ def _run_solve(cfg, out_dir, jobs):
 
 
 def _verify_probe(spec, cfg):
-    return PROBES[spec["probe"]][1](spec, cfg)
+    """Run one probe spec, resolved once: its seed defaults to the config's; its
+    model to the config's, then to LQ-decoupled; its horizon to [0, 1]; and each
+    solve its PROBES entry declares gets its grid sized here."""
+    _, runner, solves = PROBES[spec["probe"]]
+    spec = {"seed": cfg["seed"], **spec}
+    model = model_from_json(spec.get("model", cfg.get("model", _DEFAULT_MODEL)))
+    horizon = _spec_horizon(spec)
+    return runner(spec, model, horizon, _sized_grids(spec, solves, model, horizon))
 
 
 def _run_verify(cfg, out_dir, jobs):
@@ -458,13 +452,11 @@ def _run_mollify(cfg, out_dir, jobs):
     spec = {"functional": "mean", **cfg.get("mollify", {}),
             "k_list": cfg.get("k_list", [4, 16, 64])}
     selected = spec.pop("probes", MOLLIFY_PROBES)
-    reports = []
-    for name in MOLLIFY_PROBES:
-        if name in selected:
-            reports += _verify_probe(dict(spec, probe=name), cfg)
-    base, reps, seed = _smoothing(spec, cfg)
-    sf = SmoothedFunctional(base, spec["k_list"][-1], reps, seed)
-    fam = default_test_family(count=3, seed=seed + 3)
+    reports = [r for name in MOLLIFY_PROBES if name in selected
+               for r in _verify_probe(dict(spec, probe=name), cfg)]
+    sf = SmoothedFunctional(functional_registry()[spec["functional"]], spec["k_list"][-1],
+                            spec.get("mc_reps", _MC_REPS), cfg["seed"])
+    fam = default_test_family(count=3, seed=cfg["seed"] + 3)
     evals = [{"point": i, "estimate": list(smooth_eval(sf, x, a))} for i, (x, a) in enumerate(fam)]
     return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
 
@@ -472,7 +464,7 @@ def _run_mollify(cfg, out_dir, jobs):
 def _run_sweep(cfg, out_dir, jobs):
     block = cfg["sweep"]
     model = model_from_json(cfg["model"])
-    horizon = _horizon(cfg)
+    horizon = _spec_horizon(cfg.get("horizon", {}))
     fams = {}
     for m in block.get("duplications", [1, 2]):
         arr = duplicate_atoms(block["base_atoms"], m)
@@ -480,8 +472,8 @@ def _run_sweep(cfg, out_dir, jobs):
     mc_cfg = None
     if "sim" in block:
         mc_cfg = SimConfig(seed=cfg["seed"], **block["sim"])
-    rows = verify.convergence_sweep(model, fams, tuple(block["grid_axis"]),
-                                    horizon[0], horizon[1], mc_cfg=mc_cfg)
+    rows = verify.convergence_sweep(model, fams, tuple(block["grid_axis"]), *horizon,
+                                    mc_cfg=mc_cfg)
     csv_rows = [[r["n"], repr(r["value"]), repr(r["std_error"]), r["mode"],
                  "" if r["gap_to_previous"] is None else repr(r["gap_to_previous"])]
                 for r in rows]

@@ -1,15 +1,15 @@
 """Probe reports and the artifact files they and the experiments are written to.
 
 A ProbeReport is the uniform pass/fail + provenance record for all checks.
-Every artifact goes through `atomic_write`, and every CSV artifact through
-`write_csv`, so the file mode, the atomic replace and the CSV dialect are
-decided here once.
+Every artifact is written through `_replacing`, by `atomic_write` or, row by
+row, by `write_csv`, so the file mode, the atomic replace and the CSV dialect
+are decided here once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ class ProbeReport:
     samples: int
     statistic: float
     threshold: float | None
-    direction: str = "leq"  # statistic {leq|lt|geq|ge} threshold
+    direction: str = "leq"  # statistic {leq|lt|geq} threshold
     provenance: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
@@ -60,8 +60,9 @@ def report_row(r: ProbeReport) -> list:
             "true" if r.passed else "false"]
 
 
-def atomic_write(path, data: str) -> None:
-    """Replace `path` by a file holding `data`, in one rename.
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file that replaces `path` in one rename when the block ends.
 
     The file is created with mode 0o666 so that the process umask applies, as
     for any file a plain `open` creates.
@@ -70,8 +71,8 @@ def atomic_write(path, data: str) -> None:
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,9 +80,13 @@ def atomic_write(path, data: str) -> None:
         raise
 
 
+def atomic_write(path, data: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(data)
+
+
 def write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    atomic_write(path, buf.getvalue())
+    with _replacing(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mfclab import cli, registry_model, simulate, sized_grid, solve_hjb
+from mfclab import cli, registry_model, reports, simulate, sized_grid, solve_hjb
 from mfclab.cli import main
 
 
@@ -137,6 +137,22 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
             {"probe": "permutation-invariance", "grid": _GRID_1D}]}, "$.probes[0].grid"),
         ({"kind": "verify", "seed": 1, "model": _D2_MODEL, "probes": [
             {"probe": "time-holder", "grid": _GRID_1D}]}, "$.probes[0].grid"),
+        # a sim window the solve's horizon does not cover
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip",
+                 sim=dict(_SIM, T=1.3))]}, "$.probes[0].sim"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 17], "sim": dict(_SIM, T=1.5)}},
+         "$.sweep.sim"),
+        # points that are not the n atoms in R^d of their solve
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "n": 2, "grid": _GRID_2D,
+          "x0": [0.1, 0.2, 0.3]}, "$.x0"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 test_points=[[0.5], [0.5, 0.2]])]}, "$.probes[0].test_points[1]"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip",
+                 x0=[[0.5], [0.2]])]}, "$.probes[0].x0"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -328,6 +344,23 @@ def test_solve_hjb_end_to_end(tmp_path):
     assert abs(summary["riccati_value_at_x0"] - want) < 1e-8
 
 
+def test_riccati_oracle_needs_lq_decoupled_coefficients(tmp_path):
+    """The oracle solves LQ-decoupled's problem; a model that only borrows the
+    name gets none, one with the same coefficients still gets it."""
+    lq_named = {"name": "LQ-decoupled", "d": 1, "d_prime": 1, "kappa": 1.0}
+    models = {"borrowed name": dict(lq_named, b=["-2*x[0]"], sigma=[["0.3"]], l1="x[0]^2",
+                                    UT="m2"),
+              "same coefficients": dict(lq_named, b=["0"], sigma=[["1"]], l1="0", UT="0.5*m2")}
+    for label, model in models.items():
+        cfg = _write(tmp_path / "c.json", {"kind": "solve-hjb", "seed": 1, "model": model,
+                                           "grid": {"axes": [[-3.0, 3.0, 41]]}, "x0": [0.5]})
+        out = tmp_path / label
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "value_at_x0" in summary
+        assert ("riccati_value_at_x0" in summary) == (label == "same coefficients"), label
+
+
 def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):
     grid = {"axes": [[-2.0, 2.0, 21]] * 2, "margin": 0.2}
     cfg = _write(tmp_path / "c.json", {
@@ -483,3 +516,19 @@ def test_artifact_modes_follow_umask(tmp_path):
     assert names == ["manifest.json", "results.csv", "summary.json", "trajectories.csv"]
     for p in out.iterdir():
         assert p.stat().st_mode & 0o777 == 0o640, p.name
+
+
+def test_failed_csv_write_keeps_the_old_file(tmp_path):
+    """Rows stream into a temporary file; a row source that fails part way
+    leaves the old artifact in place and no temporary file behind."""
+    path = tmp_path / "results.csv"
+    path.write_text("old\n")
+
+    def rows():
+        yield [1, 2]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        reports.write_csv(path, ["a", "b"], rows())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
