@@ -326,8 +326,9 @@ def _load_config(path: str) -> dict:
 def _check_values(cfg) -> None:
     """What a schema-valid config can still get wrong, named by pointer: a bad
     model document, T <= t0, a sim window its solve does not cover, a grid whose
-    axis count is not n*d, or a point whose size is not. The config is checked
-    as one more spec, with its `horizon` block as the horizon."""
+    axis count is not n*d, a point whose size is not, atoms not in R^d, or a
+    number that is not finite. The config is checked as one more spec, with its
+    `horizon` block as the horizon."""
     specs = [("$", cfg, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
     specs += [(f"$.probes[{i}]", p, PROBES[p["probe"]][2], (p, f"$.probes[{i}]"))
               for i, p in enumerate(cfg.get("probes", []))]
@@ -352,17 +353,30 @@ def _check_values(cfg) -> None:
             if len(spec[key]["axes"]) != n * d:
                 raise ConfigError(f"bad grid at {pointer}.{key}: {len(spec[key]['axes'])} axes "
                                   f"but n*d = {n}*{d} = {n * d}")
-        points = [("x0", spec["x0"], "grid")] if "grid" in counts and "x0" in spec else []
-        points += [(f"test_points[{j}]", point, "grid_small")
-                   for j, point in enumerate(spec.get("test_points", []))]
-        for key, point, grid in points:
+        # a solve's point is its n*d coordinates; a simulation's x0 and the sweep's
+        # base atoms are atoms in R^d, n = None
+        points = [(f"test_points[{j}]", point, counts["grid_small"])
+                  for j, point in enumerate(spec.get("test_points", []))]
+        if "x0" in spec and "grid" in counts:
+            points.append(("x0", spec["x0"], counts["grid"]))
+        elif spec.get("probe", spec.get("kind")) in ("simulate", "cost-identity"):
+            points.append(("x0", spec["x0"], None))
+        if "sweep" in spec:
+            points.append(("sweep.base_atoms", spec["sweep"]["base_atoms"], None))
+        for key, point, n in points:
             try:
-                size = np.asarray(point, dtype=np.float64).size
+                arr = np.asarray(point, dtype=np.float64)
+                atom_d = None if n else _as_atoms(arr).shape[1]
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"bad point at {pointer}.{key}: {e}") from e
-            if size != counts[grid] * d:
-                raise ConfigError(f"bad point at {pointer}.{key}: {size} numbers but n*d = "
-                                  f"{counts[grid]}*{d} = {counts[grid] * d}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"bad point at {pointer}.{key}: a number is not finite")
+            if n and arr.size != n * d:
+                raise ConfigError(f"bad point at {pointer}.{key}: {arr.size} numbers but n*d = "
+                                  f"{n}*{d} = {n * d}")
+            if atom_d is not None and atom_d != d:
+                raise ConfigError(f"bad point at {pointer}.{key}: atoms in R^{atom_d} but the "
+                                  f"model's d = {d}")
 
 
 def _sized_grids(spec, solves, model, horizon) -> dict:
@@ -395,16 +409,23 @@ def _run_simulate(cfg, out_dir, jobs):
     return summary, []
 
 
+def _value_dump(u, cadence):
+    """results.csv of a solve as text, one chunk per dumped slice: the bytes of
+    csv.writer's rows [slice, node_index, repr(value)], none of which needs quoting."""
+    yield "slice,node_index,value\r\n"
+    tails = [f",{idx}," for idx in range(u.values[0].size)]
+    for k in range(0, u.values.shape[0], cadence):
+        reprs = map(repr, u.values[k].reshape(-1).tolist())
+        yield f"{k}" + f"\r\n{k}".join(map(str.__add__, tails, reprs)) + "\r\n"
+
+
 def _run_solve(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
     horizon = _spec_horizon(cfg.get("horizon", {}))
     [(n, grid)] = _sized_grids(cfg, KINDS["solve-hjb"][2], model, horizon).values()
     u = solve_hjb(model, n, grid, *horizon)
     cadence = cfg.get("dump_cadence", 1)
-    rows = ([k, idx, repr(v)]
-            for k, values in zip(range(0, u.values.shape[0], cadence), u.values[::cadence])
-            for idx, v in enumerate(values.reshape(-1).tolist()))
-    write_csv(os.path.join(out_dir, "results.csv"), ["slice", "node_index", "value"], rows)
+    atomic_write(os.path.join(out_dir, "results.csv"), _value_dump(u, cadence), newline="")
     sidecar = {"grid": grid.to_json(), "model": model.name, "n": n,
                "t0": horizon[0], "T": horizon[1], "dump_cadence": cadence,
                "stored_times": u.times.tolist()}

@@ -22,6 +22,7 @@ for sigma = 0 it is the classical monotone Lax-Friedrichs scheme.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -136,6 +137,33 @@ def _derivatives(u: np.ndarray, h: np.ndarray):
     return np.stack(grads, axis=-1), d2, crosses
 
 
+def _multilinear(coords, data: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of node data (*shape, ...) at points (P, nd)
+    inside the grid of the ascending coords; a NaN coordinate gives NaN.
+
+    Bit-identical to scipy's linear RegularGridInterpolator: the cell is the
+    last node <= x (the last cell for x on the upper bound), the corners are
+    summed from 0.0 in itertools.product order, and a corner's weights are
+    multiplied together before the value, except on a 2-axis value slice,
+    where the value comes first as in scipy's compiled 2-d path.
+    """
+    lower, weights = [], []
+    for c, x in zip(coords, pts.T):
+        i = np.clip(np.searchsorted(c, x, "right") - 1, 0, c.size - 2)
+        y = (x - c[i]) / (c[i + 1] - c[i])
+        lower.append(i)
+        weights.append((1 - y, y))
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(coords)):
+        v = data[tuple(i + bit for i, bit in zip(lower, corner))]
+        w = [pair[bit] for pair, bit in zip(weights, corner)]
+        if len(w) == 2 == data.ndim:
+            out = out + v * w[0] * w[1]
+        else:
+            out = out + v * math.prod(w).reshape((-1,) + (1,) * (v.ndim - 1))
+    return out
+
+
 @dataclass
 class GridValueFunction:
     """Stored time slices of the numerical value function u_n."""
@@ -148,7 +176,7 @@ class GridValueFunction:
     dt: float
     times: np.ndarray     # stored slice times, ascending, times[0] = t0, times[-1] = T
     values: np.ndarray    # (len(times), *grid.shape())
-    _interp_cache: dict = field(default_factory=dict, repr=False)
+    _gradient_cache: dict = field(default_factory=dict, repr=False)  # slice -> grid_gradient
 
     @property
     def d(self) -> int:
@@ -161,14 +189,10 @@ class GridValueFunction:
         """Multilinear interpolation of the nearest stored slice (or of its
         gradient field, shape (P, nd)) at points (P, nd) clamped to the grid."""
         k = self.slice_for_time(t)
-        if (gradient, k) not in self._interp_cache:
-            from scipy.interpolate import RegularGridInterpolator
-
-            data = grid_gradient(self, k) if gradient else self.values[k]
-            self._interp_cache[gradient, k] = RegularGridInterpolator(
-                tuple(self.grid.coords()), data, method="linear"
-            )
-        return self._interp_cache[gradient, k](np.clip(pts, *self.grid.bounds()))
+        if gradient and k not in self._gradient_cache:
+            self._gradient_cache[k] = grid_gradient(self, k)
+        data = self._gradient_cache[k] if gradient else self.values[k]
+        return _multilinear(self.grid.coords(), data, np.clip(pts, *self.grid.bounds()))
 
     def value_at(self, t: float, points) -> np.ndarray:
         """Multilinear value at nearest stored slice; queries clamped to the grid."""

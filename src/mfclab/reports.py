@@ -1,9 +1,10 @@
 """Probe reports and the artifact files they and the experiments are written to.
 
 A ProbeReport is the uniform pass/fail + provenance record for all checks.
-Every artifact is written through `_replacing`, by `atomic_write` or, row by
-row, by `write_csv`, so the file mode, the atomic replace and the CSV dialect
-are decided here once.
+Every artifact is written through `_replacing`, by `atomic_write` (whole, or
+chunk by chunk) or, row by row, by `write_csv`, so the file mode and the atomic
+replace are decided here once. `write_csv` fixes the CSV dialect; the one CSV
+written as pre-formatted chunks, the solve's value dump, reproduces its bytes.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def _replacing(path, newline=None):
         raise
 
 
-def atomic_write(path, data: str) -> None:
-    with _replacing(path) as fh:
-        fh.write(data)
+def atomic_write(path, chunks, newline=None) -> None:
+    """Write text to `path`: one str, or an iterable of str chunks streamed in turn."""
+    with _replacing(path, newline) as fh:
+        fh.writelines([chunks] if isinstance(chunks, str) else chunks)
 
 
 def write_csv(path, header, rows) -> None:

@@ -153,6 +153,16 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "verify", "seed": 1, "probes": [
             dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip",
                  x0=[[0.5], [0.2]])]}, "$.probes[0].x0"),
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D,
+          "x0": [float("nan")]}, "$.x0"),
+        # atoms that are not in R^d, where no solve sizes the point
+        ({"kind": "simulate", "seed": 1, "model": _D2_MODEL, "sim": _SIM, "x0": [[0.5]]},
+         "$.x0"),
+        ({"kind": "verify", "seed": 1, "model": _D2_MODEL, "probes": [
+            dict(SMALL_SPECS["cost-identity"], probe="cost-identity", x0=[[1.0]])]},
+         "$.probes[0].x0"),
+        ({"kind": "sweep", "seed": 1, "model": _D2_MODEL, "sweep": {
+            "base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 17]}}, "$.sweep.base_atoms"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -234,20 +244,23 @@ def test_blown_up_cost_estimate_exits_1(tmp_path, capsys, doc):
 
 
 def test_scipy_submodules_load_only_where_called(tmp_path):
-    """`list` and a simulate run never call the assignment solver, the
-    interpolator or the quadrature, so they must not import them."""
-    cfg = _write(tmp_path / "c.json", {
-        "kind": "simulate",
-        "seed": 3,
-        "model": {"registry": "tanh-interaction"},
-        "sim": {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4},
-        "x0": [[0.5], [-0.5]],
-    })
+    """`list`, a simulate run, a solve (its summary reads values off the grid)
+    and a grid-feedback round trip never call the assignment solver, the
+    quadrature or scipy's interpolators, so they must not import them."""
+    configs = [_write(tmp_path / f"c{i}.json", doc) for i, doc in enumerate([
+        {"kind": "simulate", "seed": 3, "model": {"registry": "tanh-interaction"},
+         "sim": _SIM, "x0": [[0.5], [-0.5]]},
+        {"kind": "solve-hjb", "seed": 3, "model": {"registry": "LQ-decoupled"}, "grid": _GRID_1D,
+         "horizon": {"t0": 0.0, "T": 0.2}, "x0": [0.5]},
+        {"kind": "verify", "seed": 3, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip")]},
+    ])]
     script = (
         "import sys\n"
         "from mfclab.cli import main\n"
         "assert main(['list']) == 0\n"
-        f"assert main(['run', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        f"for cfg in {configs!r}:\n"
+        f"    assert main(['run', '--config', cfg, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
         "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.integrate')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
@@ -412,27 +425,33 @@ def test_run_format_json_stdout(tmp_path, capsys):
 
 
 def test_solve_dump_cadence_and_sidecar(tmp_path):
-    cfg = _write(tmp_path / "c.json", {
-        "kind": "solve-hjb",
-        "seed": 1,
-        "model": {"registry": "LQ-decoupled"},
-        "n": 1,
-        "grid": {"axes": [[-2.0, 2.0, 17]]},
-        "horizon": {"t0": 0.0, "T": 0.2},
-        "dump_cadence": 4,
-    })
-    out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    side = json.loads((out / "grid.json").read_text())
-    assert side["grid"]["axes"] == [[-2.0, 2.0, 17]]
-    with open(out / "results.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+    """The value dump holds every cadence-th stored slice, byte for byte as
+    csv.writer writes the rows [slice, node_index, repr(value)]."""
     model = registry_model("LQ-decoupled")
-    u = solve_hjb(model, 1, sized_grid(model, 1, [[-2.0, 2.0, 17]], 0.0, 0.2), 0.0, 0.2)
-    want = [[str(k), str(idx), repr(float(v))]
-            for k in range(0, u.values.shape[0], 4)
-            for idx, v in enumerate(u.values[k].reshape(-1))]
-    assert len(want) > 17 and rows == want
+    for n, axes, cadence in [(1, [[-2.0, 2.0, 17]], 4), (2, [[-2.0, 2.0, 9]] * 2, 1)]:
+        cfg = _write(tmp_path / "c.json", {
+            "kind": "solve-hjb",
+            "seed": 1,
+            "model": {"registry": "LQ-decoupled"},
+            "n": n,
+            "grid": {"axes": axes},
+            "horizon": {"t0": 0.0, "T": 0.2},
+            "dump_cadence": cadence,
+        })
+        out = tmp_path / f"o{n}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        side = json.loads((out / "grid.json").read_text())
+        assert side["grid"]["axes"] == axes and side["dump_cadence"] == cadence
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        u = solve_hjb(model, n, sized_grid(model, n, axes, 0.0, 0.2), 0.0, 0.2)
+        want = [[str(k), str(idx), repr(float(v))]
+                for k in range(0, u.values.shape[0], cadence)
+                for idx, v in enumerate(u.values[k].reshape(-1))]
+        assert len(want) > u.values[0].size and rows == want
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows([["slice", "node_index", "value"], *want])
+        assert (out / "results.csv").read_bytes() == text.getvalue().encode()
 
 
 def test_mollify_kind(tmp_path):

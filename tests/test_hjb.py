@@ -182,6 +182,37 @@ def test_value_at_nodes_and_clamping(lq_u1):
     assert u.value_at(0.0, [4.0]) == u.value_at(0.0, [3.0])
 
 
+@pytest.mark.parametrize("nd", [1, 2, 3])
+def test_interpolation_is_scipys_bit_for_bit(lq_model, nd):
+    """Value slices and gradient fields read off the grid equal scipy's
+    RegularGridInterpolator (linear) bit for bit: at random points, on nodes,
+    on the upper bound and outside the grid (clamped). A NaN query gives NaN."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    g = np.random.default_rng(nd)
+    grid = m.GridSpec(axes=tuple((-1.0 - 0.3 * a, 2.0 + a, 9 + 4 * a) for a in range(nd)),
+                      time_steps=2)
+    coords, (lo, hi) = grid.coords(), grid.bounds()
+    u = m.GridValueFunction(grid=grid, model=lq_model, n=nd, t0=0.0, T=1.0, dt=0.5,
+                            times=np.array([0.0, 0.5, 1.0]),
+                            values=g.normal(size=(3,) + grid.shape()))
+    pts = np.concatenate([
+        g.uniform(lo - 1.0, hi + 1.0, (400, nd)),
+        np.stack([g.choice(c, 50) for c in coords], axis=-1),
+        np.where(g.random((50, nd)) < 0.5, hi, g.uniform(lo, hi, (50, nd))),
+        [hi, lo, lo - 1.0, hi + 1.0],
+    ])
+    for t, k in [(0.0, 0), (0.6, 1), (1.0, 2)]:
+        for gradient, data in [(False, u.values[k]), (True, m.grid_gradient(u, k))]:
+            oracle = RegularGridInterpolator(tuple(coords), data, method="linear")
+            want = oracle(np.clip(pts, lo, hi))
+            got = u._interpolate(t, pts, gradient=gradient)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            nan = u._interpolate(t, np.where(np.eye(nd, dtype=bool), np.nan, lo), gradient)
+            assert np.isnan(nan).all()
+    assert np.isnan(u.value_at(0.0, np.full(nd, np.nan)))
+
+
 def test_storage_decimation(lq_model):
     grid = sized_grid(lq_model, 1, (-3.0, 3.0, 61))
     u = m.solve_hjb(lq_model, 1, grid, 0.0, 1.0, max_stored_slices=17)
