@@ -63,25 +63,29 @@ def duplicate_atoms(x, m: int):
     return np.repeat(_as_atoms(x), m, axis=0)
 
 
-def _quantile_distance_1d(a: np.ndarray, b: np.ndarray, r: float) -> float:
-    """Sorted common-refinement coupling, optimal in d=1 for any atom counts."""
-    n, m = a.shape[0], b.shape[0]
+def _sorted_distance_1d(a: np.ndarray, b: np.ndarray, r: float) -> float:
+    """Monotone coupling on the common refinement, optimal in d = 1 for any atom
+    counts and every r >= 1. Each copy of a_i meets the b value of the same rank,
+    and the terms are summed in the order of `a`, so equal counts give the
+    assignment solve's sum term for term."""
+    n, m = a.size, b.size
     lcm = n * m // math.gcd(n, m)
     if lcm > 10_000_000:
         raise UnsupportedShapeError(
             f"common refinement of sizes {n} and {m} is too large ({lcm})"
         )
-    av = np.repeat(np.sort(a[:, 0]), lcm // n)
-    bv = np.repeat(np.sort(b[:, 0]), lcm // m)
-    return float(np.mean(np.abs(av - bv) ** r) ** (1.0 / r))
+    av = np.repeat(a, lcm // n)
+    partner = np.empty(lcm)
+    partner[np.argsort(av, kind="stable")] = np.repeat(np.sort(b), lcm // m)
+    return float(np.mean(np.abs(av - partner) ** r) ** (1.0 / r))
 
 
 def wasserstein_r(mu, nu, r: float) -> float:
     """Wasserstein distance d_r between empirical measures.
 
-    Equal atom counts: exact optimal bijection via a shortest-augmenting-path
-    assignment solve on the cost matrix |x_i - y_j|^r. Unequal counts are
-    supported in d=1 only (quantile coupling).
+    d = 1, any atom counts: the sorted (monotone) coupling. d >= 2: equal atom
+    counts only, exact optimal bijection via a shortest-augmenting-path
+    assignment solve on the cost matrix |x_i - y_j|^r.
     """
     _check_r(r)
     a, b = _as_atoms(mu), _as_atoms(nu)
@@ -89,9 +93,9 @@ def wasserstein_r(mu, nu, r: float) -> float:
         raise UnsupportedShapeError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
+    if a.shape[1] == 1:
+        return _sorted_distance_1d(a[:, 0], b[:, 0], r)
     if a.shape[0] != b.shape[0]:
-        if a.shape[1] == 1:
-            return _quantile_distance_1d(a, b, r)
         raise UnsupportedShapeError(
             "transport between unequal atom counts requires d = 1"
         )
@@ -104,7 +108,7 @@ def wasserstein_r(mu, nu, r: float) -> float:
 
 
 def brute_force_wasserstein(mu, nu, r: float) -> float:
-    """Exact minimum over all n! bijections; oracle for the assignment route."""
+    """Exact minimum over all n! bijections; oracle for `wasserstein_r`."""
     _check_r(r)
     a, b = _as_atoms(mu), _as_atoms(nu)
     n = a.shape[0]

@@ -61,13 +61,14 @@ def _bump_unit_draws(seed: int, slots: np.ndarray, d: int):
     all counter-keyed, so each slot's stream is independent of the others.
     """
     slots = np.asarray(slots, dtype=np.uint64)
-    out = np.empty(slots.shape + (d,))
-    active = np.ones(slots.shape, dtype=bool)
+    flat = slots.reshape(-1)
+    out = np.empty((flat.size, d))
+    pending = np.arange(flat.size)          # C order, as a boolean mask would select
     proposals = 0
     for rnd in range(_MAX_REJECTION_ROUNDS):
-        if not np.any(active):
+        if not pending.size:
             break
-        idx = slots[active]
+        idx = flat[pending]
         z = rng.normals(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd), d)
         u = rng.uniforms(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd + 1), 2)
         proposals += idx.size
@@ -76,14 +77,11 @@ def _bump_unit_draws(seed: int, slots: np.ndarray, d: int):
         radius = u[..., 0] ** (1.0 / d)
         y = direction * radius[..., None]
         accept = u[..., 1] < np.exp(1.0 / (radius ** 2 - 1.0) + 1.0)
-        if np.any(accept):
-            target = np.where(active)
-            sel = tuple(t[accept] for t in target)
-            out[sel] = y[accept]
-            active[sel] = False
-    else:
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    if pending.size:
         raise RuntimeError("bump rejection sampling did not terminate")
-    return out, proposals
+    return out.reshape(slots.shape + (d,)), proposals
 
 
 def sample_bump(epsilon: float, d: int, seed: int, count: int = 1):

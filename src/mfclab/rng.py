@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
@@ -24,18 +25,25 @@ TAG_PROBE = 0x50524F42
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """10 Philox rounds on broadcastable uint64 word arrays (values < 2^32)."""
-    c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in (c0, c1, c2, c3))
-    c0, c1, c2, c3 = np.broadcast_arrays(c0, c1, c2, c3)
-    c0 = c0.copy()
-    k0 = np.uint64(k0)
-    k1 = np.uint64(k1)
+    """10 Philox rounds on broadcastable uint64 word arrays (values < 2^32).
+
+    The rounds run in place on one copy of the words, never on the caller's arrays.
+    """
+    c0, c1, c2, c3 = (np.array(w, dtype=np.uint64) for w in np.broadcast_arrays(c0, c1, c2, c3))
+    k0, k1 = np.uint64(k0), np.uint64(k1)
+    p0 = np.empty_like(c0)
+    p1 = np.empty_like(c0)
     for _ in range(10):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        hi0, lo0 = p0 >> np.uint64(32), p0 & _MASK32
-        hi1, lo1 = p1 >> np.uint64(32), p1 & _MASK32
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, _SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=c3)
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
     return c0, c1, c2, c3

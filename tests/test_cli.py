@@ -244,8 +244,9 @@ def test_blown_up_cost_estimate_exits_1(tmp_path, capsys, doc):
 
 
 def test_scipy_submodules_load_only_where_called(tmp_path):
-    """`list`, a simulate run, a solve (its summary reads values off the grid)
-    and a grid-feedback round trip never call the assignment solver, the
+    """`list`, a simulate run, a solve (its summary reads values off the grid),
+    a grid-feedback round trip and a mollify run (its Lipschitz denominators are
+    d = 1 Wasserstein distances) never call the assignment solver, the
     quadrature or scipy's interpolators, so they must not import them."""
     configs = [_write(tmp_path / f"c{i}.json", doc) for i, doc in enumerate([
         {"kind": "simulate", "seed": 3, "model": {"registry": "tanh-interaction"},
@@ -255,12 +256,18 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
         {"kind": "verify", "seed": 3, "probes": [
             dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip")]},
     ])]
+    mollify = _write(tmp_path / "m.json", {
+        "kind": "mollify", "seed": 3, "k_list": [4, 16],
+        "mollify": {"functional": "second-moment", "probes": list(cli.MOLLIFY_PROBES),
+                    "mc_reps": 50}})
     script = (
         "import sys\n"
         "from mfclab.cli import main\n"
         "assert main(['list']) == 0\n"
         f"for cfg in {configs!r}:\n"
         f"    assert main(['run', '--config', cfg, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        # exit 1 is the second moment's failing uniform-convergence verdict
+        f"assert main(['run', '--config', {mollify!r}, '--out', {str(tmp_path / 'm')!r}]) in (0, 1)\n"
         "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.integrate')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
@@ -270,6 +277,8 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+    # every selected probe reported: the run got past the Lipschitz denominators
+    assert len(json.loads((tmp_path / "m" / "summary.json").read_text())["probes"]) == 4
 
 
 def test_seed_override(tmp_path):

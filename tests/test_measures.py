@@ -57,7 +57,7 @@ def test_distance_to_origin_is_moment():
         assert abs(m.wasserstein_r(x, delta0, r) - want) < 1e-12
 
 
-def test_quantile_coupling_unequal_counts():
+def test_sorted_coupling_unequal_counts():
     a = np.array([[0.0], [1.0]])
     b = np.array([[0.0], [0.5], [1.0]])
     # refine to 6 segments: |F^-1 - G^-1| on each sixth
@@ -67,6 +67,43 @@ def test_quantile_coupling_unequal_counts():
     assert abs(m.wasserstein_r(a, b, 1.0) - want) < 1e-15
     with pytest.raises(m.UnsupportedShapeError):
         m.wasserstein_r(np.zeros((2, 2)), np.zeros((3, 2)), 1.0)
+    # the common refinement is the equal-count problem on duplicated atoms
+    g = np.random.default_rng(8)
+    for n, k in [(2, 4), (4, 2), (2, 3), (3, 2), (4, 8), (1, 5)]:
+        x, y = g.normal(size=(n, 1)), g.normal(size=(k, 1))
+        lcm = n * k // np.gcd(n, k)
+        for r in (1.0, 1.5, 2.0):
+            want = m.brute_force_wasserstein(m.duplicate_atoms(x, lcm // n),
+                                              m.duplicate_atoms(y, lcm // k), r)
+            assert abs(m.wasserstein_r(x, y, r) - want) < 1e-12
+
+
+def test_1d_matches_brute_force_at_r1_and_on_ties():
+    """d = 1 takes the sorted coupling. At r = 1 the optimal coupling is not
+    unique, and atoms clipped at +-2 (as the Lipschitz probe's pairs are) tie."""
+    g = np.random.default_rng(9)
+    for _ in range(40):
+        n = int(g.integers(2, 8))
+        x, y = g.normal(size=(n, 1)), g.normal(size=(n, 1))
+        assert abs(m.wasserstein_r(x, y, 1.0) - m.brute_force_wasserstein(x, y, 1.0)) < 1e-12
+        x, y = (np.clip(g.uniform(-3.0, 3.0, size=(n, 1)), -2.0, 2.0) for _ in range(2))
+        for r in (1.0, 1.5, 2.0):
+            assert abs(m.wasserstein_r(x, y, r) - m.brute_force_wasserstein(x, y, r)) < 1e-12
+
+
+def test_1d_is_the_assignment_solve_bit_for_bit():
+    """On distinct atoms at r > 1 the optimal bijection is unique, and the sorted
+    coupling sums its terms in the assignment solve's order: same bits."""
+    from scipy.optimize import linear_sum_assignment
+
+    g = np.random.default_rng(10)
+    for _ in range(60):
+        n = int(g.integers(1, 9))
+        x, y = g.uniform(-2.0, 2.0, size=(n, 1)), g.uniform(-2.0, 2.0, size=(n, 1))
+        for r in (1.5, 2.0):
+            cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** r
+            rows, cols = linear_sum_assignment(cost)
+            assert m.wasserstein_r(x, y, r) == float(cost[rows, cols].mean() ** (1.0 / r))
 
 
 def test_duplicate_atoms():

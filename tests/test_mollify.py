@@ -3,7 +3,8 @@ import pytest
 
 import mfclab as m
 from mfclab import expressions as ex
-from mfclab.mollify import BaseFunctional, _coupled_values, default_test_family
+from mfclab import mollify
+from mfclab.mollify import BaseFunctional, _bump_unit_draws, _coupled_values, default_test_family
 
 
 def test_bump_constants_one_dim():
@@ -35,6 +36,35 @@ def test_bump_second_moment():
     want = m.bump_constants(2)["second_moment"]
     se = sq.std(ddof=1) / np.sqrt(sq.size)
     assert abs(sq.mean() - want) < 4.0 * se
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_draws_are_independent_of_batching(d):
+    """A slot's draw is a function of (seed, slot) alone: one 2-D batch, one call
+    per row and one call per slot agree bit for bit, and so do the proposals."""
+    slots = np.arange(24, dtype=np.uint64).reshape(4, 6) * np.uint64(3) + np.uint64(11)
+    batch, proposals = _bump_unit_draws(29, slots, d)
+    assert batch.shape == (4, 6, d)
+    row_total = slot_total = 0
+    for i in range(4):
+        row, props = _bump_unit_draws(29, slots[i], d)
+        np.testing.assert_array_equal(row, batch[i])
+        row_total += props
+        for j in range(6):
+            one, props = _bump_unit_draws(29, slots[i, j], d)
+            np.testing.assert_array_equal(one, batch[i, j])
+            slot_total += props
+    assert row_total == slot_total == proposals
+
+
+def test_bump_rejection_round_limit(monkeypatch):
+    """Slots 0 and 1 accept their first proposal at seed 5 and slot 2 its second:
+    a one-round limit serves the first two and refuses the third."""
+    monkeypatch.setattr(mollify, "_MAX_REJECTION_ROUNDS", 1)
+    draws, proposals = _bump_unit_draws(5, np.array([0, 1], dtype=np.uint64), 1)
+    assert proposals == 2 and np.all(np.abs(draws) < 1.0)
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        _bump_unit_draws(5, np.array([0, 1, 2], dtype=np.uint64), 1)
 
 
 def test_constant_functional_is_fixed_point():

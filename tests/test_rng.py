@@ -20,13 +20,44 @@ def test_every_key_field_matters():
 
 
 def test_frozen_vectors():
-    """Regression pin: stream contents must never change across releases."""
+    """Regression pin: stream contents must never change across releases, to the bit."""
     u0, u1 = rng.pair_uniforms(17, rng.TAG_WIENER, np.array([0, 1, 2]),
                                np.array([0, 0, 5]), np.array([0, 3, 0]))
-    np.testing.assert_allclose(u0, [0.33136581, 0.92431759, 0.71582179], atol=1e-8)
-    np.testing.assert_allclose(u1, [0.72010443, 0.9718083, 0.84792123], atol=1e-8)
+    assert [float(v).hex() for v in u0] == [
+        "0x1.53518f6802639p-2", "0x1.d94027ce3ba84p-1", "0x1.6e8031b618896p-1"]
+    assert [float(v).hex() for v in u1] == [
+        "0x1.70b1872969daep-1", "0x1.f190dbafd6492p-1", "0x1.b222bb5f8441ep-1"]
     z = rng.normals(99, rng.TAG_MOLLIFY_OFFSET, np.array([4]), np.array([2]), 3)
-    np.testing.assert_allclose(z[0], [-1.35118344, 0.27901909, -0.75149864], atol=1e-8)
+    assert [float(v).hex() for v in z[0]] == [
+        "-0x1.59e7285ef3a7cp+0", "0x1.1db72e00abe03p-2", "-0x1.80c46dfb9ff0bp-1"]
+
+
+def test_index_arrays_are_not_written():
+    """Philox rounds run in place on copies: a uint64 index array the caller
+    passes in (the bump sampler's slot indices, say) is left as it was."""
+    idx = np.arange(5, 12, dtype=np.uint64)
+    keep = idx.copy()
+    rng.normals(3, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(1), 3)
+    rng.uniforms(3, rng.TAG_MOLLIFY_OFFSET, idx, idx, 2)
+    rng.pair_uniforms(3, rng.TAG_PROBE, idx, idx, idx)
+    rng._philox4x32(idx, idx, idx, idx, 1, 2)
+    np.testing.assert_array_equal(idx, keep)
+
+
+def test_broadcast_batch_equals_scalar_calls():
+    """An (N, 1) x (1, B) batch draws what N*B scalar calls draw, bit for bit."""
+    i0 = np.arange(4, dtype=np.uint64)[:, None] * np.uint64(7)
+    i1 = np.arange(3, dtype=np.uint64)[None, :] + np.uint64(2)
+    for draw in (rng.normals, rng.uniforms):
+        batch = draw(21, rng.TAG_WIENER, i0, i1, 3)
+        assert batch.shape == (4, 3, 3)
+        for i, j in np.ndindex(4, 3):
+            one = draw(21, rng.TAG_WIENER, int(i0[i, 0]), int(i1[0, j]), 3)
+            np.testing.assert_array_equal(batch[i, j], one)
+    u0, u1 = rng.pair_uniforms(21, rng.TAG_PROBE, i0, i1, np.uint64(5))
+    for i, j in np.ndindex(4, 3):
+        one = rng.pair_uniforms(21, rng.TAG_PROBE, int(i0[i, 0]), int(i1[0, j]), 5)
+        assert (u0[i, j], u1[i, j]) == tuple(map(float, one))
 
 
 def test_normals_moments():
