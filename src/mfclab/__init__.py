@@ -24,16 +24,15 @@ from .models import (
     registry_model,
 )
 from .simulate import (
-    ControlPolicy,
-    MarkovFeedback,
-    OpenLoopSchedule,
     PathBundle,
+    Policy,
     SimConfig,
-    ZeroControl,
+    open_loop,
     path_statistics,
     simulate_lifted_atoms,
     simulate_particles,
     wiener_increments,
+    zero_control,
 )
 from .costs import CostEstimate, cost_finite, cost_lifted, policy_compare
 from .hjb import (
@@ -49,7 +48,6 @@ from .hjb import (
 )
 from .mollify import (
     BaseFunctional,
-    SmoothedFunctional,
     bump_constants,
     convexity_preservation_probe,
     functional_registry,

@@ -27,7 +27,6 @@ from .hjb import riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
-    SmoothedFunctional,
     convexity_preservation_probe,
     default_segment_family,
     default_test_family,
@@ -37,8 +36,8 @@ from .mollify import (
     uniform_convergence_probe,
 )
 from .reports import REPORT_HEADER, atomic_write, report_row, write_csv
-from .simulate import (OpenLoopSchedule, SimConfig, ZeroControl, dump_trajectories,
-                       path_statistics, simulate_particles)
+from .simulate import (SimConfig, dump_trajectories, open_loop, path_statistics,
+                       simulate_particles, zero_control)
 
 # The mollify kind runs the probes it selects in this order.
 MOLLIFY_PROBES = ("lipschitz-preservation", "uniform-convergence", "convexity-preservation")
@@ -125,7 +124,7 @@ def _probe_cost_identity(spec, model, horizon, grids):
     x0 = np.asarray(spec["x0"], dtype=np.float64)
     g = np.random.default_rng(spec["seed"])
     schedule = g.normal(size=(sim.steps,) + _as_atoms(x0).shape)
-    return [verify.cost_identity_check(model, sim, x0, OpenLoopSchedule(schedule),
+    return [verify.cost_identity_check(model, sim, x0, open_loop(schedule),
                                        threshold=spec.get("threshold", 1e-12))]
 
 
@@ -392,7 +391,7 @@ def _run_simulate(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
-    bundle = simulate_particles(model, sim, x0, ZeroControl())
+    bundle = simulate_particles(model, sim, x0, zero_control())
     if bundle.any_dead:
         dead = bundle.dead_step[bundle.dead_step >= 0]
         raise FloatingPointError(f"{dead.size} of {bundle.n_paths} paths blew up; "
@@ -475,10 +474,10 @@ def _run_mollify(cfg, out_dir, jobs):
     selected = spec.pop("probes", MOLLIFY_PROBES)
     reports = [r for name in MOLLIFY_PROBES if name in selected
                for r in _verify_probe(dict(spec, probe=name), cfg)]
-    sf = SmoothedFunctional(functional_registry()[spec["functional"]], spec["k_list"][-1],
-                            spec.get("mc_reps", _MC_REPS), cfg["seed"])
     fam = default_test_family(count=3, seed=cfg["seed"] + 3)
-    evals = [{"point": i, "estimate": list(smooth_eval(sf, x, a))} for i, (x, a) in enumerate(fam)]
+    estimates = smooth_eval(functional_registry()[spec["functional"]], spec["k_list"][-1],
+                            spec.get("mc_reps", _MC_REPS), cfg["seed"], fam)
+    evals = [{"point": i, "estimate": list(est)} for i, est in enumerate(estimates)]
     return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
 
 

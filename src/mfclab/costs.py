@@ -16,8 +16,8 @@ import numpy as np
 from .measures import mean_se
 from .models import ModelSpec
 from .simulate import (
-    ControlPolicy,
     PathBundle,
+    Policy,
     SimConfig,
     simulate_lifted_atoms,
     simulate_particles,
@@ -33,7 +33,6 @@ class CostEstimate:
     running_l1: float
     running_l2: float
     terminal: float
-    valid: bool = True
 
     def __post_init__(self):
         if self.mean != self.running_l1 + self.running_l2 + self.terminal:
@@ -55,7 +54,11 @@ def _per_path_terms(model: ModelSpec, bundle: PathBundle):
 
 
 def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.ndarray]:
-    """Cost estimate of an integrated ensemble, and its per-path totals (P,)."""
+    """Cost estimate of an integrated ensemble, and its per-path totals (P,).
+
+    An ensemble in which any path blew up has no cost estimate."""
+    if bundle.any_dead:
+        raise FloatingPointError("paths blew up; the Monte Carlo cost estimate is invalid")
     c1, c2, cT = _per_path_terms(model, bundle)
     totals = c1 + c2 + cT
     _, se = mean_se(totals)
@@ -67,19 +70,18 @@ def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.nd
         running_l1=m1,
         running_l2=m2,
         terminal=mT,
-        valid=not bundle.any_dead,
     )
     return est, totals
 
 
-def cost_finite(model: ModelSpec, cfg: SimConfig, x0, policy: ControlPolicy,
+def cost_finite(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J_n estimate: path average of the running-plus-terminal quadrature."""
     bundle = simulate_particles(model, cfg, x0, policy, increments)
     return _estimate(model, bundle)[0]
 
 
-def cost_lifted(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: ControlPolicy,
+def cost_lifted(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: Policy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J estimate on the atom representation (E_n restriction of the lifted problem)."""
     bundle = simulate_lifted_atoms(model, cfg, atoms, lifted_policy, increments)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .measures import _as_atoms
 from .models import ModelSpec, _lifted_batch, feedback_map, hamiltonian
-from .simulate import MarkovFeedback
+from .simulate import Policy
 
 CFL_SAFETY = 0.9
 # Factor on the terminal-slice step count: absorbs moderate gradient growth
@@ -212,15 +212,14 @@ class GridValueFunction:
 
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
     """Per-node coefficient arrays (fixed in time): b (*shape, n, d), l1
-    (*shape, n), A_n, lambda_min, U_T, and Lam = max over nodes of Tr A_n, the
-    diffusion part of the CFL bound."""
+    (*shape, n), A_n, U_T, and Lam = max over nodes of Tr A_n, the diffusion
+    part of the CFL bound."""
     nd = n * model.d
     b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
     sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
     A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
-    lam_min = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
-    return b, l1, A, lam_min, Lam, uT
+    return b, l1, A, Lam, uT
 
 
 def _march_terms(model: ModelSpec, n: int, b: np.ndarray, Lam: float, u: np.ndarray,
@@ -240,7 +239,7 @@ def _march_terms(model: ModelSpec, n: int, b: np.ndarray, Lam: float, u: np.ndar
 
 def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
     """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
-    b, _, _, _, Lam, uT = _node_coefficients(model, n, grid)
+    b, _, _, Lam, uT = _node_coefficients(model, n, grid)
     bound = _march_terms(model, n, b, Lam, uT, grid.spacings())[-1]
     return max(1, math.ceil(STEP_SAFETY * (T - t0) / bound))
 
@@ -263,7 +262,8 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     nd = n * model.d
     if nd > MAX_AXES:
         raise ValueError(f"n*d = {nd} exceeds the supported grid dimension {MAX_AXES}")
-    b, l1, A, lam_min, Lam, uT = _node_coefficients(model, n, grid)
+    b, l1, A, Lam, uT = _node_coefficients(model, n, grid)
+    lam_min = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)
     h = grid.spacings()
     diagA = np.einsum("...aa->...a", A)
     K = grid.time_steps
@@ -308,7 +308,7 @@ def grid_gradient(u: GridValueFunction, k: int) -> np.ndarray:
     return grads
 
 
-def synthesize_feedback(u: GridValueFunction) -> MarkovFeedback:
+def synthesize_feedback(u: GridValueFunction) -> Policy:
     """Optimal feedback a_i = (Dl2)^{-1}(n D_{x_i} u), grid-interpolated.
 
     Space: multilinear on the gradient field; time: nearest stored slice;
@@ -316,12 +316,12 @@ def synthesize_feedback(u: GridValueFunction) -> MarkovFeedback:
     """
     nd = u.n * u.d
 
-    def fn(t, states):
+    def fn(k, t, states):
         P = states.shape[0]
         g = u._interpolate(t, states.reshape(P, nd), gradient=True)
         return feedback_map(g * u.n, u.model.kappa).reshape(P, u.n, u.d)
 
-    return MarkovFeedback(fn, label="hjb-feedback")
+    return Policy(fn, "hjb-feedback")
 
 
 def riccati_lq_value(sigma: float, kappa: float, T: float, t: float, x,

@@ -132,22 +132,6 @@ def functional_registry() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SmoothedFunctional:
-    base: BaseFunctional
-    k: int
-    mc_reps: int
-    seed: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.mc_reps < 1:
-            raise ValueError("need k >= 1 and mc_reps >= 1")
-
-    @property
-    def epsilon(self) -> float:
-        return 1.0 / self.k
-
-
 def _coupled_values(base: BaseFunctional, n_samples: int, eps: float, mc_reps: int,
                     seed: int, queries) -> np.ndarray:
     """Per-replicate smoothed values for several (x, atoms) queries sharing draws.
@@ -186,9 +170,14 @@ def smooth_eval_general(base: BaseFunctional, n_samples: int, epsilon: float,
     return mean_se(vals[0])
 
 
-def smooth_eval(sf: SmoothedFunctional, x, mu):
-    """Monte Carlo estimate of phi_k(x, mu); returns (mean, std_error)."""
-    return smooth_eval_general(sf.base, sf.k, sf.epsilon, sf.mc_reps, sf.seed, x, mu)
+def smooth_eval(base: BaseFunctional, k: int, mc_reps: int, seed: int, queries) -> list:
+    """Monte Carlo estimates of phi_k at (x, mu) queries sharing one atom shape,
+    all priced on one draw; returns one (mean, std_error) per query."""
+    if k < 1 or mc_reps < 1:
+        raise ValueError("need k >= 1 and mc_reps >= 1")
+    vals = _coupled_values(base, k, 1.0 / k, mc_reps, seed,
+                           [(np.asarray(x, dtype=np.float64), _as_atoms(mu)) for x, mu in queries])
+    return [mean_se(v) for v in vals]
 
 
 # -- probes ---------------------------------------------------------------------

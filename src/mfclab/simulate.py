@@ -9,7 +9,8 @@ in `verify` lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,62 +41,30 @@ class SimConfig:
         return (self.T - self.t0) / self.steps
 
 
-class ControlPolicy:
-    """Maps (step index, time, states (P,n,d)) -> controls (P,n,d)."""
+@dataclass
+class Policy:
+    """A control: fn(k, t, states (P, n, d)) -> controls (P, n, d) at step k.
 
-    label = "policy"
+    Not frozen, and the integrator looks `fn` up at every step, so a wrapper
+    bound to `fn` after construction sees every call.
+    """
 
-    def controls(self, k: int, t: float, states: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ZeroControl(ControlPolicy):
-    label = "zero"
-
-    def controls(self, k, t, states):
-        return np.zeros_like(states)
+    fn: Callable[[int, float, np.ndarray], np.ndarray]
+    label: str
 
 
-class OpenLoopSchedule(ControlPolicy):
+def zero_control() -> Policy:
+    return Policy(lambda k, t, states: np.zeros_like(states), "zero")
+
+
+def open_loop(schedule) -> Policy:
     """Deterministic per-step control tuples, shape (steps, n, d)."""
-
-    def __init__(self, schedule, label="open-loop"):
-        self.schedule = np.asarray(schedule, dtype=np.float64)
-        if self.schedule.ndim != 3:
-            raise ValueError("schedule must have shape (steps, n, d)")
-        if not np.all(np.isfinite(self.schedule)):
-            raise ValueError("schedule must be finite")
-        self.label = label
-
-    def controls(self, k, t, states):
-        a = self.schedule[k]
-        return np.broadcast_to(a, states.shape)
-
-
-class MarkovFeedback(ControlPolicy):
-    """Feedback a(t, x); fn is vectorized over the path axis."""
-
-    def __init__(self, fn, label="feedback"):
-        self.fn = fn
-        self.label = label
-
-    def controls(self, k, t, states):
-        a = np.asarray(self.fn(t, states), dtype=np.float64)
-        if a.shape != states.shape:
-            raise ValueError(f"feedback returned shape {a.shape}, want {states.shape}")
-        return a
-
-
-class ShiftedPolicy(ControlPolicy):
-    """Base policy plus a constant offset (perturbation sweeps)."""
-
-    def __init__(self, base: ControlPolicy, offset, label=None):
-        self.base = base
-        self.offset = np.asarray(offset, dtype=np.float64)
-        self.label = label or f"{base.label}+shift"
-
-    def controls(self, k, t, states):
-        return self.base.controls(k, t, states) + self.offset
+    schedule = np.asarray(schedule, dtype=np.float64)
+    if schedule.ndim != 3:
+        raise ValueError("schedule must have shape (steps, n, d)")
+    if not np.all(np.isfinite(schedule)):
+        raise ValueError("schedule must be finite")
+    return Policy(lambda k, t, states: np.broadcast_to(schedule[k], states.shape), "open-loop")
 
 
 @dataclass
@@ -107,11 +76,7 @@ class PathBundle:
     states: np.ndarray         # (P, steps+1, n, d)
     increments: np.ndarray     # (P, steps, d')
     control_trace: np.ndarray  # (P, steps, n, d)
-    dead_step: np.ndarray = field(default=None)  # (P,), -1 = path stayed finite
-
-    def __post_init__(self):
-        if self.dead_step is None:
-            self.dead_step = np.full(self.states.shape[0], -1, dtype=np.int64)
+    dead_step: np.ndarray      # (P,), -1 = path stayed finite
 
     @property
     def n_paths(self) -> int:
@@ -124,9 +89,6 @@ class PathBundle:
     @property
     def any_dead(self) -> bool:
         return bool(np.any(self.dead_step >= 0))
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
 
 
 def wiener_increments(cfg: SimConfig, d_prime: int) -> np.ndarray:
@@ -159,7 +121,7 @@ def _integrate(model, cfg, x0, policy, increments):
     states[:, 0] = cur
     for k in range(S):
         t = cfg.t0 + k * cfg.dt
-        a = np.asarray(policy.controls(k, t, cur), dtype=np.float64)
+        a = np.asarray(policy.fn(k, t, cur), dtype=np.float64)
         if a.shape != cur.shape:
             raise ValueError(f"policy returned shape {a.shape}, want {cur.shape}")
         if not np.all(np.isfinite(a)):
@@ -184,13 +146,13 @@ def _integrate(model, cfg, x0, policy, increments):
     return PathBundle(cfg.t0, cfg.dt, states, increments, trace, dead)
 
 
-def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: ControlPolicy,
+def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
                        increments: np.ndarray | None = None) -> PathBundle:
     """Integrate dX_i = [-a_i + b(X_i, mu_X)] ds + sigma(X_i, mu_X) dW, shared W."""
     return _integrate(model, cfg, x0, policy, increments)
 
 
-def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: ControlPolicy,
+def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: Policy,
                           increments: np.ndarray | None = None) -> PathBundle:
     """Integrate the lifted SDE restricted to E_n: dX = [-a + B(X)] ds + Sigma(X) dW.
 

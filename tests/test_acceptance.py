@@ -74,7 +74,7 @@ def test_criterion_3_cost_lift_identity():
         cfg = m.SimConfig(t0=0.0, T=0.5, steps=12, n_paths=6,
                           seed=int(g.integers(1 << 40)))
         x0 = g.normal(size=(n, 1))
-        pol = m.OpenLoopSchedule(g.normal(size=(12, n, 1)))
+        pol = m.open_loop(g.normal(size=(12, n, 1)))
         rep = m.cost_identity_check(model, cfg, x0, pol, threshold=1e-12)
         worst = max(worst, rep.statistic)
         all_bits = all_bits and rep.details["bit_identical"]
@@ -93,7 +93,7 @@ def test_criterion_4_feedback_optimality(lq_model, lq_u1):
     eps_grid = 1e-2  # grid bias (<=1e-3 by criterion 1) + Euler weak bias at 256 steps
     cfg = m.SimConfig(t0=0.0, T=1.0, steps=256, n_paths=10_000, seed=31415)
     fb = m.synthesize_feedback(lq_u1)
-    comp = m.policy_compare(lq_model, cfg, np.array([[1.0]]), [fb, m.ZeroControl()])
+    comp = m.policy_compare(lq_model, cfg, np.array([[1.0]]), [fb, m.zero_control()])
     e_fb, e_zero = comp.estimates
     value_gap = abs(e_fb.mean - LQ_VALUE_AT_ONE)
     diff_mean, diff_se = comp.diff_vs_best[1]  # zero-control minus feedback
@@ -207,17 +207,17 @@ def test_criterion_8_simulator_statistics(lq_model):
     """Martingale mean within 4 SE; stability ratio stable across deltas."""
     start = time.monotonic()
     cfg = m.SimConfig(t0=0.0, T=1.0, steps=64, n_paths=4000, seed=271828)
-    bundle = m.simulate_particles(lq_model, cfg, np.array([[0.5]]), m.ZeroControl())
+    bundle = m.simulate_particles(lq_model, cfg, np.array([[0.5]]), m.zero_control())
     xT = bundle.states[:, -1, 0, 0]
     z = abs(xT.mean() - 0.5) / (xT.std(ddof=1) / np.sqrt(xT.size))
 
     tanh_model = m.registry_model("tanh-interaction")
     inc = m.wiener_increments(cfg, 1)
     x0 = np.array([[0.5], [1.0]])
-    b0 = m.simulate_particles(tanh_model, cfg, x0, m.ZeroControl(), inc)
+    b0 = m.simulate_particles(tanh_model, cfg, x0, m.zero_control(), inc)
     ratios = []
     for delta in (0.1, 0.01):
-        b1 = m.simulate_particles(tanh_model, cfg, x0 + delta, m.ZeroControl(), inc)
+        b1 = m.simulate_particles(tanh_model, cfg, x0 + delta, m.zero_control(), inc)
         stats = m.path_statistics(b1, 1.0, baseline=b0)
         ratios.append(stats["mean_sup_diff"][0] / m.rnorm(np.full((2, 1), delta), 1.0))
     factor = max(ratios) / min(ratios)

@@ -221,7 +221,8 @@ def test_blown_up_simulate_exits_1(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-# b = x^3 drives every path from x0 = 3 (or 6) to overflow within 50 steps
+# b = x^3 drives every path from x0 = 3 (or 6) to overflow within 50 steps, and
+# under the grid feedback 3 of the 4 paths from x0 = 0.9 at seed 2
 _CUBIC = {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
           "UT": "0.5*m2"}
 _BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
@@ -233,7 +234,10 @@ _BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
     {"kind": "sweep", "seed": 1, "model": _CUBIC,
      "sweep": {"base_atoms": [[6.0]], "grid_axis": [-4.0, 4.0, 41], "duplications": [1, 4],
                "sim": _BLOW_UP_SIM}},
-], ids=["cost-identity", "sweep-mc"])
+    {"kind": "verify", "seed": 2, "probes": [
+        {"probe": "feedback-roundtrip", "model": _CUBIC, "grid": {"axes": [[-1.0, 1.0, 41]]},
+         "sim": _BLOW_UP_SIM, "x0": [[0.9]]}]},
+], ids=["cost-identity", "sweep-mc", "feedback-roundtrip"])
 def test_blown_up_cost_estimate_exits_1(tmp_path, capsys, doc):
     cfg = _write(tmp_path / "c.json", doc)
     out = tmp_path / "o"

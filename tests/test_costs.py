@@ -15,16 +15,15 @@ def _cfg(**kw):
 def test_deterministic_terminal_only():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m1[0]"})
-    est = m.cost_finite(model, _cfg(), np.array([[2.0], [4.0]]), m.ZeroControl())
+    est = m.cost_finite(model, _cfg(), np.array([[2.0], [4.0]]), m.zero_control())
     assert est.mean == 3.0
     assert est.std_error == 0.0
-    assert est.valid
 
 
 def test_constant_running_cost():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "1", "kappa": 1.0, "UT": "0"})
-    est = m.cost_finite(model, _cfg(steps=25), np.array([[0.0]]), m.ZeroControl())
+    est = m.cost_finite(model, _cfg(steps=25), np.array([[0.0]]), m.zero_control())
     assert abs(est.mean - 1.0) < 1e-12
     assert est.running_l1 == est.mean
 
@@ -33,14 +32,14 @@ def test_lq_zero_control_cost():
     """J = E[X_T^2]/2 = (x0^2 + sigma^2 T)/2 = 1 at x0 = 1."""
     model = m.registry_model("LQ-decoupled")
     est = m.cost_finite(model, _cfg(steps=64, n_paths=4000, seed=99),
-                        np.array([[1.0]]), m.ZeroControl())
+                        np.array([[1.0]]), m.zero_control())
     assert abs(est.mean - 1.0) < 4.0 * est.std_error
 
 
 def test_breakdown_sums_to_mean():
     model = m.registry_model("tanh-interaction")
     g = np.random.default_rng(1)
-    pol = m.OpenLoopSchedule(g.normal(size=(16, 2, 1)))
+    pol = m.open_loop(g.normal(size=(16, 2, 1)))
     est = m.cost_finite(model, _cfg(n_paths=16), np.array([[0.2], [0.4]]), pol)
     assert est.mean == est.running_l1 + est.running_l2 + est.terminal
 
@@ -50,7 +49,7 @@ def test_cost_lift_identity_bitwise():
     cfg = _cfg(steps=12, n_paths=10, seed=17)
     x0 = np.array([[0.1], [0.9], [-0.4]])
     g = np.random.default_rng(2)
-    pol = m.OpenLoopSchedule(g.normal(size=(12, 3, 1)))
+    pol = m.open_loop(g.normal(size=(12, 3, 1)))
     inc = m.wiener_increments(cfg, 1)
     cf = m.cost_finite(model, cfg, x0, pol, inc)
     cl = m.cost_lifted(model, cfg, x0, pol, inc)
@@ -65,7 +64,7 @@ def test_single_particle_reduces_to_standard_control():
     cfg = _cfg(steps=8, n_paths=4, seed=3)
     x0 = np.array([[0.7]])
     g = np.random.default_rng(3)
-    pol = m.OpenLoopSchedule(g.normal(size=(8, 1, 1)))
+    pol = m.open_loop(g.normal(size=(8, 1, 1)))
     inc = m.wiener_increments(cfg, 1)
     fin = m.cost_finite(model, cfg, x0, pol, inc)
     lif = m.cost_lifted(model, cfg, x0, pol, inc)
@@ -75,7 +74,7 @@ def test_single_particle_reduces_to_standard_control():
 def test_policy_compare_duplicate_policy():
     model = m.registry_model("LQ-decoupled")
     comp = m.policy_compare(model, _cfg(n_paths=32), np.array([[1.0]]),
-                            [m.ZeroControl(), m.ZeroControl()])
+                            [m.zero_control(), m.zero_control()])
     delta, se = comp.diff_vs_best[1]
     assert delta == 0.0 and se == 0.0
 
@@ -84,7 +83,7 @@ def test_policy_compare_prices_each_policy_once(monkeypatch):
     model = m.registry_model("tanh-interaction")
     cfg = _cfg(n_paths=32)
     x0 = np.array([[0.5], [-1.0]])
-    pols = [m.ZeroControl(), m.OpenLoopSchedule(np.full((16, 2, 1), 0.3))]
+    pols = [m.zero_control(), m.open_loop(np.full((16, 2, 1), 0.3))]
     # reference: each policy priced alone on the shared increments, and the
     # paired differences formed from the per-path quadrature terms
     increments = m.wiener_increments(cfg, model.d_prime)
@@ -107,7 +106,7 @@ def test_policy_compare_prices_each_policy_once(monkeypatch):
 def test_policy_compare_requires_two():
     model = m.registry_model("LQ-decoupled")
     with pytest.raises(ValueError):
-        m.policy_compare(model, _cfg(), np.array([[1.0]]), [m.ZeroControl()])
+        m.policy_compare(model, _cfg(), np.array([[1.0]]), [m.zero_control()])
 
 
 def test_terminal_shift_moves_costs_by_constant():
@@ -117,7 +116,7 @@ def test_terminal_shift_moves_costs_by_constant():
     cfg = _cfg(steps=16, n_paths=64, seed=8)
     x0 = np.array([[0.5]])
     g = np.random.default_rng(4)
-    pols = [m.ZeroControl(), m.OpenLoopSchedule(g.normal(size=(16, 1, 1)))]
+    pols = [m.zero_control(), m.open_loop(g.normal(size=(16, 1, 1)))]
     a = m.policy_compare(base, cfg, x0, pols)
     b = m.policy_compare(shifted, cfg, x0, pols)
     for ea, eb in zip(a.estimates, b.estimates):
@@ -132,8 +131,8 @@ def test_value_dominance(lq_u1):
     x0 = np.array([[1.0]])
     value = lq_u1.value_at(0.0, [1.0])
     g = np.random.default_rng(7)
-    policies = [m.ZeroControl(),
-                m.OpenLoopSchedule(g.normal(size=(64, 1, 1)) * 0.5),
+    policies = [m.zero_control(),
+                m.open_loop(g.normal(size=(64, 1, 1)) * 0.5),
                 m.synthesize_feedback(lq_u1)]
     margin = 1e-2  # grid + time-quadrature allowance at these resolutions
     for pol in policies:
@@ -142,10 +141,11 @@ def test_value_dominance(lq_u1):
 
 
 def test_invalid_paths_flag_estimate():
+    """An ensemble in which a path blew up is refused, not priced."""
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["exp(x[0])"],
                                "sigma": [["0"]], "l1": "0", "kappa": 1.0, "UT": "m2"})
-    est = m.cost_finite(model, _cfg(steps=40), np.array([[6.0]]), m.ZeroControl())
-    assert not est.valid
+    with pytest.raises(FloatingPointError, match="paths blew up"):
+        m.cost_finite(model, _cfg(steps=40), np.array([[6.0]]), m.zero_control())
 
 
 def test_estimate_rejects_inconsistent_breakdown():
@@ -164,6 +164,6 @@ def test_quadrature_consistency_halving_dt():
     errs = []
     for steps in (16, 32, 64):
         est = m.cost_finite(model, _cfg(steps=steps, n_paths=1), np.array([[0.25]]),
-                            m.ZeroControl())
+                            m.zero_control())
         errs.append(abs(est.mean - exact))
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]

@@ -107,7 +107,7 @@ def test_grid_gradient_symmetric_two_particles(lq_u2):
 def test_feedback_recovers_lq_control(lq_feedback):
     # a*(0, x) = x/(1 + T - t) = x/2 at t = 0
     states = np.linspace(-1.5, 1.5, 13).reshape(-1, 1, 1)
-    a = lq_feedback.fn(0.0, states)
+    a = lq_feedback.fn(0, 0.0, states)
     assert np.abs(a.reshape(-1) - states.reshape(-1) / 2.0).max() <= 2e-2
 
 
@@ -118,7 +118,7 @@ def test_feedback_constant_for_affine_value():
     u = m.solve_hjb(model, 1, grid, 0.0, 1.0)
     pol = m.synthesize_feedback(u)
     states = np.linspace(-2.0, 2.0, 9).reshape(-1, 1, 1)
-    a = pol.fn(0.5, states)
+    a = pol.fn(0, 0.5, states)
     # Du = 1/n = 1, so a = n Du / kappa = 1 everywhere
     assert np.abs(a - 1.0).max() <= 1e-9
 
@@ -147,15 +147,15 @@ def test_feedback_permutation_symmetry(lq_u2):
     pol = m.synthesize_feedback(lq_u2)
     states = np.array([[[0.5], [-1.0]], [[1.2], [0.3]]])
     swapped = states[:, ::-1]
-    a = pol.fn(0.0, states)
-    b = pol.fn(0.0, swapped)
+    a = pol.fn(0, 0.0, states)
+    b = pol.fn(0, 0.0, swapped)
     assert np.allclose(a, b[:, ::-1], atol=1e-12)
 
 
 def test_feedback_clamps_outside_grid(lq_u1):
     pol = m.synthesize_feedback(lq_u1)
-    inside = pol.fn(0.0, np.array([[[3.0]]]))
-    outside = pol.fn(0.0, np.array([[[5.0]]]))
+    inside = pol.fn(0, 0.0, np.array([[[3.0]]]))
+    outside = pol.fn(0, 0.0, np.array([[[5.0]]]))
     assert np.array_equal(inside, outside)
 
 

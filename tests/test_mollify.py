@@ -69,38 +69,50 @@ def test_bump_rejection_round_limit(monkeypatch):
 
 def test_constant_functional_is_fixed_point():
     base = BaseFunctional("const7", ex.parse_coefficient("7"), 0.0, 1.0)
-    sf = m.SmoothedFunctional(base, k=4, mc_reps=50, seed=1)
-    mean, se = m.smooth_eval(sf, [0.3], np.array([[0.1], [0.4]]))
+    [(mean, se)] = m.smooth_eval(base, 4, 50, 1, [([0.3], np.array([[0.1], [0.4]]))])
     assert mean == 7.0 and se == 0.0
 
 
 def test_mean_at_dirac_zero():
     base = m.functional_registry()["mean"]
-    sf = m.SmoothedFunctional(base, k=6, mc_reps=4000, seed=2)
-    mean, se = m.smooth_eval(sf, [0.0], np.array([[0.0]]))
+    [(mean, se)] = m.smooth_eval(base, 6, 4000, 2, [([0.0], np.array([[0.0]]))])
     assert abs(mean) < 4.0 * se
 
 
 def test_coordinate_bias_bounded_by_width():
     base = m.functional_registry()["coordinate"]
     for k in (4, 16):
-        sf = m.SmoothedFunctional(base, k=k, mc_reps=3000, seed=3)
-        mean, se = m.smooth_eval(sf, [0.8], np.array([[0.0], [1.0]]))
+        [(mean, se)] = m.smooth_eval(base, k, 3000, 3, [([0.8], np.array([[0.0], [1.0]]))])
         assert abs(mean - 0.8) <= 1.0 / k + 4.0 * se
 
 
 def test_replicate_determinism():
     base = m.functional_registry()["second-moment"]
-    sf = m.SmoothedFunctional(base, k=8, mc_reps=500, seed=11)
-    a = m.smooth_eval(sf, [0.2], np.array([[0.5], [-1.0]]))
-    b = m.smooth_eval(sf, [0.2], np.array([[0.5], [-1.0]]))
+    query = ([0.2], np.array([[0.5], [-1.0]]))
+    a = m.smooth_eval(base, 8, 500, 11, [query])
+    b = m.smooth_eval(base, 8, 500, 11, [query])
     assert a == b
+
+
+def test_sample_evaluations_share_one_draw():
+    """One smooth_eval call over several queries prices each on the same draws
+    as a call of its own: the results agree with per-point calls bit for bit."""
+    from mfclab.mollify import smooth_eval_general
+    base = m.functional_registry()["second-moment"]
+    fam = default_test_family(count=3, seed=4)
+    together = m.smooth_eval(base, 16, 300, 9, fam)
+    alone = [smooth_eval_general(base, 16, 1.0 / 16, 300, 9, x, a) for x, a in fam]
+    assert together == alone
+    assert len({est for est in together}) == 3
 
 
 def test_validation():
     base = m.functional_registry()["mean"]
+    query = ([0.0], np.array([[0.0]]))
     with pytest.raises(ValueError):
-        m.SmoothedFunctional(base, k=0, mc_reps=10, seed=0)
+        m.smooth_eval(base, 0, 10, 0, [query])
+    with pytest.raises(ValueError):
+        m.smooth_eval(base, 4, 0, 0, [query])
     with pytest.raises(ValueError):
         m.sample_bump(0.0, 1, seed=0)
 

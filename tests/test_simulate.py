@@ -42,7 +42,7 @@ def test_zero_coefficients_constant_paths():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m2"})
     x0 = np.array([[1.5], [-2.0]])
-    bundle = m.simulate_particles(model, _cfg(), x0, m.ZeroControl())
+    bundle = m.simulate_particles(model, _cfg(), x0, m.zero_control())
     assert np.all(bundle.states == bundle.states[:, :1])
 
 
@@ -50,7 +50,7 @@ def test_constant_drift_exact():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["1"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m2"})
     bundle = m.simulate_particles(model, _cfg(steps=10, n_paths=1),
-                                  np.array([[2.0]]), m.ZeroControl())
+                                  np.array([[2.0]]), m.zero_control())
     assert abs(bundle.states[0, -1, 0, 0] - 3.0) < 1e-12
 
 
@@ -61,7 +61,7 @@ def test_mean_field_drift_converges_to_exponential():
     x0 = np.ones((3, 1))
     errs = []
     for steps in (64, 128, 256):
-        bundle = m.simulate_particles(model, _cfg(steps=steps, n_paths=1), x0, m.ZeroControl())
+        bundle = m.simulate_particles(model, _cfg(steps=steps, n_paths=1), x0, m.zero_control())
         errs.append(abs(bundle.states[0, -1, 0, 0] - np.e))
     assert errs[0] < 0.05
     # explicit Euler: error shrinks roughly linearly in dt
@@ -73,7 +73,7 @@ def test_lifted_equals_finite_bitwise():
     cfg = _cfg(steps=20, n_paths=6, seed=77)
     x0 = np.array([[0.4], [-0.8], [1.1]])
     g = np.random.default_rng(5)
-    pol = m.OpenLoopSchedule(g.normal(size=(20, 3, 1)))
+    pol = m.open_loop(g.normal(size=(20, 3, 1)))
     inc = m.wiener_increments(cfg, 1)
     fin = m.simulate_particles(model, cfg, x0, pol, inc)
     lif = m.simulate_lifted_atoms(model, cfg, x0, pol, inc)
@@ -85,12 +85,12 @@ def test_common_noise_is_shared_across_particles():
     """With b = 0, sigma = 1, every particle sees the same Wiener path."""
     model = m.registry_model("LQ-decoupled")
     # identical atoms: the shared increment makes trajectories bitwise equal
-    bundle = m.simulate_particles(model, _cfg(n_paths=3), np.zeros((3, 1)), m.ZeroControl())
+    bundle = m.simulate_particles(model, _cfg(n_paths=3), np.zeros((3, 1)), m.zero_control())
     for i in range(1, 3):
         assert np.array_equal(bundle.states[:, :, 0], bundle.states[:, :, i])
     # distinct atoms: displacements agree to rounding (x + dW - x vs dW)
     x0 = np.array([[0.0], [5.0], [-3.0]])
-    bundle = m.simulate_particles(model, _cfg(n_paths=3), x0, m.ZeroControl())
+    bundle = m.simulate_particles(model, _cfg(n_paths=3), x0, m.zero_control())
     moved = bundle.states - bundle.states[:, :1]
     for i in range(1, 3):
         assert np.allclose(moved[:, :, 0], moved[:, :, i], atol=1e-12)
@@ -104,15 +104,15 @@ def test_permutation_equivariance_two_particles():
     g = np.random.default_rng(6)
     sched = g.normal(size=(12, 2, 1))
     inc = m.wiener_increments(cfg, 1)
-    a = m.simulate_particles(model, cfg, x0, m.OpenLoopSchedule(sched), inc)
-    b = m.simulate_particles(model, cfg, x0[::-1], m.OpenLoopSchedule(sched[:, ::-1]), inc)
+    a = m.simulate_particles(model, cfg, x0, m.open_loop(sched), inc)
+    b = m.simulate_particles(model, cfg, x0[::-1], m.open_loop(sched[:, ::-1]), inc)
     assert np.array_equal(a.states[:, :, ::-1], b.states)
 
 
 def test_martingale_mean():
     model = m.registry_model("LQ-decoupled")
     cfg = _cfg(steps=32, n_paths=3000, seed=21)
-    bundle = m.simulate_particles(model, cfg, np.array([[0.25]]), m.ZeroControl())
+    bundle = m.simulate_particles(model, cfg, np.array([[0.25]]), m.zero_control())
     xT = bundle.states[:, -1, 0, 0]
     z = (xT.mean() - 0.25) / (xT.std(ddof=1) / np.sqrt(xT.size))
     assert abs(z) < 4.0
@@ -122,7 +122,7 @@ def test_blowup_guard():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["exp(x[0])"],
                                "sigma": [["0"]], "l1": "0", "kappa": 1.0, "UT": "m2"})
     bundle = m.simulate_particles(model, _cfg(steps=40, n_paths=2),
-                                  np.array([[6.0]]), m.ZeroControl())
+                                  np.array([[6.0]]), m.zero_control())
     assert bundle.any_dead
     assert np.all(bundle.dead_step >= 0)
     assert np.all(np.isfinite(bundle.states))
@@ -131,18 +131,27 @@ def test_blowup_guard():
 def test_policy_shape_and_finiteness_validated():
     model = m.registry_model("LQ-decoupled")
 
-    bad_shape = m.MarkovFeedback(lambda t, s: np.zeros((s.shape[0], s.shape[1] + 1, 1)))
+    bad_shape = m.Policy(lambda k, t, s: np.zeros((s.shape[0], s.shape[1] + 1, 1)), "bad-shape")
     with pytest.raises(ValueError):
         m.simulate_particles(model, _cfg(), np.array([[0.0]]), bad_shape)
-    bad_value = m.MarkovFeedback(lambda t, s: np.full_like(s, np.nan))
+    bad_value = m.Policy(lambda k, t, s: np.full_like(s, np.nan), "bad-value")
     with pytest.raises(ValueError):
         m.simulate_particles(model, _cfg(), np.array([[0.0]]), bad_value)
+
+
+def test_open_loop_schedule_validated():
+    with pytest.raises(ValueError, match="shape"):
+        m.open_loop(np.zeros((4, 1)))
+    bad = np.zeros((4, 1, 1))
+    bad[2, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        m.open_loop(bad)
 
 
 def test_path_statistics_deterministic_paths():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m2"})
-    bundle = m.simulate_particles(model, _cfg(), np.array([[2.0]]), m.ZeroControl())
+    bundle = m.simulate_particles(model, _cfg(), np.array([[2.0]]), m.zero_control())
     stats = m.path_statistics(bundle, 1.5)
     assert stats["mean_sup_deviation"] == (0.0, 0.0)
     assert stats["mean_sup_rnorm"][0] == 2.0
@@ -153,10 +162,10 @@ def test_stability_under_shared_noise():
     cfg = _cfg(steps=32, n_paths=400, seed=31)
     inc = m.wiener_increments(cfg, 1)
     x0 = np.array([[0.5], [1.0]])
-    b0 = m.simulate_particles(model, cfg, x0, m.ZeroControl(), inc)
+    b0 = m.simulate_particles(model, cfg, x0, m.zero_control(), inc)
     ratios = []
     for delta in (0.1, 0.01):
-        b1 = m.simulate_particles(model, cfg, x0 + delta, m.ZeroControl(), inc)
+        b1 = m.simulate_particles(model, cfg, x0 + delta, m.zero_control(), inc)
         stats = m.path_statistics(b1, 1.0, baseline=b0)
         ratios.append(stats["mean_sup_diff"][0] / m.rnorm(np.full((2, 1), delta), 1.0))
     assert max(ratios) / min(ratios) < 1.5
@@ -168,7 +177,7 @@ def test_time_continuity_ratio_plateau():
     ratios = []
     for horizon in (0.5, 0.125, 0.03125):
         cfg = m.SimConfig(t0=0.0, T=horizon, steps=32, n_paths=800, seed=47)
-        bundle = m.simulate_particles(model, cfg, np.array([[0.3]]), m.ZeroControl())
+        bundle = m.simulate_particles(model, cfg, np.array([[0.3]]), m.zero_control())
         stats = m.path_statistics(bundle, 1.0)
         ratios.append(stats["mean_sup_deviation"][0] / np.sqrt(horizon))
     # Brownian scaling: the ratio is a constant, not a growing quantity
@@ -179,7 +188,7 @@ def test_time_continuity_ratio_plateau():
 def test_trajectory_dump(tmp_path):
     model = m.registry_model("LQ-decoupled")
     bundle = m.simulate_particles(model, _cfg(steps=3, n_paths=2),
-                                  np.array([[1.0]]), m.ZeroControl())
+                                  np.array([[1.0]]), m.zero_control())
     out = tmp_path / "paths.csv"
     from mfclab.simulate import dump_trajectories
 

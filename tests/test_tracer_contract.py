@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import mfclab as m
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,11 +39,26 @@ def _load_tracer():
     return module
 
 
-def _feedback_query():
-    """The closure the tracer wraps as hjb.feedback_query: synthesize_feedback(u).fn."""
+def _lq_solve():
     model = m.registry_model("LQ-decoupled")
     grid = m.sized_grid(model, 1, [(-1.0, 1.0, 9)], 0.0, 0.1)
-    return m.synthesize_feedback(m.solve_hjb(model, 1, grid, 0.0, 0.1)).fn
+    return model, m.solve_hjb(model, 1, grid, 0.0, 0.1)
+
+
+def _feedback_query():
+    """The closure the tracer wraps as hjb.feedback_query: synthesize_feedback(u).fn."""
+    return m.synthesize_feedback(_lq_solve()[1]).fn
+
+
+def _counting_feedback(calls):
+    """synthesize_feedback, with `fn` rebound to a counting wrapper after the
+    policy is built, as the tracer rebinds it."""
+    def build(u):
+        policy = m.synthesize_feedback(u)
+        fn = policy.fn
+        policy.fn = lambda k, t, states: calls.append(k) or fn(k, t, states)
+        return policy
+    return build
 
 
 def _resolve(layer: str, name: str):
@@ -86,3 +103,28 @@ def test_solve_hjb_evaluates_node_coefficients_once(monkeypatch):
     monkeypatch.setattr(hjb, "_lifted_batch", lambda *a: calls.append(1) or lifted(*a))
     m.solve_hjb(model, 2, grid, 0.0, 0.1)
     assert len(calls) == 1
+
+
+def test_feedback_rebound_after_synthesis_sees_every_step():
+    """The tracer counts hjb.feedback_query by rebinding synthesize_feedback(u).fn
+    once the policy exists: the integrator must look fn up at every step."""
+    model, u = _lq_solve()
+    cfg = m.SimConfig(t0=0.0, T=0.1, steps=5, n_paths=3, seed=1)
+    calls = []
+    policy = _counting_feedback(calls)(u)
+    m.simulate_particles(model, cfg, np.array([[0.2]]), policy)
+    assert calls == list(range(cfg.steps))
+
+
+def test_feedback_roundtrip_shifted_policies_call_the_rebound_feedback(monkeypatch):
+    """Each shifted policy of feedback_roundtrip queries the feedback once per step,
+    through the fn bound at call time."""
+    from mfclab import verify
+    model, u = _lq_solve()
+    cfg = m.SimConfig(t0=0.0, T=0.1, steps=5, n_paths=3, seed=1)
+    calls = []
+    monkeypatch.setattr(verify, "synthesize_feedback", _counting_feedback(calls))
+    verify.feedback_roundtrip(model, cfg, np.array([[0.2]]), u)
+    # finite and lifted runs of the feedback, then one run per offset and axis
+    runs = 2 + len(verify._FEEDBACK_OFFSETS) * model.d
+    assert calls == list(range(cfg.steps)) * runs

@@ -14,7 +14,7 @@ def test_cost_identity_sweep():
         cfg = m.SimConfig(t0=0.0, T=0.5, steps=10, n_paths=5, seed=int(g.integers(1 << 30)))
         n = int(g.integers(1, 4))
         x0 = g.normal(size=(n, 1))
-        pol = m.OpenLoopSchedule(g.normal(size=(10, n, 1)))
+        pol = m.open_loop(g.normal(size=(10, n, 1)))
         rep = m.cost_identity_check(model, cfg, x0, pol)
         assert rep.passed
         assert rep.details["bit_identical"]
