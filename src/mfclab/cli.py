@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__, verify
 from .costs import _estimate
-from .hjb import riccati_lq_value, sized_grid, solve_hjb
+from .hjb import MAX_AXES, riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
@@ -83,12 +83,12 @@ _SIM_SCHEMA = {
     "additionalProperties": False,
 }
 
-# one grid axis: [lo, hi, points]
+# one grid axis: [lo, hi, points]; lo < hi is checked with the values
 _AXIS = {
     "type": "array",
     "minItems": 3,
     "maxItems": 3,
-    "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer"}],
+    "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 8}],
 }
 
 _GRID_SCHEMA = {
@@ -325,9 +325,10 @@ def _load_config(path: str) -> dict:
 def _check_values(cfg) -> None:
     """What a schema-valid config can still get wrong, named by pointer: a bad
     model document, T <= t0, a sim window its solve does not cover, a grid whose
-    axis count is not n*d, a point whose size is not, atoms not in R^d, or a
-    number that is not finite. The config is checked as one more spec, with its
-    `horizon` block as the horizon."""
+    axis count is not n*d or with an axis whose lo >= hi, a point whose size is
+    not n*d, atoms not in R^d, a number that is not finite, or a sweep whose
+    Monte Carlo rows cannot run. The config is checked as one more spec, with
+    its `horizon` block as the horizon."""
     specs = [("$", cfg, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
     specs += [(f"$.probes[{i}]", p, PROBES[p["probe"]][2], (p, f"$.probes[{i}]"))
               for i, p in enumerate(cfg.get("probes", []))]
@@ -343,11 +344,17 @@ def _check_values(cfg) -> None:
         if spec.get("probe") == "feedback-roundtrip" and not (t0 <= sim[0] and sim[1] <= T):
             raise ConfigError(f"bad sim window at {pointer}.sim: [{sim[0]}, {sim[1]}] "
                               f"is not inside the horizon [{t0}, {T}]")
-        sweep_sim = spec.get("sweep", {}).get("sim")
-        if sweep_sim and _spec_horizon(sweep_sim, "$.sweep.sim") != (t0, T):
-            raise ConfigError(f"bad sim window at $.sweep.sim: [{sweep_sim['t0']}, "
-                              f"{sweep_sim['T']}] is not the horizon [{t0}, {T}]")
+        sweep = spec.get("sweep", {})
+        if "sim" in sweep and _spec_horizon(sweep["sim"], "$.sweep.sim") != (t0, T):
+            raise ConfigError(f"bad sim window at $.sweep.sim: [{sweep['sim']['t0']}, "
+                              f"{sweep['sim']['T']}] is not the horizon [{t0}, {T}]")
         counts = {key: count(spec) for key, count in solves.items()}
+        axes = [(f"{pointer}.{key}", axis) for key in counts for axis in spec[key]["axes"]]
+        if sweep:
+            axes.append(("$.sweep.grid_axis", sweep["grid_axis"]))
+        for where, (lo, hi, _) in axes:
+            if not lo < hi:
+                raise ConfigError(f"bad grid at {where}: an axis needs lo < hi, got [{lo}, {hi}]")
         for key, n in counts.items():
             if len(spec[key]["axes"]) != n * d:
                 raise ConfigError(f"bad grid at {pointer}.{key}: {len(spec[key]['axes'])} axes "
@@ -360,8 +367,8 @@ def _check_values(cfg) -> None:
             points.append(("x0", spec["x0"], counts["grid"]))
         elif spec.get("probe", spec.get("kind")) in ("simulate", "cost-identity"):
             points.append(("x0", spec["x0"], None))
-        if "sweep" in spec:
-            points.append(("sweep.base_atoms", spec["sweep"]["base_atoms"], None))
+        if sweep:
+            points.append(("sweep.base_atoms", sweep["base_atoms"], None))
         for key, point, n in points:
             try:
                 arr = np.asarray(point, dtype=np.float64)
@@ -376,6 +383,16 @@ def _check_values(cfg) -> None:
             if atom_d is not None and atom_d != d:
                 raise ConfigError(f"bad point at {pointer}.{key}: atoms in R^{atom_d} but the "
                                   f"model's d = {d}")
+        # a sweep row past MAX_AXES is priced by Monte Carlo, under `sim`, with the
+        # feedback of the smallest n's grid solve
+        nds = [_as_atoms(np.asarray(sweep["base_atoms"])).shape[0] * m * d
+               for m in sweep.get("duplications", [1, 2])] if sweep else []
+        if nds and min(nds) > MAX_AXES:
+            raise ConfigError(f"bad sweep at $.sweep.duplications: the smallest n*d = "
+                              f"{min(nds)} > {MAX_AXES} has no grid solve")
+        if nds and max(nds) > MAX_AXES and "sim" not in sweep:
+            raise ConfigError(f"bad sweep at $.sweep: n*d = {max(nds)} > {MAX_AXES} needs `sim` "
+                              f"for its Monte Carlo rows")
 
 
 def _sized_grids(spec, solves, model, horizon) -> dict:
@@ -392,10 +409,6 @@ def _run_simulate(cfg, out_dir, jobs):
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
     bundle = simulate_particles(model, sim, x0, zero_control())
-    if bundle.any_dead:
-        dead = bundle.dead_step[bundle.dead_step >= 0]
-        raise FloatingPointError(f"{dead.size} of {bundle.n_paths} paths blew up; "
-                                 f"the first at step {dead.min()} of {bundle.steps}")
     if cfg.get("dump_trajectories", False):
         dump_trajectories(bundle, os.path.join(out_dir, "trajectories.csv"))
     stats = path_statistics(bundle, cfg.get("r", 2.0))

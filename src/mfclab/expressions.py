@@ -273,8 +273,9 @@ def evaluate(e: Expr, x=None, m1=None, m2=None, strict: bool = True):
     """Evaluate on numpy inputs; raises EvaluationError on domain failures.
 
     strict=False suppresses domain checks and lets non-finite values flow, so
-    a caller that owns per-sample failure handling (the path integrator's
-    blow-up guard) can confine a fault to the offending sample.
+    a caller that checks its own results reports the fault in its own terms:
+    the path integrator reports a coefficient overflow as a blow-up
+    (FloatingPointError), not as an EvaluationError.
     """
     with np.errstate(all="ignore"):
         out = _eval(e, x, m1, m2, strict)

@@ -148,11 +148,8 @@ def _coupled_values(base: BaseFunctional, n_samples: int, eps: float, mc_reps: i
     u_idx = rng.uniforms(seed, rng.TAG_MOLLIFY_INDEX, reps,
                          np.arange(n_samples, dtype=np.uint64)[None, :], 1)[..., 0]
     idx = np.minimum((u_idx * n_atoms).astype(np.int64), n_atoms - 1)  # (reps, N)
-    slots = (np.arange(mc_reps, dtype=np.uint64)[:, None] * np.uint64(n_samples + 1)
-             + np.arange(n_samples + 1, dtype=np.uint64)[None, :])
-    unit, _ = _bump_unit_draws(seed, slots, d)
-    offsets = eps * unit                                                # (reps, N+1, d)
-    assert np.all(np.linalg.norm(offsets, axis=-1) < eps)
+    offsets = sample_bump(eps, d, seed, mc_reps * (n_samples + 1))[0].reshape(
+        mc_reps, n_samples + 1, d)                                      # (reps, N+1, d)
     out = np.empty((len(queries), mc_reps))
     for qi, (x, atoms) in enumerate(queries):
         a = np.asarray(atoms, dtype=np.float64)
@@ -253,14 +250,13 @@ def default_segment_family(count: int, seed: int):
 
 
 def uniform_convergence_probe(base: BaseFunctional, k_list, test_family,
-                              reps_by_k, seed: int) -> ProbeReport:
+                              mc_reps: int, seed: int) -> ProbeReport:
     """Sup |phi_k - phi| over the family per k: non-increasing, and the largest k
     beats the smallest beyond 3 SE. Also reports whether the k-sample term or
     the mollifier-width term appears to dominate (ratio of sup to 1/k)."""
     sups, ses = [], []
     for ki, k in enumerate(k_list):
-        reps = reps_by_k[ki] if not isinstance(reps_by_k, int) else reps_by_k
-        vals = _coupled_values(base, k, 1.0 / k, reps, seed + 1009 * ki, test_family)
+        vals = _coupled_values(base, k, 1.0 / k, mc_reps, seed + 1009 * ki, test_family)
         best, best_se = -np.inf, 0.0
         for qi, (x, atoms) in enumerate(test_family):
             mean, se = mean_se(vals[qi])

@@ -5,6 +5,10 @@ One Wiener increment per (path, step) drives *all* particles in that path
 identical per-atom update, so finite and lifted trajectories agree bit for bit
 under shared increments; that discrete identity is what the cost-lift checks
 in `verify` lean on.
+
+A path that leaves the ball |x| <= BLOWUP_LIMIT (or turns non-finite) ends the
+integration: the integrator raises FloatingPointError at that step, naming how
+many paths left and when, so every PathBundle it returns is finite.
 """
 
 from __future__ import annotations
@@ -71,24 +75,14 @@ def open_loop(schedule) -> Policy:
 class PathBundle:
     """Monte Carlo ensemble with shared (per path) Wiener increments."""
 
-    t0: float
     dt: float
     states: np.ndarray         # (P, steps+1, n, d)
     increments: np.ndarray     # (P, steps, d')
     control_trace: np.ndarray  # (P, steps, n, d)
-    dead_step: np.ndarray      # (P,), -1 = path stayed finite
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[1] - 1
-
-    @property
-    def any_dead(self) -> bool:
-        return bool(np.any(self.dead_step >= 0))
 
 
 def wiener_increments(cfg: SimConfig, d_prime: int) -> np.ndarray:
@@ -116,7 +110,6 @@ def _integrate(model, cfg, x0, policy, increments):
 
     states = np.empty((P, S + 1, n, d))
     trace = np.empty((P, S, n, d))
-    dead = np.full(P, -1, dtype=np.int64)
     cur = np.broadcast_to(atoms, (P, n, d)).copy()
     states[:, 0] = cur
     for k in range(S):
@@ -127,23 +120,21 @@ def _integrate(model, cfg, x0, policy, increments):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"policy produced non-finite controls at step {k}")
         trace[:, k] = a
-        # Non-strict: a path that drives a coefficient out of its domain gets
-        # non-finite values confined to that path, which the blow-up guard retires.
+        # Non-strict: a coefficient that overflows or leaves its domain yields
+        # non-finite states, which the check below reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
             m1, m2 = model.features(cur)
             m1b, m2b = m1[:, None, :], m2[:, None]
             B = model.drift_at(cur, m1b, m2b, strict=False)
             sig = model.sigma_at(cur, m1b, m2b, strict=False)
             nxt = cur + (-a + B) * cfg.dt + np.einsum("pnij,pj->pni", sig, increments[:, k])
-        bad = ~np.all(np.isfinite(nxt) & (np.abs(nxt) <= BLOWUP_LIMIT), axis=(1, 2))
-        newly = bad & (dead < 0)
-        dead[newly] = k + 1
-        frozen = dead >= 0
-        if np.any(frozen):
-            nxt = np.where(frozen[:, None, None], cur, nxt)
+        inside = np.abs(nxt) <= BLOWUP_LIMIT  # False on NaN and inf too
+        if not inside.all():
+            count = int((~inside.all(axis=(1, 2))).sum())
+            raise FloatingPointError(f"{count} of {P} paths blew up at step {k + 1} of {S}")
         states[:, k + 1] = nxt
         cur = nxt
-    return PathBundle(cfg.t0, cfg.dt, states, increments, trace, dead)
+    return PathBundle(cfg.dt, states, increments, trace)
 
 
 def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
@@ -174,7 +165,9 @@ def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = 
         "increment_mean": mean_se(incr.reshape(-1)),
         "increment_var_over_dt": float(incr.var(ddof=1) / bundle.dt),
         "n_paths": bundle.n_paths,
-        "dead_paths": int((bundle.dead_step >= 0).sum()),
+        # the integrator refuses a blown-up ensemble, so this is 0; results.csv
+        # keeps the row, and perfbench's simulate-mc check reads it
+        "dead_paths": 0,
     }
     if baseline is not None:
         diff = bundle.states - baseline.states

@@ -155,8 +155,7 @@ def test_criterion_6_mollifier_suite():
     from mfclab.mollify import default_segment_family, default_test_family
 
     fam = default_test_family(count=20, n_atoms=5, d=1, radius=2.0, seed=5)
-    unif = m.uniform_convergence_probe(reg["second-moment"], k_list, fam,
-                                       [300_000, 100_000, 50_000], seed=13)
+    unif = m.uniform_convergence_probe(reg["second-moment"], k_list, fam, 100_000, seed=13)
 
     segs = default_segment_family(8, seed=3)
     conv_m2 = m.convexity_preservation_probe(reg["second-moment"], 4, 10_000, 17, segs)

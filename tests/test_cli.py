@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -163,6 +164,32 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
          "$.probes[0].x0"),
         ({"kind": "sweep", "seed": 1, "model": _D2_MODEL, "sweep": {
             "base_atoms": [[1.0]], "grid_axis": [-3.0, 3.0, 17]}}, "$.sweep.base_atoms"),
+        # grid axes that GridSpec rejects: fewer than 8 points, lo >= hi
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL,
+          "grid": {"axes": [[-1.0, 1.0, 5]]}}, "$.grid.axes[0][2]"),
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL,
+          "grid": {"axes": [[1.0, -1.0, 21]]}}, "$.grid"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 grid_big={"axes": [[-3.0, 3.0, 17], [3.0, -3.0, 17]]})]},
+         "$.probes[0].grid_big"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip",
+                 grid={"axes": [[-3.0, 3.0, 7]]})]}, "$.probes[0].grid.axes[0][2]"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[1.0]], "grid_axis": [-2.0, 2.0, 5]}}, "$.sweep.grid_axis[2]"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[1.0]], "grid_axis": [2.0, -2.0, 17]}}, "$.sweep.grid_axis"),
+        # sweeps whose Monte Carlo rows (n*d > 3) cannot run: no sim, or no grid row
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1, 4]}},
+         "$.sweep"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": [4]}},
+         "$.sweep.duplications"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": [4],
+            "sim": dict(_SIM, T=1.0)}}, "$.sweep.duplications"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -205,27 +232,28 @@ def test_simulate_integrates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# b = x^3 drives paths from x0 = 3 (or 6) to overflow within 50 steps, and some
+# of the 4 paths from x0 = 0.9 under the grid feedback at seed 2. Every such run
+# ends in the integrator's one message, at the first step a path leaves.
+_CUBIC = {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
+          "UT": "0.5*m2"}
+_BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
+_BLOW_UP_MESSAGE = (r"runtime failure: FloatingPointError: "
+                    r"\d+ of 4 paths blew up at step \d+ of 50\n")
+
+
 def test_blown_up_simulate_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path / "c.json", {
         "kind": "simulate",
         "seed": 1,
-        "model": {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]],
-                  "l1": "0.5*x[0]^2", "kappa": 1.0, "UT": "0.5*m2"},
-        "sim": {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4},
+        "model": dict(_CUBIC, l1="0.5*x[0]^2"),
+        "sim": _BLOW_UP_SIM,
         "x0": [[3.0]],
     })
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "runtime failure" in err and "4 of 4 paths blew up; the first at step " in err, err
+    assert re.search(_BLOW_UP_MESSAGE, capsys.readouterr().err)
     assert not (out / "summary.json").exists()
-
-
-# b = x^3 drives every path from x0 = 3 (or 6) to overflow within 50 steps, and
-# under the grid feedback 3 of the 4 paths from x0 = 0.9 at seed 2
-_CUBIC = {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
-          "UT": "0.5*m2"}
-_BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
 
 
 @pytest.mark.parametrize("doc", [
@@ -242,8 +270,7 @@ def test_blown_up_cost_estimate_exits_1(tmp_path, capsys, doc):
     cfg = _write(tmp_path / "c.json", doc)
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "runtime failure: FloatingPointError: paths blew up" in err, err
+    assert re.search(_BLOW_UP_MESSAGE, capsys.readouterr().err)
     assert not (out / "summary.json").exists()
 
 

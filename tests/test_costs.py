@@ -141,10 +141,11 @@ def test_value_dominance(lq_u1):
 
 
 def test_invalid_paths_flag_estimate():
-    """An ensemble in which a path blew up is refused, not priced."""
+    """An ensemble in which a path blows up is never priced: the integrator
+    refuses it at the step it happens."""
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["exp(x[0])"],
                                "sigma": [["0"]], "l1": "0", "kappa": 1.0, "UT": "m2"})
-    with pytest.raises(FloatingPointError, match="paths blew up"):
+    with pytest.raises(FloatingPointError, match=r"^8 of 8 paths blew up at step \d+ of 40$"):
         m.cost_finite(model, _cfg(steps=40), np.array([[6.0]]), m.zero_control())
 
 

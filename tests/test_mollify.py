@@ -135,7 +135,7 @@ def test_uniform_convergence_second_moment():
     # bias ~ bump_m2/k^2: k in {2, 8} separates by ~0.037, far beyond MC noise
     fam = default_test_family(count=8, n_atoms=4, seed=13)
     rep = m.uniform_convergence_probe(m.functional_registry()["second-moment"],
-                                      [2, 8], fam, [40_000, 20_000], seed=14)
+                                      [2, 8], fam, 40_000, seed=14)
     assert rep.passed, rep.details
     sups = rep.details["sup_errors"]
     assert sups[1] < sups[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from mfclab.simulate import BLOWUP_LIMIT
 
 
 def _cfg(**kw):
@@ -119,13 +120,36 @@ def test_martingale_mean():
 
 
 def test_blowup_guard():
+    """b = exp(x) from x0 = 6 leaves the ball |x| <= BLOWUP_LIMIT at the step the
+    scalar Euler recurrence does (the exp overflows); the integrator raises there,
+    naming the count and the step, and integrates no further."""
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["exp(x[0])"],
                                "sigma": [["0"]], "l1": "0", "kappa": 1.0, "UT": "m2"})
-    bundle = m.simulate_particles(model, _cfg(steps=40, n_paths=2),
-                                  np.array([[6.0]]), m.zero_control())
-    assert bundle.any_dead
-    assert np.all(bundle.dead_step >= 0)
-    assert np.all(np.isfinite(bundle.states))
+    cfg = _cfg(steps=40, n_paths=2)
+    x, step = 6.0, 0
+    with np.errstate(over="ignore"):
+        while abs(x) <= BLOWUP_LIMIT:
+            x, step = x + np.exp(x) * cfg.dt, step + 1
+    assert 1 < step < cfg.steps
+    calls = []
+    policy = m.Policy(lambda k, t, s: calls.append(k) or np.zeros_like(s), "counting")
+    with pytest.raises(FloatingPointError,
+                       match=rf"^2 of 2 paths blew up at step {step} of {cfg.steps}$"):
+        m.simulate_particles(model, cfg, np.array([[6.0]]), policy)
+    assert calls == list(range(step))
+
+
+def test_blowup_count_names_only_the_paths_that_left():
+    """A control that pushes one of three paths past BLOWUP_LIMIT at step index 5
+    is refused at step 6, and the message counts that one path."""
+    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
+                               "l1": "0", "kappa": 1.0, "UT": "m2"})
+    cfg = _cfg(steps=40, n_paths=3)
+    kick = np.array([0.0, -2.0 * BLOWUP_LIMIT / cfg.dt, 0.0])[:, None, None]
+    policy = m.Policy(lambda k, t, s: kick + np.zeros_like(s) if k == 5 else np.zeros_like(s),
+                      "kick")
+    with pytest.raises(FloatingPointError, match=r"^1 of 3 paths blew up at step 6 of 40$"):
+        m.simulate_particles(model, cfg, np.array([[0.0]]), policy)
 
 
 def test_policy_shape_and_finiteness_validated():
