@@ -42,9 +42,18 @@ from .simulate import (SimConfig, dump_trajectories, open_loop, path_statistics,
 # The mollify kind runs the probes it selects in this order.
 MOLLIFY_PROBES = ("lipschitz-preservation", "uniform-convergence", "convexity-preservation")
 
+
+def _object(required, **properties) -> dict:
+    """Schema of a JSON object that holds these keys, `required` among them, and no other."""
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
 _NUMBER = {"type": "number"}
 _ARRAY = {"type": "array"}
-_SEED = {"type": "integer", "minimum": 0}
+# a seed plus a probe's fixed offsets (such as 1009 * k) stays below 2^64, the
+# width of a Philox key
+_SEED = {"type": "integer", "minimum": 0, "maximum": 2 ** 63 - 1}
 _COUNT = {"type": "integer", "minimum": 1}
 _R = {"type": "number", "minimum": 1, "maximum": 2}
 _K_LIST = {"type": "array", "minItems": 1, "items": _COUNT}
@@ -71,17 +80,8 @@ _MODEL_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-_SIM_SCHEMA = {
-    "type": "object",
-    "required": ["t0", "T", "steps", "n_paths"],
-    "properties": {
-        **_HORIZON,
-        "steps": _COUNT,
-        "n_paths": _COUNT,
-    },
-    "additionalProperties": False,
-}
+_SIM_SCHEMA = _object(["t0", "T", "steps", "n_paths"], **_HORIZON, steps=_COUNT, n_paths=_COUNT)
+_HORIZON_SCHEMA = _object(["t0", "T"], **_HORIZON)
 
 # one grid axis: [lo, hi, points]; lo < hi is checked with the values
 _AXIS = {
@@ -90,17 +90,9 @@ _AXIS = {
     "maxItems": 3,
     "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 8}],
 }
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "required": ["axes"],
-    "properties": {
-        "axes": {"type": "array", "minItems": 1, "maxItems": 3, "items": _AXIS},
-        "time_steps": _COUNT,
-        "margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
-    },
-    "additionalProperties": False,
-}
+_GRID_SCHEMA = _object(["axes"], time_steps=_COUNT,
+                       axes={"type": "array", "minItems": 1, "maxItems": 3, "items": _AXIS},
+                       margin={"type": "number", "minimum": 0, "exclusiveMaximum": 0.5})
 
 
 # -- probes: each runner maps (spec, model, horizon, grids) to a list of reports ----
@@ -172,123 +164,100 @@ def _probe_convexity(spec, model, horizon, grids):
                                          spec["seed"], segs)]
 
 
-def _spec(required, **properties) -> dict:
-    """Schema of a probe spec: the probe name, an optional seed, the probe's own keys."""
+def _spec(tag, required, **properties) -> dict:
+    """Closed schema of a config (tag `kind`) or a probe spec (tag `probe`): the
+    tag, a seed, and the keys its runner reads; any other key is a violation."""
+    return _object([tag, *required], **{tag: {"type": "string"}}, seed=_SEED, **properties)
+
+
+def _tagged(key, table) -> dict:
+    """Schema of an object whose `key` names the `table` entry whose schema applies."""
     return {
         "type": "object",
-        "required": ["probe", *required],
-        "properties": {"probe": {"type": "string"}, "seed": _SEED, **properties},
-        "additionalProperties": False,
+        "required": [key],
+        "properties": {key: {"enum": list(table)}},
+        "allOf": [{"if": {"required": [key], "properties": {key: {"const": name}}},
+                   "then": schema}
+                  for name, (schema, *_) in table.items()],
     }
 
 
-# probe name -> (JSON schema of its spec, runner, solves). The solves map each grid
-# key to the particle count n of the solve on that grid, a function of the spec.
+# probe name -> (JSON schema of its spec, runner, solves), in alphabetical order.
+# The solves map each grid key to the particle count n of the solve on that grid,
+# a function of the spec.
 _SOLVE_AT_N = {"grid": lambda s: s.get("n", 1)}
 PROBES = {
     "convexity-preservation": (
-        _spec(["functional", "k_list"], **_SMOOTHING, segments=_COUNT),
+        _spec("probe", ["functional", "k_list"], **_SMOOTHING, segments=_COUNT),
         _probe_convexity, {}),
     "cost-identity": (
-        _spec(["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, threshold=_NUMBER),
+        _spec("probe", ["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY,
+              threshold=_NUMBER),
         _probe_cost_identity, {}),
     "duplication-consistency": (
-        _spec(["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
+        _spec("probe", ["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
               model=_MODEL_SCHEMA, base_n=_COUNT, m=_COUNT, grid_small=_GRID_SCHEMA,
               grid_big=_GRID_SCHEMA, test_points={"type": "array", "items": _ARRAY},
               threshold=_NUMBER),
         _probe_duplication,
         {"grid_small": lambda s: s["base_n"], "grid_big": lambda s: s["base_n"] * s["m"]}),
     "feedback-roundtrip": (
-        _spec(["grid", "sim", "x0"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT,
+        _spec("probe", ["grid", "sim", "x0"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT,
               grid=_GRID_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY),
         _probe_feedback, _SOLVE_AT_N),
     "lipschitz-preservation": (
-        _spec(["functional", "k_list"], **_SMOOTHING),
+        _spec("probe", ["functional", "k_list"], **_SMOOTHING),
         _probe_lipschitz, {}),
     "permutation-invariance": (
-        _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, grid=_GRID_SCHEMA, threshold=_NUMBER),
+        _spec("probe", ["grid"], **_HORIZON, model=_MODEL_SCHEMA, grid=_GRID_SCHEMA,
+              threshold=_NUMBER),
         _probe_permutation, {"grid": lambda s: 2}),
     "time-holder": (
-        _spec(["grid"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT, grid=_GRID_SCHEMA, r=_R),
+        _spec("probe", ["grid"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT, grid=_GRID_SCHEMA,
+              r=_R),
         _probe_time_holder, _SOLVE_AT_N),
     "uniform-convergence": (
-        _spec(["functional", "k_list"], **_SMOOTHING),
+        _spec("probe", ["functional", "k_list"], **_SMOOTHING),
         _probe_uniform, {}),
 }
 
-# kind -> (config keys it requires, name of its runner, solves); the order is the
+
+def _kind(required, **properties) -> dict:
+    """Closed schema of a config: a required seed, an optional `out_dir`, its own keys."""
+    return _spec("kind", ["seed", *required], out_dir={"type": "string"}, **properties)
+
+
+# kind -> (JSON schema of its config, name of its runner, solves); the order is the
 # schema's enum order. Every runner maps (config, out_dir, jobs) to (summary,
 # reports). They are looked up by name when called, so a wrapper bound to the
 # module attribute (perfbench/tracer.py wraps _run_verify) is the one that runs.
 KINDS = {
-    "simulate": (["model", "sim", "x0"], "_run_simulate", {}),
-    "solve-hjb": (["model", "grid"], "_run_solve", _SOLVE_AT_N),
-    "verify": ([], "_run_verify", {}),
-    "mollify": ([], "_run_mollify", {}),
-    "sweep": (["model", "sweep"], "_run_sweep", {}),
+    "simulate": (
+        _kind(["model", "sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, r=_R,
+              dump_trajectories={"type": "boolean"}),
+        "_run_simulate", {}),
+    "solve-hjb": (
+        _kind(["model", "grid"], model=_MODEL_SCHEMA, grid=_GRID_SCHEMA,
+              horizon=_HORIZON_SCHEMA, n=_COUNT, x0=_ARRAY, dump_cadence=_COUNT),
+        "_run_solve", _SOLVE_AT_N),
+    "verify": (
+        _kind([], probes={"type": "array", "items": _tagged("probe", PROBES)},
+              model=_MODEL_SCHEMA),
+        "_run_verify", {}),
+    "mollify": (
+        _kind([], k_list=_K_LIST, mollify=_object(
+            [], functional=_SMOOTHING["functional"], mc_reps=_COUNT, segments=_COUNT,
+            probes={"type": "array", "items": {"enum": list(MOLLIFY_PROBES)}})),
+        "_run_mollify", {}),
+    "sweep": (
+        _kind(["model", "sweep"], model=_MODEL_SCHEMA, horizon=_HORIZON_SCHEMA, sweep=_object(
+            ["base_atoms", "grid_axis"], base_atoms=_ARRAY, grid_axis=_AXIS,
+            duplications={"type": "array", "items": _COUNT}, sim=_SIM_SCHEMA)),
+        "_run_sweep", {}),
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "seed"],
-    "properties": {
-        "kind": {"enum": list(KINDS)},
-        "seed": _SEED,
-        "model": _MODEL_SCHEMA,
-        "sim": _SIM_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "horizon": {
-            "type": "object",
-            "required": ["t0", "T"],
-            "properties": _HORIZON,
-            "additionalProperties": False,
-        },
-        "x0": _ARRAY,
-        "n": _COUNT,
-        "r": _R,
-        "probes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["probe"],
-                "properties": {"probe": {"enum": sorted(PROBES)}},
-                "allOf": [{"if": {"required": ["probe"], "properties": {"probe": {"const": name}}},
-                           "then": schema}
-                          for name, (schema, *_) in PROBES.items()],
-            },
-        },
-        "k_list": _K_LIST,
-        "mollify": {
-            "type": "object",
-            "properties": {
-                "functional": _SMOOTHING["functional"],
-                "probes": {"type": "array", "items": {"enum": list(MOLLIFY_PROBES)}},
-                "mc_reps": _COUNT,
-                "segments": _COUNT,
-            },
-            "additionalProperties": False,
-        },
-        "sweep": {
-            "type": "object",
-            "required": ["base_atoms", "grid_axis"],
-            "properties": {
-                "base_atoms": _ARRAY,
-                "grid_axis": _AXIS,
-                "duplications": {"type": "array", "items": _COUNT},
-                "sim": _SIM_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
-        "out_dir": {"type": "string"},
-        "dump_cadence": _COUNT,
-        "dump_trajectories": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-    "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
-               "then": {"required": required}}
-              for kind, (required, *_) in KINDS.items()],
-}
+CONFIG_SCHEMA = _tagged("kind", KINDS)
+
 
 class ConfigError(Exception):
     pass
@@ -305,7 +274,8 @@ _CONFIG_VALIDATOR = jsonschema.validators.extend(
 )(CONFIG_SCHEMA)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed=None) -> dict:
+    """The config at `path`, with `seed` (when given) in place of its own, checked."""
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -315,6 +285,8 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at byte offset {e.pos}: {e.msg}") from e
+    if seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = seed
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
@@ -339,9 +311,9 @@ def _check_values(cfg) -> None:
             raise ConfigError(f"bad model at {pointer}.model: {e}") from e
         t0, T = _spec_horizon(*horizon)
         sim = _spec_horizon(spec.get("sim", {}), f"{pointer}.sim")
-        # a feedback from the solve is simulated inside its horizon; a sweep's Monte
+        # a feedback from a solve is simulated inside its horizon; a sweep's Monte
         # Carlo row stands for u_n(t0, x), so its window is the horizon
-        if spec.get("probe") == "feedback-roundtrip" and not (t0 <= sim[0] and sim[1] <= T):
+        if "sim" in spec and solves and not (t0 <= sim[0] and sim[1] <= T):
             raise ConfigError(f"bad sim window at {pointer}.sim: [{sim[0]}, {sim[1]}] "
                               f"is not inside the horizon [{t0}, {T}]")
         sweep = spec.get("sweep", {})
@@ -359,14 +331,12 @@ def _check_values(cfg) -> None:
             if len(spec[key]["axes"]) != n * d:
                 raise ConfigError(f"bad grid at {pointer}.{key}: {len(spec[key]['axes'])} axes "
                                   f"but n*d = {n}*{d} = {n * d}")
-        # a solve's point is its n*d coordinates; a simulation's x0 and the sweep's
-        # base atoms are atoms in R^d, n = None
+        # a solve's point is its n*d coordinates; an x0 without a grid solve and the
+        # sweep's base atoms are atoms in R^d, n = None
         points = [(f"test_points[{j}]", point, counts["grid_small"])
                   for j, point in enumerate(spec.get("test_points", []))]
-        if "x0" in spec and "grid" in counts:
-            points.append(("x0", spec["x0"], counts["grid"]))
-        elif spec.get("probe", spec.get("kind")) in ("simulate", "cost-identity"):
-            points.append(("x0", spec["x0"], None))
+        if "x0" in spec:
+            points.append(("x0", spec["x0"], counts.get("grid")))
         if sweep:
             points.append(("sweep.base_atoms", sweep["base_atoms"], None))
         for key, point, n in points:
@@ -517,12 +487,10 @@ def _run_sweep(cfg, out_dir, jobs):
 
 def _cmd_run(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = args.out or cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     try:
@@ -570,6 +538,13 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _count_arg(text) -> int:
+    """argparse type of a count: an integer >= 1; anything else is a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfclab",
@@ -580,7 +555,7 @@ def main(argv=None) -> int:
     runp.add_argument("--config", required=True, help="JSON experiment config")
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="override config seed")
-    runp.add_argument("--jobs", type=int, default=1, help="concurrent probes")
+    runp.add_argument("--jobs", type=_count_arg, default=1, help="concurrent probes (>= 1)")
     runp.add_argument("--format", choices=["csv", "json"], default="csv")
     runp.set_defaults(fn=_cmd_run)
     listp = sub.add_parser("list", help="print model and probe catalogs")

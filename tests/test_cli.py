@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ _SIM = {"t0": 0.0, "T": 0.5, "steps": 4, "n_paths": 4}
 _D1_MODEL = {"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]], "l1": "0", "kappa": 1.0,
              "UT": "m2"}
 _D2_MODEL = dict(_D1_MODEL, d=2, b=["0", "0"], sigma=[["1"], ["1"]])
+# One small config per kind that runs to exit 0.
+SMALL_CONFIGS = {
+    "simulate": {"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM, "x0": [[0.0]]},
+    "solve-hjb": {"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D},
+    "verify": {"kind": "verify", "seed": 1, "probes": []},
+    "mollify": {"kind": "mollify", "seed": 1, "k_list": [2],
+                "mollify": {"probes": [], "mc_reps": 50}},
+    "sweep": {"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+        "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1]}},
+}
 # One small valid spec per probe name, too small for every verdict to pass.
 SMALL_SPECS = {
     "convexity-preservation": {"functional": "mean", "k_list": [2], "mc_reps": 50,
@@ -87,6 +98,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
     cases = [
         ({"kind": "simulate", "seed": 1, "bogus": 1}, "$"),
+        # a key that a kind's runner does not read, valid as it is for another kind
+        *[(dict(SMALL_CONFIGS[kind], **extra), "$") for kind, extra in [
+            ("simulate", {"n": 1}), ("simulate", {"horizon": {"t0": 0.0, "T": 2.0}}),
+            ("simulate", {"dump_cadence": 2}), ("solve-hjb", {"sim": _SIM}),
+            ("solve-hjb", {"r": 1.5}), ("verify", {"horizon": {"t0": 0.0, "T": 2.0}}),
+            ("verify", {"x0": [[0.5]]}), ("mollify", {"model": {"registry": "LQ-decoupled"}}),
+            ("sweep", {"x0": [[0.0]]})]],
         ({"kind": "mollify", "seed": 1, "mollify": {"probes": ["nope"]}}, "$.mollify.probes[0]"),
         ({"kind": "mollify", "seed": 1, "mollify": {"mc_reps": "many"}}, "$.mollify.mc_reps"),
         ({"kind": "mollify", "seed": 1, "mollify": {"functional": "nope"}},
@@ -195,6 +213,45 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, doc
         assert f"at {pointer}: " in capsys.readouterr().err, doc
+
+
+@pytest.mark.parametrize("kind", list(SMALL_CONFIGS))
+def test_small_config_of_each_kind_runs(tmp_path, kind):
+    cfg = _write(tmp_path / "c.json", SMALL_CONFIGS[kind])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (SMALL_CONFIGS["simulate"], ["--seed", "-1"]),
+    (SMALL_CONFIGS["mollify"], ["--seed", "-1"]),
+    # a Philox key keeps 64 bits, so 2^64 would run as seed 0
+    (dict(SMALL_CONFIGS["simulate"], seed=2 ** 64), []),
+], ids=["simulate-override", "mollify-override", "config-2^64"])
+def test_bad_seed_exits_2_at_seed(tmp_path, capsys, doc, argv):
+    cfg = _write(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 2
+    assert "config schema violation at $.seed: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path / "c.json", SMALL_CONFIGS["verify"])
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert exited.value.code == 2
+    assert "argument --jobs: need an integer >= 1" in capsys.readouterr().err
+
+
+def test_readme_configs_are_valid(tmp_path):
+    """Every fenced json block of README.md that names a `kind` passes the checks
+    a run applies before any compute starts."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = [b for b in re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+              if '"kind"' in b]
+    assert blocks
+    for i, block in enumerate(blocks):
+        cli._load_config(_write(tmp_path / f"c{i}.json", json.loads(block)))
 
 
 def test_simulate_end_to_end_and_reproducible(tmp_path):

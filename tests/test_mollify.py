@@ -57,6 +57,19 @@ def test_bump_draws_are_independent_of_batching(d):
     assert row_total == slot_total == proposals
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_draws_are_independent_of_chunking(monkeypatch, d):
+    """Sampling the slots 64 at a time (15 full chunks and a partial one) gives
+    the draws and the proposal count of one chunk, bit for bit."""
+    slots = np.arange(1000, dtype=np.uint64).reshape(10, 100) * np.uint64(7) + np.uint64(3)
+    whole, proposals = _bump_unit_draws(31, slots, d)
+    monkeypatch.setattr(mollify, "_CHUNK", 64)
+    chunked, chunked_proposals = _bump_unit_draws(31, slots, d)
+    assert chunked.shape == whole.shape == (10, 100, d)
+    assert chunked.tobytes() == whole.tobytes()
+    assert chunked_proposals == proposals
+
+
 def test_bump_rejection_round_limit(monkeypatch):
     """Slots 0 and 1 accept their first proposal at seed 5 and slot 2 its second:
     a one-round limit serves the first two and refuses the third."""
