@@ -16,8 +16,10 @@ i.e. upwind viscosity only in excess of what the locally available diffusion
 already provides (lambda_min because the common-noise A_n is rank-deficient:
 its diagonal alone overstates the damping along degenerate directions). With
 nondegenerate diffusion and fine grids this reduces to plain central
-differencing, which is what makes the quadratic LQ benchmark exact in space;
-for sigma = 0 it is the classical monotone Lax-Friedrichs scheme.
+differencing, exact in space on the quadratic LQ benchmark; for sigma = 0 it is
+the classical monotone Lax-Friedrichs scheme. A solve writes each slice and its
+ghost layer into one reused buffer, whose shifted views every stencil reads;
+the weights that are fixed in time are built before the march.
 """
 
 from __future__ import annotations
@@ -101,40 +103,43 @@ class GridSpec:
         }
 
 
-def _shift(padded: np.ndarray, offsets: dict) -> np.ndarray:
-    """Interior view of the padded array shifted by the given per-axis offsets."""
-    sl = []
-    for ax in range(padded.ndim):
-        off = offsets.get(ax, 0)
-        sl.append(slice(1 + off, padded.shape[ax] - 1 + off))
-    return padded[tuple(sl)]
+# The interior of a ghost buffer shifted by o in {-1, 0, 1} along one axis: _AT[o].
+_AT = (slice(1, -1), slice(2, None), slice(0, -2))
 
 
-def _derivatives(u: np.ndarray, h: np.ndarray):
-    """Central gradients, axis second differences, and cross stencils.
+def _ghosted(u: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Write u and its odd-reflection ghost layer into buf (u.shape + 2 per axis).
+    The ghosts 2 u[0] - u[1] and 2 u[-1] - u[-2] make boundary gradients one-sided
+    and boundary curvature zero. Axis by axis, each face spanning the earlier axes
+    in full and the later ones' interior: numpy's odd-reflection pad order, bit for bit."""
+    buf[(_AT[0],) * u.ndim] = u
+    for a in range(u.ndim):
+        v = np.moveaxis(buf[(slice(None),) * (a + 1) + (_AT[0],) * (u.ndim - 1 - a)], a, 0)
+        v[0], v[-1] = 2 * v[1] - v[2], 2 * v[-2] - v[-3]
+    return buf
 
-    Returns (grads (*shape, nd), second_diffs list, crosses dict {(a,b): array}).
-    One ghost layer per side, by linear extrapolation (odd reflection), makes
-    boundary gradients one-sided and boundary curvature zero.
-    """
-    nd = u.ndim
-    p = np.pad(u, 1, mode="reflect", reflect_type="odd")
-    grads = []
-    d2 = []
-    for a in range(nd):
-        up = _shift(p, {a: 1})
-        um = _shift(p, {a: -1})
-        grads.append((up - um) / (2.0 * h[a]))
-        d2.append(up - 2.0 * u + um)
-    crosses = {}
-    for a in range(nd):
-        for b in range(a + 1, nd):
-            pp = _shift(p, {a: 1, b: 1})
-            pm = _shift(p, {a: 1, b: -1})
-            mp = _shift(p, {a: -1, b: 1})
-            mm = _shift(p, {a: -1, b: -1})
-            crosses[(a, b)] = (pp - pm - mp + mm) / (4.0 * h[a] * h[b])
-    return np.stack(grads, axis=-1), d2, crosses
+
+class _Ghost:
+    """A ghost buffer (slice shape + 2 on each axis) and, built once, the views
+    of its shifted interior that the stencils read: (plus, minus) per axis, and
+    (a, b, corners ++ +- -+ --) per axis pair a < b."""
+
+    def __init__(self, shape: tuple):
+        self.buf = np.empty(tuple(s + 2 for s in shape))
+        unit = np.eye(len(shape), dtype=int)
+
+        def at(offsets):
+            return self.buf[tuple(_AT[o] for o in offsets)]
+
+        self.plus, self.minus = [at(e) for e in unit], [at(-e) for e in unit]
+        self.corners = [(a, b, [at(sa * unit[a] + sb * unit[b])
+                                for sa, sb in itertools.product((1, -1), repeat=2)])
+                        for a, b in itertools.combinations(range(len(shape)), 2)]
+
+    def gradient(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Ghost slice u into the buffer; return its central gradient (*shape, nd)."""
+        _ghosted(u, self.buf)
+        return np.stack([(p - m) / (2.0 * ha) for p, m, ha in zip(self.plus, self.minus, h)], -1)
 
 
 def _multilinear(coords, data: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -212,35 +217,31 @@ class GridValueFunction:
 
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
     """Per-node coefficient arrays (fixed in time): b (*shape, n, d), l1
-    (*shape, n), A_n, U_T, and Lam = max over nodes of Tr A_n, the diffusion
-    part of the CFL bound."""
+    (*shape, n), A_n, U_T, and the CFL constants (2 max_nodes Tr A_n / h_min^2,
+    h_min): the diffusion part of the CFL rate and the smallest spacing."""
     nd = n * model.d
     b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
     sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
     A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
-    return b, l1, A, Lam, uT
+    hmin = float(grid.spacings().min())
+    return b, l1, A, (2.0 * Lam / hmin ** 2, hmin), uT
 
 
-def _march_terms(model: ModelSpec, n: int, b: np.ndarray, Lam: float, u: np.ndarray,
-                 h: np.ndarray):
-    """Derivatives of slice u, the costate p = n Du, the transport speeds
-    |-b + a| per axis at the control a = feedback_map(p), and the explicit CFL
-    bound on the time step."""
+def _march_terms(model: ModelSpec, n: int, b: np.ndarray, cfl: tuple, grads: np.ndarray):
+    """The costate p = n Du of a gradient field (*shape, nd), the speeds |-b + a| per
+    axis at the control a = feedback_map(p), and the explicit CFL bound on dt."""
     nd = n * model.d
-    grads, d2, crosses = _derivatives(u, h)
     p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
     speeds = np.abs(-b + feedback_map(p, model.kappa)).reshape(grads.shape[:-1] + (nd,))
     Theta = float(speeds.reshape(-1, nd).max(axis=0).sum())
-    hmin = float(h.min())
-    bound = CFL_SAFETY / (2.0 * Lam / hmin ** 2 + Theta / hmin)
-    return d2, crosses, p, speeds, bound
+    return p, speeds, CFL_SAFETY / (cfl[0] + Theta / cfl[1])
 
 
 def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
     """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
-    b, _, _, Lam, uT = _node_coefficients(model, n, grid)
-    bound = _march_terms(model, n, b, Lam, uT, grid.spacings())[-1]
+    b, _, _, cfl, uT = _node_coefficients(model, n, grid)
+    bound = _march_terms(model, n, b, cfl, _Ghost(uT.shape).gradient(uT, grid.spacings()))[-1]
     return max(1, math.ceil(STEP_SAFETY * (T - t0) / bound))
 
 
@@ -262,10 +263,13 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     nd = n * model.d
     if nd > MAX_AXES:
         raise ValueError(f"n*d = {nd} exceeds the supported grid dimension {MAX_AXES}")
-    b, l1, A, Lam, uT = _node_coefficients(model, n, grid)
-    lam_min = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)
+    b, l1, A, cfl, uT = _node_coefficients(model, n, grid)
     h = grid.spacings()
-    diagA = np.einsum("...aa->...a", A)
+    # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
+    weights = [0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]
+    credit = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)[..., None] / h
+    ghost = _Ghost(uT.shape)    # the one ghost buffer of the solve
+    crosses = [(A[..., a, bb], 4.0 * h[a] * h[bb], views) for a, bb, views in ghost.corners]
     K = grid.time_steps
     dt = (T - t0) / K
 
@@ -277,16 +281,17 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
 
     u = uT
     for k in range(K - 1, -1, -1):
-        d2, crosses, p, speeds, bound = _march_terms(model, n, b, Lam, u, h)
+        p, speeds, bound = _march_terms(model, n, b, cfl, ghost.gradient(u, h))
         if dt > bound:
             raise CFLError(dt, bound, math.ceil((T - t0) / bound))
         Hbar = hamiltonian(b, l1, p, model.kappa).mean(-1)
-        theta_eff = np.maximum(0.0, speeds - lam_min[..., None] / h)
+        theta_eff = np.maximum(0.0, speeds - credit)
         rhs = -Hbar
         for a in range(nd):
-            rhs = rhs + (0.5 * diagA[..., a] / h[a] ** 2 + 0.5 * theta_eff[..., a] / h[a]) * d2[a]
-        for (a, bb), cr in crosses.items():
-            rhs = rhs + A[..., a, bb] * cr
+            d2 = ghost.plus[a] - 2.0 * u + ghost.minus[a]
+            rhs = rhs + (weights[a] + 0.5 * theta_eff[..., a] / h[a]) * d2
+        for Aab, denom, (pp, pm, mp, mm) in crosses:
+            rhs = rhs + Aab * ((pp - pm - mp + mm) / denom)
         u = u + dt * rhs
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite values while marching at slice {k}")
@@ -299,13 +304,9 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
 
 
 def grid_gradient(u: GridValueFunction, k: int) -> np.ndarray:
-    """Per-node spatial gradient D u of stored slice k, shape (*grid, nd).
-
-    Central differences in the interior, one-sided at the boundary (the ghost
-    extrapolation collapses the central stencil to one-sided there).
-    """
-    grads, _, _ = _derivatives(u.values[k], u.grid.spacings())
-    return grads
+    """Per-node spatial gradient D u of stored slice k, shape (*grid, nd): central
+    differences, which the ghost layer makes one-sided at the boundary."""
+    return _Ghost(u.grid.shape()).gradient(u.values[k], u.grid.spacings())
 
 
 def synthesize_feedback(u: GridValueFunction) -> Policy:
@@ -332,25 +333,23 @@ def riccati_lq_value(sigma: float, kappa: float, T: float, t: float, x,
     integrated backward; returns (1/n) sum_i [P(t) |x_i|^2 / 2 + r(t)]. The
     per-particle r and the 1/n average make the value duplication-invariant.
     """
-    if not 0 <= t <= T:
-        raise ValueError("need 0 <= t <= T")
+    if not t <= T:
+        raise ValueError("need t <= T")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     atoms = _as_atoms(x)
-    tau_end = T - t
     P, r = 1.0, 0.0
-    if tau_end > 0:
-        hstep = tau_end / rk_steps
+    if T > t:
+        hstep = (T - t) / rk_steps
         # in tau = T - s the signs flip: dP/dtau = -P^2/kappa, dr/dtau = +sigma^2 P/2
-        def f(y):
-            return np.array([-y[0] ** 2 / kappa, 0.5 * sigma ** 2 * y[0]])
-        y = np.array([1.0, 0.0])
+        def f(P):
+            return -P ** 2 / kappa, 0.5 * sigma ** 2 * P
         for _ in range(rk_steps):
-            k1 = f(y)
-            k2 = f(y + 0.5 * hstep * k1)
-            k3 = f(y + 0.5 * hstep * k2)
-            k4 = f(y + hstep * k3)
-            y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        P, r = float(y[0]), float(y[1])
+            k1 = f(P)
+            k2 = f(P + 0.5 * hstep * k1[0])
+            k3 = f(P + 0.5 * hstep * k2[0])
+            k4 = f(P + hstep * k3[0])
+            P, r = (y + (hstep / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+                    for y, s1, s2, s3, s4 in zip((P, r), k1, k2, k3, k4))
     sq = (atoms ** 2).sum(axis=1)
     return float(np.mean(0.5 * P * sq + r))

@@ -144,23 +144,27 @@ def _coupled_values(base: BaseFunctional, n_samples: int, eps: float, mc_reps: i
     One set of n_samples atom indices and n_samples+1 bump offsets of width eps
     per replicate, reused across all queries (common random numbers), so the
     queries must share one atom shape (n_atoms, d). Returns (len(queries), mc_reps).
+    Replicates are priced _CHUNK bump slots at a time (one replicate at least);
+    replicate r's slots stay r*(n_samples+1) + j, so the chunking changes no value.
     """
     shapes = {np.shape(atoms) for _, atoms in queries}
     if len(shapes) != 1:
         raise ValueError(f"coupled queries must share one atom shape, got {sorted(shapes)}")
     (n_atoms, d), = shapes
-    reps = np.arange(mc_reps, dtype=np.uint64)[:, None]
-    u_idx = rng.uniforms(seed, rng.TAG_MOLLIFY_INDEX, reps,
-                         np.arange(n_samples, dtype=np.uint64)[None, :], 1)[..., 0]
-    idx = np.minimum((u_idx * n_atoms).astype(np.int64), n_atoms - 1)  # (reps, N)
-    offsets = sample_bump(eps, d, seed, mc_reps * (n_samples + 1))[0].reshape(
-        mc_reps, n_samples + 1, d)                                      # (reps, N+1, d)
     out = np.empty((len(queries), mc_reps))
-    for qi, (x, atoms) in enumerate(queries):
-        a = np.asarray(atoms, dtype=np.float64)
-        sampled = a[idx] - offsets[:, 1:, :]                            # (reps, N, d)
-        xs = np.asarray(x, dtype=np.float64) - offsets[:, 0, :]         # (reps, d)
-        out[qi] = np.asarray(base.evaluate_batch(xs, sampled), dtype=np.float64)
+    per_chunk = max(1, _CHUNK // (n_samples + 1))
+    for start in range(0, mc_reps, per_chunk):
+        reps = np.arange(start, min(start + per_chunk, mc_reps), dtype=np.uint64)[:, None]
+        u_idx = rng.uniforms(seed, rng.TAG_MOLLIFY_INDEX, reps,
+                             np.arange(n_samples, dtype=np.uint64)[None, :], 1)[..., 0]
+        idx = np.minimum((u_idx * n_atoms).astype(np.int64), n_atoms - 1)  # (reps, N)
+        slots = reps * (n_samples + 1) + np.arange(n_samples + 1, dtype=np.uint64)
+        offsets = eps * _bump_unit_draws(seed, slots, d)[0]                # (reps, N+1, d)
+        for qi, (x, atoms) in enumerate(queries):
+            a = np.asarray(atoms, dtype=np.float64)
+            sampled = a[idx] - offsets[:, 1:, :]                            # (reps, N, d)
+            xs = np.asarray(x, dtype=np.float64) - offsets[:, 0, :]         # (reps, d)
+            out[qi, start:start + reps.size] = base.evaluate_batch(xs, sampled)
     return out
 
 

@@ -153,13 +153,13 @@ def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy
     return _integrate(model, cfg, atoms, lifted_policy, increments)
 
 
-def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = None) -> dict:
+def path_statistics(bundle: PathBundle, r: float) -> dict:
     """Monte Carlo counterparts of the a-priori path estimates, with std errors."""
     sup_norm = rnorm(bundle.states, r).max(axis=1)
     dev = bundle.states - bundle.states[:, :1]
     sup_dev = rnorm(dev, r).max(axis=1)
     incr = bundle.increments
-    out = {
+    return {
         "mean_sup_rnorm": mean_se(sup_norm),
         "mean_sup_deviation": mean_se(sup_dev),
         "increment_mean": mean_se(incr.reshape(-1)),
@@ -169,10 +169,6 @@ def path_statistics(bundle: PathBundle, r: float, baseline: PathBundle | None = 
         # keeps the row, and perfbench's simulate-mc check reads it
         "dead_paths": 0,
     }
-    if baseline is not None:
-        diff = bundle.states - baseline.states
-        out["mean_sup_diff"] = mean_se(rnorm(diff, r).max(axis=1))
-    return out
 
 
 def dump_trajectories(bundle: PathBundle, path) -> None:

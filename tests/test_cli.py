@@ -454,6 +454,20 @@ def test_solve_hjb_end_to_end(tmp_path):
     assert abs(summary["riccati_value_at_x0"] - want) < 1e-8
 
 
+def test_riccati_oracle_before_time_zero(tmp_path):
+    """The LQ value depends on T - t only: a horizon [-0.5, 0.5] exits 0 and
+    reports the oracle value of the horizon [0, 1]."""
+    summaries = []
+    for t0, T in [(-0.5, 0.5), (0.0, 1.0)]:
+        cfg = _write(tmp_path / "c.json", {
+            "kind": "solve-hjb", "seed": 1, "model": {"registry": "LQ-decoupled"},
+            "grid": {"axes": [[-3.0, 3.0, 41]]}, "horizon": {"t0": t0, "T": T}, "x0": [1.0]})
+        out = tmp_path / f"o{t0}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    assert summaries[0]["riccati_value_at_x0"] == summaries[1]["riccati_value_at_x0"]
+
+
 def test_riccati_oracle_needs_lq_decoupled_coefficients(tmp_path):
     """The oracle solves LQ-decoupled's problem; a model that only borrows the
     name gets none, one with the same coefficients still gets it."""

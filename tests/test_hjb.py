@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import mfclab as m
-from mfclab.hjb import _derivatives
+from mfclab.hjb import _Ghost, _ghosted
 from conftest import AXIS_1D, lq_exact, sized_grid
 
 
@@ -87,7 +89,9 @@ def test_boundary_stencil_is_one_sided_with_zero_curvature(nd):
     g = np.random.default_rng(nd)
     u = g.normal(size=(9, 8, 10)[:nd])
     h = np.array([0.3, 0.5, 0.7])[:nd]
-    grads, d2, _ = _derivatives(u, h)
+    ghost = _Ghost(u.shape)
+    grads = ghost.gradient(u, h)
+    d2 = [up - 2.0 * u + um for up, um in zip(ghost.plus, ghost.minus)]
     for a in range(nd):
         ua = np.moveaxis(u, a, 0)
         ga = np.moveaxis(grads[..., a], a, 0)
@@ -97,6 +101,20 @@ def test_boundary_stencil_is_one_sided_with_zero_curvature(nd):
         assert np.allclose(ga[1:-1], (ua[2:] - ua[:-2]) / (2 * h[a]), rtol=0, atol=1e-12)
         assert np.abs(da[[0, -1]]).max() <= 1e-12
         assert np.allclose(da[1:-1], ua[2:] - 2 * ua[1:-1] + ua[:-2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nd", [1, 2, 3])
+def test_ghost_buffer_is_odd_reflection_pad_bit_for_bit(nd):
+    """_ghosted writes what np.pad(u, 1, mode="reflect", reflect_type="odd")
+    returns, bit for bit, into a reused buffer whatever it held before."""
+    g = np.random.default_rng(10 + nd)
+    for shape in [(2, 3, 4)[:nd], (9, 8, 10)[:nd], tuple(g.integers(2, 12, nd))]:
+        buf = np.full(tuple(s + 2 for s in shape), np.nan)
+        for _ in range(2):
+            u = g.normal(scale=g.uniform(0.1, 100.0), size=shape)
+            want = np.pad(u, 1, mode="reflect", reflect_type="odd")
+            assert _ghosted(u, buf) is buf
+            assert buf.tobytes() == want.tobytes()
 
 
 def test_grid_gradient_symmetric_two_particles(lq_u2):
@@ -232,3 +250,30 @@ def test_stored_slices_are_the_kept_march_slices(meanrev_model):
     assert np.array_equal(u.times, t0 + u.dt * np.array(kept, dtype=np.float64))
     assert np.array_equal(full.times, t0 + full.dt * np.arange(K + 1, dtype=np.float64))
     assert np.array_equal(u.values, full.values[kept])
+
+
+# SHA-256 of solve_hjb(...).values for each registry model and n on the grids
+# of test_solve_values_match_their_pins. A march restructured without changing
+# its arithmetic matches them bit for bit; only a change to the scheme may
+# regenerate them. n = 1 coincides for the two LQ models (b = -x + m1 = 0).
+SOLVE_PINS = {
+    ("LQ-decoupled", 1): "81093bf069fbdf245ebfeec59eac708f3648d2da6db3ccc272681e29b52d15ee",
+    ("LQ-decoupled", 2): "38dc83f59d7920ba3dcc1b3304537a581d121fad0b131c8dead740580b8e6963",
+    ("LQ-decoupled", 3): "527a2888c5dfdb415b1ae6e554a43b3aeb945a9071e4b2755145ff7cb9af3c1e",
+    ("LQ-mean-reverting", 1): "81093bf069fbdf245ebfeec59eac708f3648d2da6db3ccc272681e29b52d15ee",
+    ("LQ-mean-reverting", 2): "bcf273cca11a3f78dfc56857542d9504a251c2c4eb25a2804e400acb33cc969d",
+    ("LQ-mean-reverting", 3): "5afe3bf85963dd7ad8e20416effcd93da0706862956f929ce5aea71eec661ee0",
+    ("tanh-interaction", 1): "b69c84401eb6b0e1ccfe93a12514b0921e452da5d98d772fb082db5562e899ef",
+    ("tanh-interaction", 2): "bb2663913005a5983ecbf364f62b1d03d20ba386c87361d45c26deb9144a7024",
+    ("tanh-interaction", 3): "9b4c52573b2e3d28526cb6716a74baecba681f97226ec4f57efeb5c18b795b10",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(SOLVE_PINS))
+def test_solve_values_match_their_pins(name, n):
+    """Every stored slice of a CFL-sized solve on [-2, 2]^n over [0, 0.5] is
+    bit-identical to its pin: 41, 21^2 and 11^3 nodes for n = 1, 2, 3."""
+    model = m.registry_model(name)
+    axes = [(-2.0, 2.0, {1: 41, 2: 21, 3: 11}[n])] * n
+    u = m.solve_hjb(model, n, m.sized_grid(model, n, axes, 0.0, 0.5), 0.0, 0.5)
+    assert hashlib.sha256(u.values.tobytes()).hexdigest() == SOLVE_PINS[(name, n)]

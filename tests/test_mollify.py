@@ -70,6 +70,32 @@ def test_bump_draws_are_independent_of_chunking(monkeypatch, d):
     assert chunked_proposals == proposals
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_values_are_independent_of_chunking(monkeypatch, d):
+    """Pricing the replicates a few at a time (2 per chunk, the last chunk short)
+    or one at a time (the chunk holds fewer slots than one replicate) gives the
+    values and the bump proposal count of one chunk, bit for bit."""
+    base = m.functional_registry()["second-moment"]
+    g = np.random.default_rng(40 + d)
+    queries = [(g.uniform(-1, 1, d), g.uniform(-2, 2, (3, d))) for _ in range(3)]
+    proposals = []
+
+    def counted(seed, slots, dim):
+        draws, count = _bump_unit_draws(seed, slots, dim)
+        proposals[-1] += count
+        return draws, count
+
+    monkeypatch.setattr(mollify, "_bump_unit_draws", counted)
+    runs = []
+    for chunk in (mollify._CHUNK, 12, 3):
+        monkeypatch.setattr(mollify, "_CHUNK", chunk)
+        proposals.append(0)
+        runs.append(_coupled_values(base, 4, 0.25, 51, 29, queries))
+    assert runs[0].shape == (3, 51)
+    assert runs[1].tobytes() == runs[0].tobytes() == runs[2].tobytes()
+    assert proposals[0] == proposals[1] == proposals[2] > 51 * 5
+
+
 def test_bump_rejection_round_limit(monkeypatch):
     """Slots 0 and 1 accept their first proposal at seed 5 and slot 2 its second:
     a one-round limit serves the first two and refuses the third."""
