@@ -354,15 +354,18 @@ def _check_values(cfg) -> None:
                 raise ConfigError(f"bad point at {pointer}.{key}: atoms in R^{atom_d} but the "
                                   f"model's d = {d}")
         # a sweep row past MAX_AXES is priced by Monte Carlo, under `sim`, with the
-        # feedback of the smallest n's grid solve
-        nds = [_as_atoms(np.asarray(sweep["base_atoms"])).shape[0] * m * d
-               for m in sweep.get("duplications", [1, 2])] if sweep else []
-        if nds and min(nds) > MAX_AXES:
+        # feedback of the smallest n's grid solve applied atom by atom, so n = 1
+        ns = [_as_atoms(np.asarray(sweep["base_atoms"])).shape[0] * m
+              for m in sweep.get("duplications", [1, 2])] if sweep else []
+        if ns and min(ns) * d > MAX_AXES:
             raise ConfigError(f"bad sweep at $.sweep.duplications: the smallest n*d = "
-                              f"{min(nds)} > {MAX_AXES} has no grid solve")
-        if nds and max(nds) > MAX_AXES and "sim" not in sweep:
-            raise ConfigError(f"bad sweep at $.sweep: n*d = {max(nds)} > {MAX_AXES} needs `sim` "
-                              f"for its Monte Carlo rows")
+                              f"{min(ns) * d} > {MAX_AXES} has no grid solve")
+        if ns and max(ns) * d > MAX_AXES and "sim" not in sweep:
+            raise ConfigError(f"bad sweep at $.sweep: n*d = {max(ns) * d} > {MAX_AXES} needs "
+                              f"`sim` for its Monte Carlo rows")
+        if ns and max(ns) * d > MAX_AXES and min(ns) > 1:
+            raise ConfigError(f"bad sweep at $.sweep: its Monte Carlo rows apply the smallest "
+                              f"family's feedback atom by atom, which needs n = 1, not {min(ns)}")
 
 
 def _sized_grids(spec, solves, model, horizon) -> dict:
@@ -492,8 +495,8 @@ def _cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         summary, reports = globals()[KINDS[cfg["kind"]][1]](cfg, out_dir, args.jobs)
         if reports:
             write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))

@@ -10,7 +10,6 @@ each other with the coordinate index on the last axis of x and m1.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ class ExpressionSyntaxError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """Domain failure during evaluation (division by zero, log of <= 0, ...)."""
+    """A value that is not finite under strict evaluation, or a missing x."""
 
 
 class Expr:
@@ -226,21 +225,13 @@ def print_coefficient(e: Expr) -> str:
     return _print(e, 0)
 
 
-# BinOp and Call implementations; operator functions keep constants Python floats.
-_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+# BinOp and Call implementations: numpy ufuncs, so every operator follows IEEE
+# rules on arrays and Python-float constants alike (1/0 is inf, log(-1) is nan).
+_APPLY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
           "^": np.power, **{f: getattr(np, f) for f in FUNCTIONS}}
 
-# Strict-mode domain rules: (tests the result, else the last operand before the
-# call, so a constant 1/0 raises EvaluationError; violation test; message).
-_DOMAIN = {
-    "/": (False, lambda v: v == 0, "division by zero"),
-    "log": (False, lambda v: v <= 0, "log of non-positive value"),
-    "sqrt": (False, lambda v: v < 0, "sqrt of negative value"),
-    "^": (True, lambda v: ~np.isfinite(v), "power produced a non-finite value"),
-}
 
-
-def _eval(e: Expr, x, m1, m2, strict: bool):
+def _eval(e: Expr, x, m1, m2):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -250,37 +241,27 @@ def _eval(e: Expr, x, m1, m2, strict: bool):
             raise EvaluationError("x[...] is not available in this context")
         return np.asarray(x if e.kind == "x" else m1)[..., e.index]
     if isinstance(e, Neg):
-        return -_eval(e.arg, x, m1, m2, strict)
+        return -_eval(e.arg, x, m1, m2)
     if isinstance(e, BinOp):
-        key, args = e.op, (_eval(e.left, x, m1, m2, strict), _eval(e.right, x, m1, m2, strict))
-    elif isinstance(e, Call):
-        key, args = e.func, (_eval(e.arg, x, m1, m2, strict),)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    rule = _DOMAIN.get(key) if strict else None
-    if rule is None:
-        return _APPLY[key](*args)
-    on_result, violated, message = rule
-    if not on_result and np.any(violated(np.asarray(args[-1]))):
-        raise EvaluationError(message)
-    out = _APPLY[key](*args)
-    if on_result and np.any(violated(np.asarray(out))):
-        raise EvaluationError(message)
-    return out
+        return _APPLY[e.op](_eval(e.left, x, m1, m2), _eval(e.right, x, m1, m2))
+    if isinstance(e, Call):
+        return _APPLY[e.func](_eval(e.arg, x, m1, m2))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(e: Expr, x=None, m1=None, m2=None, strict: bool = True):
-    """Evaluate on numpy inputs; raises EvaluationError on domain failures.
+    """Evaluate on numpy inputs under IEEE rules; a coefficient value is valid
+    if and only if it is finite.
 
-    strict=False suppresses domain checks and lets non-finite values flow, so
-    a caller that checks its own results reports the fault in its own terms:
-    the path integrator reports a coefficient overflow as a blow-up
-    (FloatingPointError), not as an EvaluationError.
+    strict=True raises EvaluationError, naming the expression, when any value
+    is not finite. strict=False returns the same values unchecked, so a caller
+    that checks its own results reports the fault in its own terms: the path
+    integrator reports it as a blow-up (FloatingPointError).
     """
     with np.errstate(all="ignore"):
-        out = _eval(e, x, m1, m2, strict)
-    if strict and np.any(~np.isfinite(np.asarray(out, dtype=np.float64))):
-        raise EvaluationError("expression produced a non-finite value on finite inputs")
+        out = _eval(e, x, m1, m2)
+    if strict and not np.isfinite(out).all():
+        raise EvaluationError(f"{print_coefficient(e)} has a value that is not finite")
     return out
 
 

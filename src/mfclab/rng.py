@@ -21,7 +21,6 @@ _W1 = np.uint64(0xBB67AE85)
 TAG_WIENER = 0x57494E52
 TAG_MOLLIFY_OFFSET = 0x4D4F4C4C
 TAG_MOLLIFY_INDEX = 0x4D494458
-TAG_PROBE = 0x50524F42
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
@@ -88,10 +87,10 @@ def _blocks(pair, seed: int, tag: int, i0, i1, count: int):
     blocks = (count + 1) // 2
     blk = np.arange(blocks, dtype=np.uint64).reshape((1,) * len(shape) + (blocks,))
     v0, v1 = pair(seed, tag, i0[..., None], i1[..., None], blk)
-    out = np.empty(shape + (2 * blocks,))
+    out = np.empty(shape + (count,))
     out[..., 0::2] = v0
-    out[..., 1::2] = v1
-    return out[..., :count]
+    out[..., 1::2] = v1[..., :count // 2]
+    return out
 
 
 def normals(seed: int, tag: int, i0, i1, count: int):

@@ -120,8 +120,8 @@ def _integrate(model, cfg, x0, policy, increments):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"policy produced non-finite controls at step {k}")
         trace[:, k] = a
-        # Non-strict: a coefficient that overflows or leaves its domain yields
-        # non-finite states, which the check below reports as a blow-up.
+        # Non-strict: a coefficient value that is not finite yields non-finite
+        # states, which the check below reports as a blow-up.
         with np.errstate(over="ignore", invalid="ignore"):
             m1, m2 = model.features(cur)
             m1b, m2b = m1[:, None, :], m2[:, None]

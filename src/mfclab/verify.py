@@ -241,7 +241,8 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
     atom_families maps n -> atom array (n, d). For n*d <= MAX_AXES the value
     comes from a grid solve; beyond that from the Monte Carlo cost of the
     per-atom application of the smallest-n synthesized feedback (an upper
-    bound; exact for decoupled benchmarks). Returns rows of dicts.
+    bound; exact for decoupled benchmarks), which needs that n to be 1.
+    Returns rows of dicts.
     """
     rows = []
     base_feedback = None
@@ -257,8 +258,9 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
             if n == min(atom_families):
                 base_feedback = synthesize_feedback(u)
         else:
-            if mc_cfg is None or base_feedback is None:
-                raise ValueError("MC mode needs mc_cfg and a grid-feasible smallest n")
+            if mc_cfg is None or base_feedback is None or min(atom_families) != 1:
+                raise ValueError("MC mode needs mc_cfg and a grid-feasible smallest n = 1, "
+                                 "whose feedback is applied atom by atom")
 
             def per_atom(k, t, states, fb=base_feedback):
                 P, nn, d = states.shape

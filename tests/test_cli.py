@@ -208,6 +208,10 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
             "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": [4],
             "sim": dict(_SIM, T=1.0)}}, "$.sweep.duplications"),
+        # Monte Carlo rows apply the smallest family's feedback atom by atom: n = 1 only
+        ({"kind": "sweep", "seed": 1, "model": {"registry": "LQ-decoupled"}, "sweep": {
+            "base_atoms": [[0.5], [-0.5]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1, 4],
+            "sim": {"t0": 0.0, "T": 1.0, "steps": 8, "n_paths": 50}}}, "$.sweep"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -434,6 +438,48 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     })
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "CFLError" in capsys.readouterr().err
+
+
+def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", SMALL_CONFIGS["verify"])
+    (tmp_path / "o").write_text("a file, not a directory")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: FileExistsError: ") and err.count("\n") == 1
+
+
+# 0 at x[0] = 0, by way of -1/0 = -inf
+_FLAT_AT_0 = "exp(-1/x[0]^2)"
+
+
+@pytest.mark.parametrize("doc", [
+    dict(SMALL_CONFIGS["solve-hjb"], model=dict(_D1_MODEL, b=[_FLAT_AT_0]),
+         grid={"axes": [[-2.0, 2.0, 41]]}, horizon={"t0": 0.0, "T": 0.5}),
+    dict(SMALL_CONFIGS["simulate"], model=dict(_D1_MODEL, b=[_FLAT_AT_0], l1=_FLAT_AT_0),
+         x0=[[0.0], [1.0]]),
+], ids=["solve-hjb", "simulate"])
+def test_finite_coefficient_values_are_valid_in_every_layer(tmp_path, doc):
+    """A grid node or an atom at 0 meets -1/0 inside exp(-1/x[0]^2), whose value
+    there is 0: the solver, the integrator and the cost quadrature accept it."""
+    cfg = _write(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_non_finite_drift_is_a_blow_up(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", dict(
+        SMALL_CONFIGS["simulate"], model=dict(_D1_MODEL, b=["x[0] + 1/(1-1)"]),
+        sim={"t0": 0.0, "T": 1.0, "steps": 10, "n_paths": 20}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert ("runtime failure: FloatingPointError: 20 of 20 paths blew up at step 1 of 10"
+            in capsys.readouterr().err)
+
+
+def test_non_finite_running_cost_names_its_expression(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", dict(SMALL_CONFIGS["solve-hjb"],
+                                           model=dict(_D1_MODEL, l1="log(x[0])")))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert ("runtime failure: EvaluationError: log(x[0]) has a value that is not finite"
+            in capsys.readouterr().err)
 
 
 def test_solve_hjb_end_to_end(tmp_path):

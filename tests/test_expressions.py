@@ -34,22 +34,35 @@ def test_sqrt_domain():
         ex.evaluate(ex.parse_coefficient("sqrt(x[0])"), x=np.array([-4.0]))
 
 
-@pytest.mark.parametrize("src, x, message, loose", [
+@pytest.mark.parametrize("src, x, violation, loose", [
     ("1/x[0]", 0.0, "division by zero", np.inf),
     ("log(x[0])", 0.0, "log of non-positive value", -np.inf),
     ("sqrt(x[0])", -1.0, "sqrt of negative value", np.nan),
     ("x[0]^0.5", -1.0, "power produced a non-finite value", np.nan),
-    ("1/0", None, "division by zero", None),
+    ("1/0", None, "division by zero", np.inf),
     ("x[0] + m2", None, "x[...] is not available in this context", None),
 ])
-def test_strict_domain_rules(src, x, message, loose):
-    """Each strict rule raises its message; strict=False lets the value through."""
+def test_strict_domain_rules(src, x, violation, loose):
+    """Whatever the domain violation, strict evaluation refuses the value that is
+    not finite by naming the expression, and strict=False returns that value
+    under IEEE rules. A missing x has no value in either mode."""
     e = ex.parse_coefficient(src)
     xs = None if x is None else np.array([x])
+    message = violation if loose is None else f"{src} has a value that is not finite"
     with pytest.raises(ex.EvaluationError, match=re.escape(message)):
         ex.evaluate(e, xs, m2=1.0)
-    if loose is not None:
+    if loose is None:
+        with pytest.raises(ex.EvaluationError, match=re.escape(message)):
+            ex.evaluate(e, xs, m2=1.0, strict=False)
+    else:
         np.testing.assert_array_equal(ex.evaluate(e, xs, m2=1.0, strict=False), loose)
+
+
+def test_finite_values_are_valid_whatever_the_operands():
+    """exp(-1/x^2) passes through -1/0 = -inf at x = 0 to the finite value 0."""
+    e = ex.parse_coefficient("exp(-1/x[0]^2)")
+    x = np.array([[0.0], [1.0]])
+    np.testing.assert_array_equal(ex.evaluate(e, x), [0.0, np.exp(-1.0)])
 
 
 def test_precedence():
@@ -112,6 +125,36 @@ def _random_tree(g, depth):
         return ex.Neg(_random_tree(g, depth - 1))
     fn = str(g.choice(list(ex.FUNCTIONS)))
     return ex.Call(fn, _random_tree(g, depth - 1))
+
+
+def test_one_validity_rule_on_random_trees():
+    """Non-strict evaluation raises nothing but the missing-x error; strict
+    evaluation returns the non-strict values bit for bit when they are all
+    finite, and raises EvaluationError otherwise."""
+    g = np.random.default_rng(14)
+    kept = refused = 0
+    for _ in range(400):
+        tree = _random_tree(g, 4)
+        x = g.uniform(-3.0, 3.0, (6, 2))
+        m1 = g.uniform(-3.0, 3.0, (6, 2))
+        m2 = g.uniform(0.0, 9.0, 6)
+        for xs in (x, None):
+            try:
+                loose = ex.evaluate(tree, xs, m1, m2, strict=False)
+            except ex.EvaluationError as e:
+                assert xs is None and "x" in ex.free_variables(tree), tree
+                assert str(e) == "x[...] is not available in this context"
+                continue
+            if np.isfinite(loose).all():
+                kept += 1
+                strict = np.asarray(ex.evaluate(tree, xs, m1, m2))
+                assert strict.shape == np.shape(loose)
+                assert strict.tobytes() == np.asarray(loose).tobytes(), tree
+            else:
+                refused += 1
+                with pytest.raises(ex.EvaluationError, match=re.escape(str(tree))):
+                    ex.evaluate(tree, xs, m1, m2)
+    assert kept > 100 and refused > 10, (kept, refused)
 
 
 def test_print_parse_roundtrip_random_trees():

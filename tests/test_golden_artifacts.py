@@ -1,6 +1,6 @@
-"""The behaviour contract, pinned: the benchmark workloads' toy configs at seed 1
-write byte-identical results.csv, summary.json and grid.json, with the same
-exit code, as when the pins below were made.
+"""The behaviour contract, pinned: the benchmark workloads' toy configs at seeds 1
+and 2 write byte-identical results.csv, summary.json and grid.json, with the
+same exit code, as when the pins below were made.
 
 perfbench/workloads.py builds the configs. It is loaded by path and only read,
 as test_tracer_contract.py loads the tracer. Only a change to a random stream
@@ -18,24 +18,32 @@ import pytest
 from mfclab.cli import main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-SEED = 1
 
-# workload -> (exit code, {artifact: SHA-256}); mollify-m2 exits 1 on its known
-# uniform-convergence failure
+# workload -> {seed: (exit code, {artifact: SHA-256})}; mollify-m2 exits 1 on its
+# known uniform-convergence failure
 PINS = {
-    "mollify-m2": (1, {
-        "results.csv": "6660bf48dba2d0380aec848312514329435ba7c38b3a92ce9d594ccc90f4be6f",
-        "summary.json": "a0590b6cd2c7c157adf735191e7f53303dd2d890acc42dfcba018985b65260fd"}),
-    "simulate-mc": (0, {
-        "results.csv": "7f1d6992a8780a19a650a2d118ea0b869997e21fa84f5c9819a32be109f3bdb2",
-        "summary.json": "564e6e34b71b8ba864f609f80e5fd7ddf809abf6361c327a2b47e714271f6652"}),
-    "solve-n2": (0, {
-        "grid.json": "143b917d92628fea6e8a369af7d7bc2152549dcc5f760c1a54996e3f97220b7e",
-        "results.csv": "1794c17964ef2abd2bcff738719031998b2a8f0cf50c11dd7408844404558383",
-        "summary.json": "fcfd05d6d24507497f0c55e1d88ec7436c8947aae481d10aa1c853788c5c9269"}),
-    "verify-n3": (0, {
-        "results.csv": "f490ec5ece3c60eb2fe627e48d5a7752aacb996fc3dc7558ca4155bd69a84237",
-        "summary.json": "488107f62dde2f4a4d92b58e6bef8627623e487dd66bedc2ec543e71c30d4248"}),
+    "mollify-m2": {
+        1: (1, {"results.csv": "6660bf48dba2d0380aec848312514329435ba7c38b3a92ce9d594ccc90f4be6f",
+                "summary.json": "a0590b6cd2c7c157adf735191e7f53303dd2d890acc42dfcba018985b65260fd"}),
+        2: (1, {"results.csv": "0384d3ad89dcf585da2365111ef6ec67a1b796f6c847d7d03d487fbc7887ebad",
+                "summary.json": "22d5f8538040803dd466c19b666ddb201f2e63e3d1280205b5bc5fc61aace53c"})},
+    "simulate-mc": {
+        1: (0, {"results.csv": "7f1d6992a8780a19a650a2d118ea0b869997e21fa84f5c9819a32be109f3bdb2",
+                "summary.json": "564e6e34b71b8ba864f609f80e5fd7ddf809abf6361c327a2b47e714271f6652"}),
+        2: (0, {"results.csv": "b871023f73d69dbe5c5760474839e844e4a60a58ddea574944458c0228b4e7ff",
+                "summary.json": "dceab560d9cb14e7ea021f0f65cf96c8b2bc513740a59f186765d7b719d6b696"})},
+    "solve-n2": {
+        1: (0, {"grid.json": "143b917d92628fea6e8a369af7d7bc2152549dcc5f760c1a54996e3f97220b7e",
+                "results.csv": "1794c17964ef2abd2bcff738719031998b2a8f0cf50c11dd7408844404558383",
+                "summary.json": "fcfd05d6d24507497f0c55e1d88ec7436c8947aae481d10aa1c853788c5c9269"}),
+        2: (0, {"grid.json": "143b917d92628fea6e8a369af7d7bc2152549dcc5f760c1a54996e3f97220b7e",
+                "results.csv": "1794c17964ef2abd2bcff738719031998b2a8f0cf50c11dd7408844404558383",
+                "summary.json": "a6dce3093d78a1b3e5d5d83d6d5f9f22d32ad8f76697eeb52ae05099a25a8735"})},
+    "verify-n3": {
+        1: (0, {"results.csv": "f490ec5ece3c60eb2fe627e48d5a7752aacb996fc3dc7558ca4155bd69a84237",
+                "summary.json": "488107f62dde2f4a4d92b58e6bef8627623e487dd66bedc2ec543e71c30d4248"}),
+        2: (0, {"results.csv": "feba63deffc01a3976f12f034f783f472aece30e1cea2700039d14d303a71967",
+                "summary.json": "57139f57dd2c225a2ac2874cdb1bbfb89ab9c9cf05342f9fcb106d7ae8461b21"})},
 }
 
 
@@ -55,10 +63,12 @@ def test_pins_cover_every_workload():
 def test_toy_run_matches_its_pins(name, tmp_path, capsys):
     workloads = _load_workloads()
     workload = workloads.WORKLOADS[name]
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(workload.config(SEED, toy=True)))
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--out", str(out), "--jobs", str(workload.jobs)])
-    hashes = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
-              for a in workloads.STABLE_ARTIFACTS if (out / a).is_file()}
-    assert (code, hashes) == PINS[name], capsys.readouterr().err
+    for seed, pin in PINS[name].items():
+        cfg = tmp_path / f"config-{seed}.json"
+        cfg.write_text(json.dumps(workload.config(seed, toy=True)))
+        out = tmp_path / f"out-{seed}"
+        code = main(["run", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(workload.jobs)])
+        hashes = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
+                  for a in workloads.STABLE_ARTIFACTS if (out / a).is_file()}
+        assert (code, hashes) == pin, (seed, capsys.readouterr().err)

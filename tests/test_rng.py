@@ -13,7 +13,7 @@ def test_repeat_is_bit_identical():
 def test_every_key_field_matters():
     base = rng.pair_uniforms(1, rng.TAG_WIENER, 2, 3, 4)
     assert not np.allclose(base, rng.pair_uniforms(2, rng.TAG_WIENER, 2, 3, 4))
-    assert not np.allclose(base, rng.pair_uniforms(1, rng.TAG_PROBE, 2, 3, 4))
+    assert not np.allclose(base, rng.pair_uniforms(1, rng.TAG_MOLLIFY_INDEX, 2, 3, 4))
     assert not np.allclose(base, rng.pair_uniforms(1, rng.TAG_WIENER, 3, 3, 4))
     assert not np.allclose(base, rng.pair_uniforms(1, rng.TAG_WIENER, 2, 4, 4))
     assert not np.allclose(base, rng.pair_uniforms(1, rng.TAG_WIENER, 2, 3, 5))
@@ -39,7 +39,7 @@ def test_index_arrays_are_not_written():
     keep = idx.copy()
     rng.normals(3, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(1), 3)
     rng.uniforms(3, rng.TAG_MOLLIFY_OFFSET, idx, idx, 2)
-    rng.pair_uniforms(3, rng.TAG_PROBE, idx, idx, idx)
+    rng.pair_uniforms(3, rng.TAG_MOLLIFY_INDEX, idx, idx, idx)
     rng._philox4x32(idx, idx, idx, idx, 1, 2)
     np.testing.assert_array_equal(idx, keep)
 
@@ -54,14 +54,14 @@ def test_broadcast_batch_equals_scalar_calls():
         for i, j in np.ndindex(4, 3):
             one = draw(21, rng.TAG_WIENER, int(i0[i, 0]), int(i1[0, j]), 3)
             np.testing.assert_array_equal(batch[i, j], one)
-    u0, u1 = rng.pair_uniforms(21, rng.TAG_PROBE, i0, i1, np.uint64(5))
+    u0, u1 = rng.pair_uniforms(21, rng.TAG_MOLLIFY_INDEX, i0, i1, np.uint64(5))
     for i, j in np.ndindex(4, 3):
-        one = rng.pair_uniforms(21, rng.TAG_PROBE, int(i0[i, 0]), int(i1[0, j]), 5)
+        one = rng.pair_uniforms(21, rng.TAG_MOLLIFY_INDEX, int(i0[i, 0]), int(i1[0, j]), 5)
         assert (u0[i, j], u1[i, j]) == tuple(map(float, one))
 
 
 def test_normals_moments():
-    z = rng.normals(123, rng.TAG_PROBE, np.arange(500)[:, None], np.arange(200)[None, :], 1)
+    z = rng.normals(123, rng.TAG_MOLLIFY_INDEX, np.arange(500)[:, None], np.arange(200)[None, :], 1)
     flat = z.reshape(-1)
     n = flat.size
     assert abs(flat.mean()) < 4.0 / np.sqrt(n)
@@ -70,7 +70,7 @@ def test_normals_moments():
 
 
 def test_uniforms_in_open_interval():
-    u = rng.uniforms(5, rng.TAG_PROBE, np.arange(100)[:, None], np.arange(10)[None, :], 3)
+    u = rng.uniforms(5, rng.TAG_MOLLIFY_INDEX, np.arange(100)[:, None], np.arange(10)[None, :], 3)
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
@@ -79,6 +79,21 @@ def test_block_layout_is_stable_under_count():
     a = rng.normals(11, rng.TAG_WIENER, 3, 4, 6)
     b = rng.normals(11, rng.TAG_WIENER, 3, 4, 2)
     np.testing.assert_array_equal(a[:2], b)
+
+
+@pytest.mark.parametrize("draw, pair", [(rng.normals, rng.pair_normals),
+                                        (rng.uniforms, rng.pair_uniforms)])
+def test_blocks_interleave_pairs_into_an_array_of_their_own(draw, pair):
+    """Value j of an index pair is word j % 2 of counter block j // 2, and the
+    result owns exactly `count` values per index pair."""
+    i0, i1 = np.arange(3)[:, None], np.arange(2)[None, :] + 5
+    for count in range(1, 6):
+        blocks = np.arange((count + 1) // 2, dtype=np.uint64)
+        v0, v1 = pair(8, rng.TAG_WIENER, i0[..., None], i1[..., None], blocks)
+        want = np.stack([v0, v1], axis=-1).reshape(3, 2, -1)[..., :count]
+        got = draw(8, rng.TAG_WIENER, i0, i1, count)
+        np.testing.assert_array_equal(got, want)
+        assert got.base is None
 
 
 def test_cross_stream_independence():

@@ -159,6 +159,14 @@ def test_convergence_sweep_mc_mode(lq_model):
     assert abs(rows[1]["value"] - want) < 0.02 + 4.0 * rows[1]["std_error"]
 
 
+def test_convergence_sweep_mc_mode_needs_a_single_atom_feedback(lq_model):
+    """Monte Carlo rows apply the smallest family's feedback atom by atom."""
+    fams = {2: np.array([[0.5], [-0.5]]), 8: np.zeros((8, 1))}
+    cfg = m.SimConfig(t0=0.0, T=1.0, steps=8, n_paths=50, seed=1)
+    with pytest.raises(ValueError, match="smallest n = 1"):
+        m.convergence_sweep(lq_model, fams, (-3.0, 3.0, 17), 0.0, 1.0, mc_cfg=cfg)
+
+
 def test_semiconcavity_grid_sourced(lq_u1):
     """Same probe fed by the grid solve instead of the oracle.
 
