@@ -382,13 +382,13 @@ def _run_simulate(cfg, out_dir, jobs):
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
     bundle = simulate_particles(model, sim, x0, zero_control())
+    stats = path_statistics(bundle, cfg.get("r", 2.0))
+    est, _ = _estimate(model, bundle)
     if cfg.get("dump_trajectories", False):
         dump_trajectories(bundle, os.path.join(out_dir, "trajectories.csv"))
-    stats = path_statistics(bundle, cfg.get("r", 2.0))
     rows = [[k, repr(v[0]), repr(v[1])] if isinstance(v, tuple) else [k, repr(v), ""]
             for k, v in sorted(stats.items())]
     write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)
-    est, _ = _estimate(model, bundle)
     summary = {"statistics": {k: list(v) if isinstance(v, tuple) else v for k, v in stats.items()},
                "zero_control_cost": {"mean": est.mean, "std_error": est.std_error}}
     return summary, []
@@ -498,24 +498,24 @@ def _cmd_run(args) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         summary, reports = globals()[KINDS[cfg["kind"]][1]](cfg, out_dir, args.jobs)
-        if reports:
+        if "probes" in summary:  # a probe kind's table, header only when it ran none
             write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))
+        atomic_write(os.path.join(out_dir, "summary.json"),
+                     json.dumps(summary, indent=2, sort_keys=True, default=float))
+        manifest = {
+            "config_sha256": hashlib.sha256(
+                json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+            "seed": cfg["seed"],
+            "versions": {"mfclab": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__,
+                         "python": ".".join(map(str, sys.version_info[:3]))},
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+        }
+        atomic_write(os.path.join(out_dir, "manifest.json"),
+                     json.dumps(manifest, indent=2, sort_keys=True))
     except Exception as e:  # runtime failure contract: exit 1 with diagnostic
         print(f"runtime failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    atomic_write(os.path.join(out_dir, "summary.json"),
-                 json.dumps(summary, indent=2, sort_keys=True, default=float))
-    manifest = {
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-        "seed": cfg["seed"],
-        "versions": {"mfclab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "python": ".".join(map(str, sys.version_info[:3]))},
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    atomic_write(os.path.join(out_dir, "manifest.json"),
-                 json.dumps(manifest, indent=2, sort_keys=True))
     if reports:
         if args.format == "json":
             print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))

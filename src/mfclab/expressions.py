@@ -1,8 +1,9 @@
 """Small arithmetic expression language for model coefficients.
 
 Variables: x[j] (state coordinate), m1[j] (mean of the empirical measure),
-m2 (second moment). Operators + - * / ^ with the usual precedence, ^ binding
-tightest and right-associative. Unary functions: exp log tanh sin cos abs sqrt.
+m2 (second moment). Numbers: finite doubles. Operators + - * / ^ and unary
+minus, bound as the table `_PREC` says. Unary functions: exp log tanh sin cos
+abs sqrt.
 
 Evaluation is numpy-vectorized: x, m1, m2 may be arrays broadcasting against
 each other with the coordinate index on the last axis of x and m1.
@@ -65,7 +66,7 @@ class Call(Expr):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()\[\]]))"
 )
@@ -81,22 +82,22 @@ def _tokenize(src: str):
                 break
             bad = pos + len(src[pos:]) - len(src[pos:].lstrip())
             raise ExpressionSyntaxError(f"unrecognized character {src[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(("num", src[m.start("num"):m.end(0)], m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.end(0) - len(m.group("name"))))
-        else:
-            tokens.append(("op", m.group("op"), m.end(0) - 1))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end(0)
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+# Binding power of each operator, read by the parser and the printer alike. ^ is
+# right-associative, + - * / are left-associative, and unary minus ("neg") binds
+# between * and ^: -2^2 is -(2^2) and -2*3 is (-2)*3.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class _Parser:
     def __init__(self, src: str):
         if not src or not src.strip():
             raise ExpressionSyntaxError("empty expression", 0)
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -121,45 +122,29 @@ class _Parser:
             raise ExpressionSyntaxError(f"trailing input {val!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: an operand, then every operator binding at least
+        `min_prec`, each with a right operand that binds tighter (as tight for ^)."""
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            node = Neg(self.expr(_PREC["neg"]))
+        else:
+            node = self.atom()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
+            prec = _PREC.get(val, 0) if kind == "op" else 0
+            if prec < min_prec:
                 return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())  # right-assoc, exponent may be signed
-        return base
+            node = BinOp(val, node, self.expr(prec if val == "^" else prec + 1))
 
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if not np.isfinite(value):
+                raise ExpressionSyntaxError(f"number {val} is not a finite double", pos)
+            return Num(value)
         if kind == "name":
             if val in FUNCTIONS:
                 self.expect("(")
@@ -182,19 +167,13 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        raise ExpressionSyntaxError(
-            f"got {val!r}" if val else "unexpected end of input",
-            pos,
-            ("number", "identifier", "("),
-        )
+        raise ExpressionSyntaxError(f"got {val!r}" if val else "unexpected end of input", pos,
+                                    ("number", "identifier", "("))
 
 
 def parse_coefficient(src: str) -> Expr:
     """Parse an expression source string into a tree; errors carry byte offsets."""
     return _Parser(src).parse()
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _print(e: Expr, parent_prec: int) -> str:
@@ -207,8 +186,7 @@ def _print(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Call):
         return f"{e.func}({_print(e.arg, 0)})"
     if isinstance(e, Neg):
-        inner = _print(e.arg, _PREC["neg"])
-        s = f"-{inner}"
+        s = f"-{_print(e.arg, _PREC['neg'])}"
         return f"({s})" if parent_prec > _PREC["neg"] else s
     if isinstance(e, BinOp):
         p = _PREC[e.op]

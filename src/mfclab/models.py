@@ -51,7 +51,7 @@ class ModelSpec:
     # -- vectorized coefficient evaluation ---------------------------------
 
     @staticmethod
-    def _at(e, x, m1, m2, strict):
+    def _at(e, x, m1, m2, strict=True):
         """One coefficient tree at x (..., d), broadcast to the point shape (...)."""
         return np.broadcast_to(ex.evaluate(e, x, m1, m2, strict=strict), np.asarray(x).shape[:-1])
 
@@ -64,11 +64,11 @@ class ModelSpec:
         return np.stack([np.stack([self._at(e, x, m1, m2, strict) for e in row], axis=-1)
                          for row in self.sigma], axis=-2)
 
-    def l1_at(self, x, m1, m2, strict=True):
-        return self._at(self.l1, x, m1, m2, strict)
+    def l1_at(self, x, m1, m2):
+        return self._at(self.l1, x, m1, m2)
 
-    def terminal_at(self, m1, m2, strict=True):
-        return ex.evaluate(self.terminal, None, m1, m2, strict=strict)
+    def terminal_at(self, m1, m2):
+        return ex.evaluate(self.terminal, None, m1, m2)
 
     def l2(self, a):
         """Running control cost kappa |a|^2 / 2; a shape (..., d)."""

@@ -244,8 +244,11 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
     bound; exact for decoupled benchmarks), which needs that n to be 1.
     Returns rows of dicts.
     """
+    if max(atom_families) * model.d > MAX_AXES and (
+            mc_cfg is None or min(atom_families) != 1 or model.d > MAX_AXES):
+        raise ValueError("MC mode needs mc_cfg and a grid-feasible smallest n = 1, "
+                         "whose feedback is applied atom by atom")
     rows = []
-    base_feedback = None
     prev = None
     for n in sorted(atom_families):
         atoms = _as_atoms(atom_families[n])
@@ -258,10 +261,6 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
             if n == min(atom_families):
                 base_feedback = synthesize_feedback(u)
         else:
-            if mc_cfg is None or base_feedback is None or min(atom_families) != 1:
-                raise ValueError("MC mode needs mc_cfg and a grid-feasible smallest n = 1, "
-                                 "whose feedback is applied atom by atom")
-
             def per_atom(k, t, states, fb=base_feedback):
                 P, nn, d = states.shape
                 flat = states.reshape(P * nn, 1, d)

@@ -386,11 +386,31 @@ def test_seed_override(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["seed"] == 123
 
 
+def _table(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_verify_empty_probes_ok(tmp_path):
     cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 3, "probes": []})
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["probes"] == []
+    assert _table(out / "results.csv") == [list(reports.REPORT_HEADER)]
+
+
+@pytest.mark.parametrize("kind", ["verify", "mollify"])
+def test_run_of_no_probes_replaces_an_earlier_table(tmp_path, kind):
+    """A rerun into an earlier run's --out that runs no probes leaves the
+    header-only table, not the earlier run's rows."""
+    out = tmp_path / "o"
+    earlier = _write(tmp_path / "earlier.json", {"kind": "verify", "seed": 2, "probes": [
+        {"probe": "cost-identity", **SMALL_SPECS["cost-identity"]}]})
+    assert main(["run", "--config", earlier, "--out", str(out)]) == 0
+    assert len(_table(out / "results.csv")) > 1
+    cfg = _write(tmp_path / "c.json", SMALL_CONFIGS[kind])
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert _table(out / "results.csv") == [list(reports.REPORT_HEADER)]
 
 
 def test_verify_cost_identity_probe(tmp_path):
@@ -438,6 +458,45 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     })
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "CFLError" in capsys.readouterr().err
+
+
+def test_failed_run_writes_no_new_artifact(tmp_path, capsys):
+    """The running cost log(x[0]) is refused by the cost estimate, after the
+    paths and their statistics: the earlier run's artifacts stay as they were."""
+    out = tmp_path / "o"
+    good = _write(tmp_path / "good.json",
+                  dict(SMALL_CONFIGS["simulate"], dump_trajectories=True))
+    assert main(["run", "--config", good, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = _write(tmp_path / "bad.json", dict(
+        SMALL_CONFIGS["simulate"], model=dict(_D1_MODEL, l1="log(x[0])"), x0=[[0.5]],
+        sim={"t0": 0.0, "T": 1.0, "steps": 10, "n_paths": 20}, dump_trajectories=True))
+    assert main(["run", "--config", bad, "--out", str(out)]) == 1
+    assert ("runtime failure: EvaluationError: log(x[0]) has a value that is not finite"
+            in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("artifact", ["summary.json", "manifest.json"])
+def test_artifact_write_failure_exits_1(tmp_path, capsys, artifact):
+    (tmp_path / "o" / artifact).mkdir(parents=True)
+    cfg = _write(tmp_path / "c.json", SMALL_CONFIGS["verify"])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: IsADirectoryError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("l1", ["1e400*x[0]^2", "exp(-1e400*x[0]^2)"])
+def test_literal_that_overflows_is_a_bad_model(tmp_path, capsys, l1):
+    """1e400 is not a double: the model does not parse, even where the values
+    its expression would take stay finite."""
+    cfg = _write(tmp_path / "c.json", dict(
+        SMALL_CONFIGS["solve-hjb"], model=dict(_D1_MODEL, l1=l1),
+        grid={"axes": [[-1.0, 1.0, 9]], "time_steps": 4}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    offset = l1.index("1e400")
+    assert capsys.readouterr().err == (f"config error: bad model at $.model: syntax error at "
+                                       f"offset {offset}: number 1e400 is not a finite double\n")
 
 
 def test_uncreatable_out_dir_exits_1(tmp_path, capsys):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfclab import expressions as ex
 
@@ -78,6 +80,7 @@ def test_number_formats():
     assert ex.evaluate(ex.parse_coefficient("2.5e-3")) == 2.5e-3
     assert ex.evaluate(ex.parse_coefficient(".5")) == 0.5
     assert ex.evaluate(ex.parse_coefficient("1e3")) == 1000.0
+    assert ex.parse_coefficient("1e-400") == ex.Num(0.0)  # underflows to a finite double
 
 
 def test_functions():
@@ -94,6 +97,29 @@ def test_syntax_error_position_and_expected():
     with pytest.raises(ex.ExpressionSyntaxError) as info:
         ex.parse_coefficient("(1 + 2")
     assert ")" in info.value.expected
+    with pytest.raises(ex.ExpressionSyntaxError, match="1e400 is not a finite double") as info:
+        ex.parse_coefficient("exp(-1e400*x[0]^2)")
+    assert info.value.position == 5
+
+
+# tokens, pieces of tokens and characters that are not in the grammar
+_PIECES = ("x[0]", "m1[1]", "m2", "x", "m1", "exp(", "log(", "sqrt", "y", "_", "[", "]", "(",
+           ")", "+", "-", "*", "/", "^", "0", "7", "12", ".", "0.5", ".5", "3.", "1e3", "2E-2",
+           "1e400", "1e308", "e", " ", "\t", "$", ",", "é")
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+@example("1e400")
+def test_parse_returns_a_printable_tree_or_a_syntax_error(src):
+    """Whatever the string, the parser returns a tree whose printed form parses
+    back to it, or raises ExpressionSyntaxError at an offset inside the string."""
+    try:
+        tree = ex.parse_coefficient(src)
+    except ex.ExpressionSyntaxError as e:
+        assert 0 <= e.position <= len(src)
+    else:
+        assert ex.parse_coefficient(ex.print_coefficient(tree)) == tree
 
 
 def test_unknown_identifier():

@@ -1,6 +1,6 @@
-"""The behaviour contract, pinned: the benchmark workloads' toy configs at seeds 1
-and 2 write byte-identical results.csv, summary.json and grid.json, with the
-same exit code, as when the pins below were made.
+"""The behaviour contract, pinned: the benchmark workloads' toy configs and one
+sweep config, at seeds 1 and 2, write byte-identical results.csv, summary.json
+and grid.json, with the same exit code, as when the pins below were made.
 
 perfbench/workloads.py builds the configs. It is loaded by path and only read,
 as test_tracer_contract.py loads the tracer. Only a change to a random stream
@@ -47,12 +47,36 @@ PINS = {
 }
 
 
+# No workload runs the sweep kind, so its config is pinned here: grid rows at
+# n = 1 and 2, and a Monte Carlo row at n = 4.
+SWEEP_CONFIG = {"kind": "sweep", "model": {"registry": "LQ-decoupled"},
+                "horizon": {"t0": 0.0, "T": 1.0},
+                "sweep": {"base_atoms": [[0.5]], "grid_axis": [-3.0, 3.0, 17],
+                          "duplications": [1, 2, 4],
+                          "sim": {"t0": 0.0, "T": 1.0, "steps": 8, "n_paths": 50}}}
+SWEEP_PINS = {
+    1: (0, {"results.csv": "de7cc79f8ec1548efea906ab7baafc1ba53617c2c7d60cb75ce67b02e08294a4",
+            "summary.json": "920d506eb5b98a0913d9bac6a66e310fcf371356010111ccd959d862ac56f3d2"}),
+    2: (0, {"results.csv": "18a37582eb6c2229d5e0703a543fca632013155b94d8e45529230b1677a60c65",
+            "summary.json": "13e2e72f5eb92ae7a4d2965df7e392698dfe142ca91d81cacc5d34012185e0e7"}),
+}
+
+
 def _load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
+
+
+def _run(doc, out, jobs, artifacts):
+    """(exit code, {artifact: SHA-256}) of one run of the config `doc` into `out`."""
+    cfg = out.with_suffix(".json")
+    cfg.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)])
+    return code, {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
+                  for a in artifacts if (out / a).is_file()}
 
 
 def test_pins_cover_every_workload():
@@ -64,11 +88,13 @@ def test_toy_run_matches_its_pins(name, tmp_path, capsys):
     workloads = _load_workloads()
     workload = workloads.WORKLOADS[name]
     for seed, pin in PINS[name].items():
-        cfg = tmp_path / f"config-{seed}.json"
-        cfg.write_text(json.dumps(workload.config(seed, toy=True)))
-        out = tmp_path / f"out-{seed}"
-        code = main(["run", "--config", str(cfg), "--out", str(out),
-                     "--jobs", str(workload.jobs)])
-        hashes = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
-                  for a in workloads.STABLE_ARTIFACTS if (out / a).is_file()}
-        assert (code, hashes) == pin, (seed, capsys.readouterr().err)
+        got = _run(workload.config(seed, toy=True), tmp_path / f"out-{seed}", workload.jobs,
+                   workloads.STABLE_ARTIFACTS)
+        assert got == pin, (seed, capsys.readouterr().err)
+
+
+def test_sweep_run_matches_its_pins(tmp_path, capsys):
+    artifacts = _load_workloads().STABLE_ARTIFACTS
+    for seed, pin in SWEEP_PINS.items():
+        got = _run(dict(SWEEP_CONFIG, seed=seed), tmp_path / f"out-{seed}", 1, artifacts)
+        assert got == pin, (seed, capsys.readouterr().err)

@@ -159,12 +159,17 @@ def test_convergence_sweep_mc_mode(lq_model):
     assert abs(rows[1]["value"] - want) < 0.02 + 4.0 * rows[1]["std_error"]
 
 
-def test_convergence_sweep_mc_mode_needs_a_single_atom_feedback(lq_model):
-    """Monte Carlo rows apply the smallest family's feedback atom by atom."""
-    fams = {2: np.array([[0.5], [-0.5]]), 8: np.zeros((8, 1))}
-    cfg = m.SimConfig(t0=0.0, T=1.0, steps=8, n_paths=50, seed=1)
-    with pytest.raises(ValueError, match="smallest n = 1"):
-        m.convergence_sweep(lq_model, fams, (-3.0, 3.0, 17), 0.0, 1.0, mc_cfg=cfg)
+def test_convergence_sweep_mc_mode_needs_a_single_atom_feedback(lq_model, monkeypatch):
+    """Monte Carlo rows apply the smallest family's feedback atom by atom under
+    `mc_cfg`; a sweep whose Monte Carlo rows cannot run fails before any solve."""
+    solves = []
+    monkeypatch.setattr(m.verify, "solve_hjb", lambda *a, **k: solves.append(a))
+    sim = m.SimConfig(t0=0.0, T=1.0, steps=8, n_paths=50, seed=1)
+    for smallest, mc_cfg in ((2, sim), (1, None)):
+        fams = {smallest: np.zeros((smallest, 1)), 8: np.zeros((8, 1))}
+        with pytest.raises(ValueError, match="smallest n = 1"):
+            m.convergence_sweep(lq_model, fams, (-3.0, 3.0, 17), 0.0, 1.0, mc_cfg=mc_cfg)
+    assert solves == []
 
 
 def test_semiconcavity_grid_sourced(lq_u1):
