@@ -21,7 +21,6 @@ from .models import (
     hamiltonian,
     l2_conjugate,
     model_from_json,
-    registry_model,
 )
 from .simulate import (
     PathBundle,
@@ -48,9 +47,9 @@ from .hjb import (
 )
 from .mollify import (
     BaseFunctional,
+    FUNCTIONALS,
     bump_constants,
     convexity_preservation_probe,
-    functional_registry,
     lipschitz_preservation_probe,
     sample_bump,
     smooth_eval,
@@ -63,7 +62,6 @@ from .verify import (
     duplication_consistency,
     feedback_roundtrip,
     permutation_invariance_probe,
-    semiconcavity_probe,
     semiconcavity_report,
     time_holder_probe,
 )

@@ -27,10 +27,10 @@ from .hjb import MAX_AXES, riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
 from .mollify import (
+    FUNCTIONALS,
     convexity_preservation_probe,
     default_segment_family,
     default_test_family,
-    functional_registry,
     lipschitz_preservation_probe,
     smooth_eval,
     uniform_convergence_probe,
@@ -56,9 +56,9 @@ _ARRAY = {"type": "array"}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2 ** 63 - 1}
 _COUNT = {"type": "integer", "minimum": 1}
 _R = {"type": "number", "minimum": 1, "maximum": 2}
-_K_LIST = {"type": "array", "minItems": 1, "items": _COUNT}
+_COUNTS = {"type": "array", "minItems": 1, "items": _COUNT}  # a non-empty list of counts
 _HORIZON = {"t0": _NUMBER, "T": _NUMBER}
-_SMOOTHING = {"functional": {"enum": sorted(functional_registry())}, "k_list": _K_LIST,
+_SMOOTHING = {"functional": {"enum": sorted(FUNCTIONALS)}, "k_list": _COUNTS,
               "mc_reps": _COUNT}
 
 _MODEL_SCHEMA = {
@@ -146,20 +146,20 @@ def _probe_time_holder(spec, model, horizon, grids):
 
 
 def _probe_lipschitz(spec, model, horizon, grids):
-    base = functional_registry()[spec["functional"]]
+    base = FUNCTIONALS[spec["functional"]]
     return [lipschitz_preservation_probe(base, k, spec.get("mc_reps", _MC_REPS), spec["seed"])
             for k in spec["k_list"]]
 
 
 def _probe_uniform(spec, model, horizon, grids):
     fam = default_test_family(seed=spec["seed"] + 1)
-    return [uniform_convergence_probe(functional_registry()[spec["functional"]], spec["k_list"],
+    return [uniform_convergence_probe(FUNCTIONALS[spec["functional"]], spec["k_list"],
                                       fam, spec.get("mc_reps", _MC_REPS), spec["seed"])]
 
 
 def _probe_convexity(spec, model, horizon, grids):
     segs = default_segment_family(spec.get("segments", 6), spec["seed"] + 2)
-    return [convexity_preservation_probe(functional_registry()[spec["functional"]],
+    return [convexity_preservation_probe(FUNCTIONALS[spec["functional"]],
                                          spec["k_list"][0], spec.get("mc_reps", _MC_REPS),
                                          spec["seed"], segs)]
 
@@ -197,8 +197,8 @@ PROBES = {
     "duplication-consistency": (
         _spec("probe", ["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
               model=_MODEL_SCHEMA, base_n=_COUNT, m=_COUNT, grid_small=_GRID_SCHEMA,
-              grid_big=_GRID_SCHEMA, test_points={"type": "array", "items": _ARRAY},
-              threshold=_NUMBER),
+              grid_big=_GRID_SCHEMA, threshold=_NUMBER,
+              test_points={"type": "array", "minItems": 1, "items": _ARRAY}),
         _probe_duplication,
         {"grid_small": lambda s: s["base_n"], "grid_big": lambda s: s["base_n"] * s["m"]}),
     "feedback-roundtrip": (
@@ -245,14 +245,14 @@ KINDS = {
               model=_MODEL_SCHEMA),
         "_run_verify", {}),
     "mollify": (
-        _kind([], k_list=_K_LIST, mollify=_object(
+        _kind([], k_list=_COUNTS, mollify=_object(
             [], functional=_SMOOTHING["functional"], mc_reps=_COUNT, segments=_COUNT,
             probes={"type": "array", "items": {"enum": list(MOLLIFY_PROBES)}})),
         "_run_mollify", {}),
     "sweep": (
         _kind(["model", "sweep"], model=_MODEL_SCHEMA, horizon=_HORIZON_SCHEMA, sweep=_object(
             ["base_atoms", "grid_axis"], base_atoms=_ARRAY, grid_axis=_AXIS,
-            duplications={"type": "array", "items": _COUNT}, sim=_SIM_SCHEMA)),
+            duplications=_COUNTS, sim=_SIM_SCHEMA)),
         "_run_sweep", {}),
 }
 
@@ -461,7 +461,7 @@ def _run_mollify(cfg, out_dir, jobs):
     reports = [r for name in MOLLIFY_PROBES if name in selected
                for r in _verify_probe(dict(spec, probe=name), cfg)]
     fam = default_test_family(count=3, seed=cfg["seed"] + 3)
-    estimates = smooth_eval(functional_registry()[spec["functional"]], spec["k_list"][-1],
+    estimates = smooth_eval(FUNCTIONALS[spec["functional"]], spec["k_list"][-1],
                             spec.get("mc_reps", _MC_REPS), cfg["seed"], fam)
     evals = [{"point": i, "estimate": list(est)} for i, est in enumerate(estimates)]
     return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
@@ -529,7 +529,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    catalog = {"models": sorted(REGISTRY), "functionals": sorted(functional_registry()),
+    catalog = {"models": sorted(REGISTRY), "functionals": sorted(FUNCTIONALS),
                "probes": sorted(PROBES)}
     if args.format == "json":
         print(json.dumps(catalog, indent=2, sort_keys=True))

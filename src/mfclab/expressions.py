@@ -3,7 +3,7 @@
 Variables: x[j] (state coordinate), m1[j] (mean of the empirical measure),
 m2 (second moment). Numbers: finite doubles. Operators + - * / ^ and unary
 minus, bound as the table `_PREC` says. Unary functions: exp log tanh sin cos
-abs sqrt.
+abs sqrt. An expression nests at most MAX_DEPTH levels deep.
 
 Evaluation is numpy-vectorized: x, m1, m2 may be arrays broadcasting against
 each other with the coordinate index on the last axis of x and m1.
@@ -93,6 +93,17 @@ def _tokenize(src: str):
 # between * and ^: -2^2 is -(2^2) and -2*3 is (-2)*3.
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
+# Deepest nesting the parser enters and tallest tree it returns (a sum counts by
+# height): the parser, printer and evaluator recurse once per level.
+MAX_DEPTH = 200
+
+
+def _within_depth(levels: int, pos: int) -> int:
+    """levels, refused as a syntax error at offset `pos` past MAX_DEPTH."""
+    if levels > MAX_DEPTH:
+        raise ExpressionSyntaxError(f"nested deeper than {MAX_DEPTH} levels", pos)
+    return levels
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -100,6 +111,7 @@ class _Parser:
             raise ExpressionSyntaxError("empty expression", 0)
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -116,57 +128,63 @@ class _Parser:
         raise ExpressionSyntaxError(f"got {val!r}" if val else "unexpected end", pos, (text,))
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"trailing input {val!r}", pos)
         return e
 
-    def expr(self, min_prec: int = 1) -> Expr:
+    def expr(self, min_prec: int = 1) -> tuple:
         """Precedence climbing: an operand, then every operator binding at least
-        `min_prec`, each with a right operand that binds tighter (as tight for ^)."""
-        if self.peek()[:2] == ("op", "-"):
+        `min_prec`, each with a right operand that binds tighter (as tight for ^).
+        Returns the tree and its height."""
+        kind, val, pos = self.peek()
+        self.depth = _within_depth(self.depth + 1, pos)
+        if (kind, val) == ("op", "-"):
             self.advance()
-            node = Neg(self.expr(_PREC["neg"]))
+            arg, height = self.expr(_PREC["neg"])
+            node, height = Neg(arg), _within_depth(height + 1, pos)
         else:
-            node = self.atom()
+            node, height = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             prec = _PREC.get(val, 0) if kind == "op" else 0
             if prec < min_prec:
-                return node
+                self.depth -= 1
+                return node, height
             self.advance()
-            node = BinOp(val, node, self.expr(prec if val == "^" else prec + 1))
+            right, h = self.expr(prec if val == "^" else prec + 1)
+            node, height = BinOp(val, node, right), _within_depth(1 + max(height, h), pos)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple:
         kind, val, pos = self.advance()
         if kind == "num":
             value = float(val)
             if not np.isfinite(value):
                 raise ExpressionSyntaxError(f"number {val} is not a finite double", pos)
-            return Num(value)
+            return Num(value), 1
         if kind == "name":
             if val in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg, height = self.expr()
                 self.expect(")")
-                return Call(val, arg)
+                return Call(val, arg), _within_depth(height + 1, pos)
             if val == "m2":
-                return Var("m2", 0)
+                return Var("m2", 0), 1
             if val in ("x", "m1"):
                 self.expect("[")
                 ik, iv, ip = self.advance()
                 if ik != "num" or "." in iv or "e" in iv or "E" in iv:
                     raise ExpressionSyntaxError("index must be an integer", ip, ("integer",))
                 self.expect("]")
-                return Var(val, int(iv))
+                return Var(val, int(iv)), 1
             raise ExpressionSyntaxError(
                 f"unknown identifier {val!r}", pos, ("x[i]", "m1[i]", "m2") + FUNCTIONS
             )
         if kind == "op" and val == "(":
-            e = self.expr()
+            inner = self.expr()
             self.expect(")")
-            return e
+            return inner
         raise ExpressionSyntaxError(f"got {val!r}" if val else "unexpected end of input", pos,
                                     ("number", "identifier", "("))
 
@@ -252,8 +270,3 @@ def variables(e: Expr):
         yield from variables(e.right)
     elif isinstance(e, (Neg, Call)):
         yield from variables(e.arg)
-
-
-def free_variables(e: Expr) -> set:
-    """Names referenced by the tree ('x', 'm1', 'm2')."""
-    return {v.kind for v in variables(e)}

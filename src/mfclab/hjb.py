@@ -176,8 +176,6 @@ class GridValueFunction:
     grid: GridSpec
     model: ModelSpec
     n: int
-    t0: float
-    T: float
     dt: float
     times: np.ndarray     # stored slice times, ascending, times[0] = t0, times[-1] = T
     values: np.ndarray    # (len(times), *grid.shape())
@@ -261,8 +259,6 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     if T <= t0:
         raise ValueError("need T > t0")
     nd = n * model.d
-    if nd > MAX_AXES:
-        raise ValueError(f"n*d = {nd} exceeds the supported grid dimension {MAX_AXES}")
     b, l1, A, cfl, uT = _node_coefficients(model, n, grid)
     h = grid.spacings()
     # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
@@ -299,8 +295,7 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
             values[row[k]] = u
 
     times = t0 + dt * np.array(kept, dtype=np.float64)
-    return GridValueFunction(grid=grid, model=model, n=n, t0=t0, T=T, dt=dt,
-                             times=times, values=values)
+    return GridValueFunction(grid=grid, model=model, n=n, dt=dt, times=times, values=values)
 
 
 def grid_gradient(u: GridValueFunction, k: int) -> np.ndarray:

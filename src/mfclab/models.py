@@ -8,7 +8,6 @@ bounds hold with explicit constants (C2 = C3 = kappa/2, C1 = 0, nu = kappa/2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ class ModelSpec:
             raise ValueError(f"drift needs {self.d} component expressions")
         if len(self.sigma) != self.d or any(len(row) != self.d_prime for row in self.sigma):
             raise ValueError(f"sigma needs shape {self.d} x {self.d_prime}")
-        if "x" in ex.free_variables(self.terminal):
+        if any(v.kind == "x" for v in ex.variables(self.terminal)):
             raise ValueError("terminal cost may only use measure features m1, m2")
         trees = (*self.drift, *(e for row in self.sigma for e in row), self.l1, self.terminal)
         for v in (v for e in trees for v in ex.variables(e)):
@@ -137,42 +136,27 @@ def _build(name, d, d_prime, b, sigma, l1, kappa, UT) -> ModelSpec:
     )
 
 
-def _registry() -> dict:
-    return {
-        # Constant coefficients: affine lift, convex lift, C^{1,1} by construction.
-        "LQ-decoupled": _build(
-            "LQ-decoupled", 1, 1, ["0"], [["1"]], "0", 1.0, "0.5*m2"
-        ),
-        # Affine mean interaction; lift stays affine linear and C^{1,1}.
-        "LQ-mean-reverting": _build(
-            "LQ-mean-reverting", 1, 1, ["-x[0] + m1[0]"], [["1"]], "0", 1.0,
-            "0.5*m2",
-        ),
-        # Diffusion depends on the measure through a smooth scalar statistic
-        # g(int zeta dmu) with g = tanh, zeta affine: Lipschitz with a C^{1,1}
-        # lift (bounded smooth g of a linear statistic), but not affine.
-        "tanh-interaction": _build(
-            "tanh-interaction", 1, 1, ["-x[0]"], [["0.6 + 0.3*tanh(m1[0])"]],
-            "0.5*(x[0] - m1[0])^2", 1.0, "0.5*m2",
-        ),
-    }
+REGISTRY = {
+    # Constant coefficients: affine lift, convex lift, C^{1,1} by construction.
+    "LQ-decoupled": _build("LQ-decoupled", 1, 1, ["0"], [["1"]], "0", 1.0, "0.5*m2"),
+    # Affine mean interaction; lift stays affine linear and C^{1,1}.
+    "LQ-mean-reverting": _build(
+        "LQ-mean-reverting", 1, 1, ["-x[0] + m1[0]"], [["1"]], "0", 1.0, "0.5*m2",
+    ),
+    # Diffusion depends on the measure through a smooth scalar statistic
+    # g(int zeta dmu) with g = tanh, zeta affine: Lipschitz with a C^{1,1}
+    # lift (bounded smooth g of a linear statistic), but not affine.
+    "tanh-interaction": _build(
+        "tanh-interaction", 1, 1, ["-x[0]"], [["0.6 + 0.3*tanh(m1[0])"]],
+        "0.5*(x[0] - m1[0])^2", 1.0, "0.5*m2",
+    ),
+}
 
 
-REGISTRY = _registry()
-
-
-def registry_model(name: str) -> ModelSpec:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown registry model {name!r}; have {sorted(REGISTRY)}")
-    return REGISTRY[name]
-
-
-def model_from_json(doc) -> ModelSpec:
+def model_from_json(doc: dict) -> ModelSpec:
     """Build a ModelSpec from the JSON model document (or a registry shortcut)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if "registry" in doc:
-        return registry_model(doc["registry"])
+        return REGISTRY[doc["registry"]]
     required = {"d", "d_prime", "b", "sigma", "l1", "kappa", "UT"}
     missing = required - doc.keys()
     if missing:

@@ -125,16 +125,13 @@ class BaseFunctional:
         return ex.evaluate(self.expr, x, *moments(atoms))
 
 
-def functional_registry() -> dict:
-    """Probe functionals; L constants hold on the radius-2 test family used by
-    the verification suite (atoms in the 2-ball, mollifier offsets below 1/4)."""
-    return {
-        "coordinate": BaseFunctional("coordinate", ex.parse_coefficient("x[0]"), 1.0, 1.0),
-        "mean": BaseFunctional("mean", ex.parse_coefficient("m1[0]"), 1.0, 1.0),
-        "second-moment": BaseFunctional(
-            "second-moment", ex.parse_coefficient("m2"), 4.5, 1.0
-        ),
-    }
+# Probe functionals; L constants hold on the radius-2 test family used by the
+# verification suite (atoms in the 2-ball, mollifier offsets below 1/4).
+FUNCTIONALS = {
+    "coordinate": BaseFunctional("coordinate", ex.parse_coefficient("x[0]"), 1.0, 1.0),
+    "mean": BaseFunctional("mean", ex.parse_coefficient("m1[0]"), 1.0, 1.0),
+    "second-moment": BaseFunctional("second-moment", ex.parse_coefficient("m2"), 4.5, 1.0),
+}
 
 
 def _coupled_values(base: BaseFunctional, n_samples: int, eps: float, mc_reps: int,

@@ -34,25 +34,20 @@ def duplication_consistency(model: ModelSpec, base_n: int, m: int,
     """Solve u_n and u_{mn} independently; compare values on duplicated atoms."""
     if base_n * m * model.d > MAX_AXES:
         raise ValueError(f"duplicated problem exceeds the n*d <= {MAX_AXES} grid limit")
+    if not len(test_points):
+        raise ValueError("duplication consistency needs at least one test point")
     u_small = solve_hjb(model, base_n, grid_small, t0, T)
     u_big = solve_hjb(model, base_n * m, grid_big, t0, T)
     times = list(compare_times) if compare_times is not None else [t0, 0.5 * (t0 + T), T]
-    worst = 0.0
-    terminal_gap = 0.0
-    for x in test_points:
-        atoms = _as_atoms(x)
-        dup = duplicate_atoms(atoms, m)
-        for t in times:
-            vs = u_small.value_at(t, atoms.reshape(-1))
-            vb = u_big.value_at(t, dup.reshape(-1))
-            gap = abs(vb - vs)
-            worst = max(worst, gap)
-            if t == T:
-                terminal_gap = max(terminal_gap, gap)
+    small = np.stack([_as_atoms(x).reshape(-1) for x in test_points])
+    big = np.stack([duplicate_atoms(x, m).reshape(-1) for x in test_points])
+    gaps = np.array([np.abs(u_big.value_at(t, big) - u_small.value_at(t, small))
+                     for t in times])                        # (times, points)
+    terminal_gap = max((float(g.max()) for t, g in zip(times, gaps) if t == T), default=0.0)
     return ProbeReport(
         name=f"duplication-consistency[{model.name},n={base_n}->{base_n * m}]",
         samples=len(test_points) * len(times),
-        statistic=worst,
+        statistic=float(gaps.max()),
         threshold=threshold,
         provenance={"model": model.name, "base_n": base_n, "m": m,
                     "grid_small": grid_small.to_json(), "grid_big": grid_big.to_json()},
@@ -79,12 +74,16 @@ def cost_identity_check(model: ModelSpec, cfg: SimConfig, x0, policy,
     )
 
 
-def semiconcavity_probe(value_fn, pairs, lambdas) -> dict:
+def semiconcavity_report(value_fn, pairs, lambdas, name: str,
+                         expected: float | None = None,
+                         tol: float | None = None) -> ProbeReport:
     """Midpoint-defect constants of a value source on atom tuples.
 
     S(lam, X, Y) = lam V(X) + (1-lam) V(Y) - V(lam X + (1-lam) Y), normalized by
-    lam (1-lam) ||X - Y||^2 with the E-norm |x - y|_2 on atoms. Returns the sup
-    (semiconcavity constant estimate) and inf (semiconvexity) over the samples.
+    lam (1-lam) ||X - Y||^2 with the E-norm |x - y|_2 on atoms. The details hold
+    the sup (semiconcavity constant estimate) and inf (semiconvexity) over the
+    samples. Hard-asserts |ratio - expected| <= tol when a derived constant
+    exists (LQ/affine benchmarks), otherwise report-only.
     """
     sup_ratio, inf_ratio = -np.inf, np.inf
     used = 0
@@ -103,28 +102,12 @@ def semiconcavity_probe(value_fn, pairs, lambdas) -> dict:
             sup_ratio = max(sup_ratio, ratio)
             inf_ratio = min(inf_ratio, ratio)
             used += 1
-    return {"semiconcavity": float(sup_ratio), "semiconvexity": float(inf_ratio),
-            "samples": used}
-
-
-def semiconcavity_report(value_fn, pairs, lambdas, name: str,
-                         expected: float | None = None,
-                         tol: float | None = None) -> ProbeReport:
-    """ProbeReport wrapper: hard-asserts |ratio - expected| <= tol when a derived
-    constant exists (LQ/affine benchmarks), otherwise report-only."""
-    est = semiconcavity_probe(value_fn, pairs, lambdas)
-    if expected is None:
-        stat, thr = est["semiconcavity"], None
-    else:
-        stat = max(abs(est["semiconcavity"] - expected), abs(est["semiconvexity"] - expected))
-        thr = tol
-    return ProbeReport(
-        name=name,
-        samples=est["samples"],
-        statistic=stat,
-        threshold=thr,
-        details=est,
-    )
+    est = {"semiconcavity": float(sup_ratio), "semiconvexity": float(inf_ratio),
+           "samples": used}
+    stat = est["semiconcavity"] if expected is None else max(
+        abs(est["semiconcavity"] - expected), abs(est["semiconvexity"] - expected))
+    return ProbeReport(name=name, samples=used, statistic=stat,
+                       threshold=None if expected is None else tol, details=est)
 
 
 # Constant control offsets the feedback must beat.

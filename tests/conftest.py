@@ -14,12 +14,12 @@ def sized_grid(model, n, axis, t0=0.0, T=1.0, margin=0.25):
 
 @pytest.fixture(scope="session")
 def lq_model():
-    return m.registry_model("LQ-decoupled")
+    return m.REGISTRY["LQ-decoupled"]
 
 
 @pytest.fixture(scope="session")
 def meanrev_model():
-    return m.registry_model("LQ-mean-reverting")
+    return m.REGISTRY["LQ-mean-reverting"]
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_criterion_3_cost_lift_identity():
     worst = 0.0
     all_bits = True
     for j in range(100):
-        model = m.registry_model(names[j % len(names)])
+        model = m.REGISTRY[names[j % len(names)]]
         n = int(g.integers(1, 4))
         cfg = m.SimConfig(t0=0.0, T=0.5, steps=12, n_paths=6,
                           seed=int(g.integers(1 << 40)))
@@ -143,7 +143,7 @@ def test_criterion_5_wasserstein_oracle():
 def test_criterion_6_mollifier_suite():
     """Lipschitz preservation, uniform convergence, coupled convexity."""
     start = time.monotonic()
-    reg = m.functional_registry()
+    reg = m.FUNCTIONALS
     k_list = [4, 16, 64]
 
     lip_ok = True
@@ -184,7 +184,7 @@ def test_criterion_7_regularity_probes(lq_u1, lq_u2):
     g = np.random.default_rng(11)
     pairs = [(g.normal(size=(2, 1)), g.normal(size=(2, 1))) for _ in range(20)]
     value = lambda atoms: m.riccati_lq_value(1.0, 1.0, 1.0, 0.0, atoms)
-    est = m.semiconcavity_probe(value, pairs, [0.25, 0.5, 0.75])
+    est = m.semiconcavity_report(value, pairs, [0.25, 0.5, 0.75], "probe").details
     semi_gap = max(abs(est["semiconcavity"] - 0.25), abs(est["semiconvexity"] - 0.25))
 
     perm = m.permutation_invariance_probe(lq_u2, threshold=1e-9)
@@ -211,7 +211,7 @@ def test_criterion_8_simulator_statistics(lq_model):
     xT = bundle.states[:, -1, 0, 0]
     z = abs(xT.mean() - 0.5) / (xT.std(ddof=1) / np.sqrt(xT.size))
 
-    tanh_model = m.registry_model("tanh-interaction")
+    tanh_model = m.REGISTRY["tanh-interaction"]
     inc = m.wiener_increments(cfg, 1)
     x0 = np.array([[0.5], [1.0]])
     b0 = m.simulate_particles(tanh_model, cfg, x0, m.zero_control(), inc)

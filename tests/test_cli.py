@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfclab import cli, registry_model, reports, simulate, sized_grid, solve_hjb
+from mfclab import REGISTRY, cli, reports, simulate, sized_grid, solve_hjb
 from mfclab.cli import main
 
 
@@ -174,6 +174,15 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
                  x0=[[0.5], [0.2]])]}, "$.probes[0].x0"),
         ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D,
           "x0": [float("nan")]}, "$.x0"),
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM,
+          "x0": [[0.5], [0.2, 0.3]]}, "$.x0"),
+        # a duplication probe with no point to compare, a sweep with no family
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 test_points=[])]}, "$.probes[0].test_points"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1]], "grid_axis": [-3.0, 3.0, 17], "duplications": []}},
+         "$.sweep.duplications"),
         # atoms that are not in R^d, where no solve sizes the point
         ({"kind": "simulate", "seed": 1, "model": _D2_MODEL, "sim": _SIM, "x0": [[0.5]]},
          "$.x0"),
@@ -276,6 +285,21 @@ def test_simulate_end_to_end_and_reproducible(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert "mfclab" in manifest["versions"]
+
+
+@pytest.mark.parametrize("kind, flat, nested", [
+    ("simulate", {"x0": [0.1, -0.2]}, {"x0": [[0.1], [-0.2]]}),
+    ("sweep", {"sweep": dict(SMALL_CONFIGS["sweep"]["sweep"], base_atoms=[0.1, -0.2])},
+     {"sweep": dict(SMALL_CONFIGS["sweep"]["sweep"], base_atoms=[[0.1], [-0.2]])}),
+])
+def test_flat_atom_list_is_n_atoms_in_r1(tmp_path, kind, flat, nested):
+    """A flat list of atoms is n atoms in R^1: it runs as its (n, 1) nesting does."""
+    outs = []
+    for i, extra in enumerate((flat, nested)):
+        cfg = _write(tmp_path / f"c{i}.json", dict(SMALL_CONFIGS[kind], **extra))
+        outs.append(tmp_path / f"o{i}")
+        assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
 
 
 def test_simulate_integrates_once(tmp_path, monkeypatch):
@@ -499,6 +523,22 @@ def test_literal_that_overflows_is_a_bad_model(tmp_path, capsys, l1):
                                        f"offset {offset}: number 1e400 is not a finite double\n")
 
 
+@pytest.mark.parametrize("l1, offset", [
+    ("(" * 2000 + "1" + ")" * 2000, 200),           # the 201st nested parenthesis
+    ("+".join(["x[0]"] * 1000), 999),               # the 200th +, whose sum is 201 high
+    ("-" * 1000 + "x[0]", 200),                     # the 201st unary minus
+    ("^".join(["x[0]"] * 1000), 1000),              # the 201st power operand
+    ("exp(" * 1000 + "x[0]" + ")" * 1000, 800),     # the 201st nested call
+], ids=["parentheses", "flat-sum", "minus-chain", "power-chain", "nested-exp"])
+def test_expression_deeper_than_the_limit_is_a_bad_model(tmp_path, capsys, l1, offset):
+    cfg = _write(tmp_path / "c.json", dict(
+        SMALL_CONFIGS["solve-hjb"], model=dict(_D1_MODEL, l1=l1),
+        grid={"axes": [[-1.0, 1.0, 9]]}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: bad model at $.model: syntax error at "
+                                       f"offset {offset}: nested deeper than 200 levels\n")
+
+
 def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path / "c.json", SMALL_CONFIGS["verify"])
     (tmp_path / "o").write_text("a file, not a directory")
@@ -602,10 +642,10 @@ def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):
     })
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    want = sized_grid(registry_model("LQ-mean-reverting"), 2, grid["axes"], 0.25, 0.75,
+    want = sized_grid(REGISTRY["LQ-mean-reverting"], 2, grid["axes"], 0.25, 0.75,
                       margin=0.2)
     assert json.loads((out / "grid.json").read_text())["grid"] == want.to_json()
-    default_horizon = sized_grid(registry_model("LQ-mean-reverting"), 2, grid["axes"], 0.0, 1.0)
+    default_horizon = sized_grid(REGISTRY["LQ-mean-reverting"], 2, grid["axes"], 0.0, 1.0)
     assert want.time_steps != default_horizon.time_steps
 
 
@@ -643,7 +683,7 @@ def test_run_format_json_stdout(tmp_path, capsys):
 def test_solve_dump_cadence_and_sidecar(tmp_path):
     """The value dump holds every cadence-th stored slice, byte for byte as
     csv.writer writes the rows [slice, node_index, repr(value)]."""
-    model = registry_model("LQ-decoupled")
+    model = REGISTRY["LQ-decoupled"]
     for n, axes, cadence in [(1, [[-2.0, 2.0, 17]], 4), (2, [[-2.0, 2.0, 9]] * 2, 1)]:
         cfg = _write(tmp_path / "c.json", {
             "kind": "solve-hjb",

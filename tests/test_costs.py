@@ -30,14 +30,14 @@ def test_constant_running_cost():
 
 def test_lq_zero_control_cost():
     """J = E[X_T^2]/2 = (x0^2 + sigma^2 T)/2 = 1 at x0 = 1."""
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     est = m.cost_finite(model, _cfg(steps=64, n_paths=4000, seed=99),
                         np.array([[1.0]]), m.zero_control())
     assert abs(est.mean - 1.0) < 4.0 * est.std_error
 
 
 def test_breakdown_sums_to_mean():
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     g = np.random.default_rng(1)
     pol = m.open_loop(g.normal(size=(16, 2, 1)))
     est = m.cost_finite(model, _cfg(n_paths=16), np.array([[0.2], [0.4]]), pol)
@@ -45,7 +45,7 @@ def test_breakdown_sums_to_mean():
 
 
 def test_cost_lift_identity_bitwise():
-    model = m.registry_model("LQ-mean-reverting")
+    model = m.REGISTRY["LQ-mean-reverting"]
     cfg = _cfg(steps=12, n_paths=10, seed=17)
     x0 = np.array([[0.1], [0.9], [-0.4]])
     g = np.random.default_rng(2)
@@ -60,7 +60,7 @@ def test_cost_lift_identity_bitwise():
 
 
 def test_single_particle_reduces_to_standard_control():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     cfg = _cfg(steps=8, n_paths=4, seed=3)
     x0 = np.array([[0.7]])
     g = np.random.default_rng(3)
@@ -72,7 +72,7 @@ def test_single_particle_reduces_to_standard_control():
 
 
 def test_policy_compare_duplicate_policy():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     comp = m.policy_compare(model, _cfg(n_paths=32), np.array([[1.0]]),
                             [m.zero_control(), m.zero_control()])
     delta, se = comp.diff_vs_best[1]
@@ -80,7 +80,7 @@ def test_policy_compare_duplicate_policy():
 
 
 def test_policy_compare_prices_each_policy_once(monkeypatch):
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(n_paths=32)
     x0 = np.array([[0.5], [-1.0]])
     pols = [m.zero_control(), m.open_loop(np.full((16, 2, 1), 0.3))]
@@ -104,13 +104,13 @@ def test_policy_compare_prices_each_policy_once(monkeypatch):
 
 
 def test_policy_compare_requires_two():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     with pytest.raises(ValueError):
         m.policy_compare(model, _cfg(), np.array([[1.0]]), [m.zero_control()])
 
 
 def test_terminal_shift_moves_costs_by_constant():
-    base = m.registry_model("LQ-decoupled")
+    base = m.REGISTRY["LQ-decoupled"]
     shifted = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["1"]],
                                  "l1": "0", "kappa": 1.0, "UT": "0.5*m2 + 3"})
     cfg = _cfg(steps=16, n_paths=64, seed=8)
@@ -126,7 +126,7 @@ def test_terminal_shift_moves_costs_by_constant():
 
 def test_value_dominance(lq_u1):
     """Sampled form of V_n <= u_n: every policy's cost sits above the grid value."""
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     cfg = _cfg(steps=64, n_paths=2000, seed=13)
     x0 = np.array([[1.0]])
     value = lq_u1.value_at(0.0, [1.0])

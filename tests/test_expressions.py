@@ -168,7 +168,7 @@ def test_one_validity_rule_on_random_trees():
             try:
                 loose = ex.evaluate(tree, xs, m1, m2, strict=False)
             except ex.EvaluationError as e:
-                assert xs is None and "x" in ex.free_variables(tree), tree
+                assert xs is None and "x" in {v.kind for v in ex.variables(tree)}, tree
                 assert str(e) == "x[...] is not available in this context"
                 continue
             if np.isfinite(loose).all():
@@ -216,4 +216,19 @@ def test_vectorized_broadcast():
 
 def test_free_variables():
     e = ex.parse_coefficient("x[0] + m2*cos(m1[1])")
-    assert ex.free_variables(e) == {"x", "m1", "m2"}
+    assert {v.kind for v in ex.variables(e)} == {"x", "m1", "m2"}
+
+
+def test_depth_limit_boundary():
+    """A tree 200 levels high parses, prints back to itself and evaluates; the
+    201st level is a syntax error at the offset of the token that adds it."""
+    total = "+".join(["x[0]"] * 200)
+    tree = ex.parse_coefficient(total)
+    assert ex.print_coefficient(tree) == " + ".join(["x[0]"] * 200)
+    assert ex.parse_coefficient(ex.print_coefficient(tree)) == tree
+    assert ex.evaluate(tree, np.array([0.5])) == 100.0
+    assert ex.parse_coefficient("(" * 199 + "m2" + ")" * 199) == ex.Var("m2", 0)
+    for src, offset in [(total + "+x[0]", len(total)), ("(" * 200 + "m2" + ")" * 200, 200)]:
+        with pytest.raises(ex.ExpressionSyntaxError) as err:
+            ex.parse_coefficient(src)
+        assert err.value.position == offset

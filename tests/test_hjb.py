@@ -211,7 +211,7 @@ def test_interpolation_is_scipys_bit_for_bit(lq_model, nd):
     grid = m.GridSpec(axes=tuple((-1.0 - 0.3 * a, 2.0 + a, 9 + 4 * a) for a in range(nd)),
                       time_steps=2)
     coords, (lo, hi) = grid.coords(), grid.bounds()
-    u = m.GridValueFunction(grid=grid, model=lq_model, n=nd, t0=0.0, T=1.0, dt=0.5,
+    u = m.GridValueFunction(grid=grid, model=lq_model, n=nd, dt=0.5,
                             times=np.array([0.0, 0.5, 1.0]),
                             values=g.normal(size=(3,) + grid.shape()))
     pts = np.concatenate([
@@ -273,7 +273,7 @@ SOLVE_PINS = {
 def test_solve_values_match_their_pins(name, n):
     """Every stored slice of a CFL-sized solve on [-2, 2]^n over [0, 0.5] is
     bit-identical to its pin: 41, 21^2 and 11^3 nodes for n = 1, 2, 3."""
-    model = m.registry_model(name)
+    model = m.REGISTRY[name]
     axes = [(-2.0, 2.0, {1: 41, 2: 21, 3: 11}[n])] * n
     u = m.solve_hjb(model, n, m.sized_grid(model, n, axes, 0.0, 0.5), 0.0, 0.5)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == SOLVE_PINS[(name, n)]

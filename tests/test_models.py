@@ -44,7 +44,7 @@ def test_young_fenchel():
 
 def test_hamiltonian_examples():
     atoms = np.array([[0.5]])
-    lq = m.registry_model("LQ-decoupled")
+    lq = m.REGISTRY["LQ-decoupled"]
     drift1 = m.model_from_json(
         {"d": 1, "d_prime": 1, "b": ["1"], "sigma": [["0"]], "l1": "0",
          "kappa": 1.0, "UT": "m2"})
@@ -59,7 +59,7 @@ def test_hamiltonian_examples():
 
 def test_hamiltonian_decomposition_exact():
     """Same arithmetic path as the sub-evaluations, atom by atom over a batch."""
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     g = np.random.default_rng(2)
     atoms, p = g.normal(size=(20, 3, 1)), g.normal(size=(20, 3, 1))
     b, _, l1, _ = _lifted_batch(model, atoms)
@@ -105,7 +105,7 @@ def test_lifted_constant_terminal_has_the_batch_shape():
 
 
 def test_lifted_permutation_equivariance():
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     atoms = np.array([[0.3], [1.2], [-0.7], [0.1]])
     perm = np.array([2, 0, 3, 1])
     a = _lifted_batch(model, atoms)
@@ -135,11 +135,11 @@ def test_registry_contents():
     names = sorted(m.REGISTRY)
     assert names == ["LQ-decoupled", "LQ-mean-reverting", "tanh-interaction"]
     with pytest.raises(KeyError):
-        m.registry_model("nope")
+        m.REGISTRY["nope"]
 
 
 def test_model_json_roundtrip():
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     doc = model.to_json()
     again = m.model_from_json(doc)
     assert again.to_json() == doc

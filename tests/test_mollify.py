@@ -75,7 +75,7 @@ def test_coupled_values_are_independent_of_chunking(monkeypatch, d):
     """Pricing the replicates a few at a time (2 per chunk, the last chunk short)
     or one at a time (the chunk holds fewer slots than one replicate) gives the
     values and the bump proposal count of one chunk, bit for bit."""
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     g = np.random.default_rng(40 + d)
     queries = [(g.uniform(-1, 1, d), g.uniform(-2, 2, (3, d))) for _ in range(3)]
     proposals = []
@@ -113,20 +113,20 @@ def test_constant_functional_is_fixed_point():
 
 
 def test_mean_at_dirac_zero():
-    base = m.functional_registry()["mean"]
+    base = m.FUNCTIONALS["mean"]
     [(mean, se)] = m.smooth_eval(base, 6, 4000, 2, [([0.0], np.array([[0.0]]))])
     assert abs(mean) < 4.0 * se
 
 
 def test_coordinate_bias_bounded_by_width():
-    base = m.functional_registry()["coordinate"]
+    base = m.FUNCTIONALS["coordinate"]
     for k in (4, 16):
         [(mean, se)] = m.smooth_eval(base, k, 3000, 3, [([0.8], np.array([[0.0], [1.0]]))])
         assert abs(mean - 0.8) <= 1.0 / k + 4.0 * se
 
 
 def test_replicate_determinism():
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     query = ([0.2], np.array([[0.5], [-1.0]]))
     a = m.smooth_eval(base, 8, 500, 11, [query])
     b = m.smooth_eval(base, 8, 500, 11, [query])
@@ -137,7 +137,7 @@ def test_sample_evaluations_share_one_draw():
     """One smooth_eval call over several queries prices each on the same draws
     as a call of its own: the results agree with per-point calls bit for bit."""
     from mfclab.mollify import smooth_eval_general
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     fam = default_test_family(count=3, seed=4)
     together = m.smooth_eval(base, 16, 300, 9, fam)
     alone = [smooth_eval_general(base, 16, 1.0 / 16, 300, 9, x, a) for x, a in fam]
@@ -146,7 +146,7 @@ def test_sample_evaluations_share_one_draw():
 
 
 def test_validation():
-    base = m.functional_registry()["mean"]
+    base = m.FUNCTIONALS["mean"]
     query = ([0.0], np.array([[0.0]]))
     with pytest.raises(ValueError):
         m.smooth_eval(base, 0, 10, 0, [query])
@@ -164,7 +164,7 @@ def test_lipschitz_probe_constant_zero():
 
 
 def test_lipschitz_probe_coordinate_and_mean():
-    reg = m.functional_registry()
+    reg = m.FUNCTIONALS
     for name in ("coordinate", "mean"):
         rep = m.lipschitz_preservation_probe(reg[name], 8, 1500, seed=6, pair_count=12)
         assert rep.passed, rep.to_json()
@@ -173,7 +173,7 @@ def test_lipschitz_probe_coordinate_and_mean():
 def test_uniform_convergence_second_moment():
     # bias ~ bump_m2/k^2: k in {2, 8} separates by ~0.037, far beyond MC noise
     fam = default_test_family(count=8, n_atoms=4, seed=13)
-    rep = m.uniform_convergence_probe(m.functional_registry()["second-moment"],
+    rep = m.uniform_convergence_probe(m.FUNCTIONALS["second-moment"],
                                       [2, 8], fam, 40_000, seed=14)
     assert rep.passed, rep.details
     sups = rep.details["sup_errors"]
@@ -183,14 +183,14 @@ def test_uniform_convergence_second_moment():
 def test_uniform_convergence_coordinate_bound():
     """Zero-bias functional: assert the sup <= 1/k + noise bound, not the drop."""
     fam = default_test_family(count=8, n_atoms=4, seed=15)
-    rep = m.uniform_convergence_probe(m.functional_registry()["coordinate"],
+    rep = m.uniform_convergence_probe(m.FUNCTIONALS["coordinate"],
                                       [4, 16], fam, 5000, seed=16)
     for sup, se, k in zip(rep.details["sup_errors"], rep.details["sup_std_errors"], [4, 16]):
         assert sup <= 1.0 / k + 3.0 * se
 
 
 def test_convexity_linear_lift_cancels():
-    base = m.functional_registry()["mean"]
+    base = m.FUNCTIONALS["mean"]
     g = np.random.default_rng(17)
     segs = [(g.uniform(-1, 1, 1), g.uniform(-1, 1, 1),
              g.uniform(-2, 2, (3, 1)), g.uniform(-2, 2, (3, 1)),
@@ -201,7 +201,7 @@ def test_convexity_linear_lift_cancels():
 
 
 def test_convexity_endpoints_bitwise_zero():
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     Xa, Ya = np.array([[0.5], [1.0]]), np.array([[-0.5], [0.2]])
     for lam in (0.0, 1.0):
         vals = _coupled_values(base, 4, 0.25, 64, 19,
@@ -213,7 +213,7 @@ def test_convexity_endpoints_bitwise_zero():
 
 def test_coupled_queries_must_share_atom_shape():
     """One index draw serves every query, so an atom count that differs is refused."""
-    base = m.functional_registry()["mean"]
+    base = m.FUNCTIONALS["mean"]
     with pytest.raises(ValueError, match="one atom shape"):
         _coupled_values(base, 4, 0.25, 8, 1, [(np.zeros(1), np.zeros((2, 1))),
                                               (np.zeros(1), np.zeros((3, 1)))])
@@ -221,7 +221,7 @@ def test_coupled_queries_must_share_atom_shape():
 
 def test_convexity_second_moment_pointwise():
     """Squared norm is convex pointwise under the shared-sample coupling."""
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     g = np.random.default_rng(20)
     segs = [(np.zeros(1), np.zeros(1),
              g.uniform(-2, 2, (4, 1)), g.uniform(-2, 2, (4, 1)),
@@ -239,7 +239,7 @@ def test_general_entry_decouples_width_and_samples():
     """psi_{N,eps}: wider mollifier means larger second-moment bias at fixed N."""
     from mfclab.mollify import smooth_eval_general
 
-    base = m.functional_registry()["second-moment"]
+    base = m.FUNCTIONALS["second-moment"]
     mu = np.array([[0.5], [-0.5]])
     wide, _ = smooth_eval_general(base, 8, 0.5, 40_000, 31, [0.0], mu)
     narrow, _ = smooth_eval_general(base, 8, 0.05, 40_000, 31, [0.0], mu)

@@ -71,7 +71,7 @@ def test_mean_field_drift_converges_to_exponential():
 
 
 def test_lifted_equals_finite_bitwise():
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(steps=20, n_paths=6, seed=77)
     x0 = np.array([[0.4], [-0.8], [1.1]])
     g = np.random.default_rng(5)
@@ -85,7 +85,7 @@ def test_lifted_equals_finite_bitwise():
 
 def test_common_noise_is_shared_across_particles():
     """With b = 0, sigma = 1, every particle sees the same Wiener path."""
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     # identical atoms: the shared increment makes trajectories bitwise equal
     bundle = m.simulate_particles(model, _cfg(n_paths=3), np.zeros((3, 1)), m.zero_control())
     for i in range(1, 3):
@@ -100,7 +100,7 @@ def test_common_noise_is_shared_across_particles():
 
 def test_permutation_equivariance_two_particles():
     """n = 2 means the measure features are order-exact, so swap is bitwise."""
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(steps=12, n_paths=3, seed=9)
     x0 = np.array([[0.7], [-0.2]])
     g = np.random.default_rng(6)
@@ -112,7 +112,7 @@ def test_permutation_equivariance_two_particles():
 
 
 def test_martingale_mean():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     cfg = _cfg(steps=32, n_paths=3000, seed=21)
     bundle = m.simulate_particles(model, cfg, np.array([[0.25]]), m.zero_control())
     xT = bundle.states[:, -1, 0, 0]
@@ -154,7 +154,7 @@ def test_blowup_count_names_only_the_paths_that_left():
 
 
 def test_policy_shape_and_finiteness_validated():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
 
     bad_shape = m.Policy(lambda k, t, s: np.zeros((s.shape[0], s.shape[1] + 1, 1)), "bad-shape")
     with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ def test_path_statistics_deterministic_paths():
 
 
 def test_stability_under_shared_noise():
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(steps=32, n_paths=400, seed=31)
     inc = m.wiener_increments(cfg, 1)
     x0 = np.array([[0.5], [1.0]])
@@ -198,7 +198,7 @@ def test_stability_under_shared_noise():
 
 def test_time_continuity_ratio_plateau():
     """E[sup_{[0,s]} |X - x0|_r] / sqrt(s) stays bounded as s shrinks (zero control)."""
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     ratios = []
     for horizon in (0.5, 0.125, 0.03125):
         cfg = m.SimConfig(t0=0.0, T=horizon, steps=32, n_paths=800, seed=47)
@@ -211,7 +211,7 @@ def test_time_continuity_ratio_plateau():
 
 
 def test_trajectory_dump(tmp_path):
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     bundle = m.simulate_particles(model, _cfg(steps=3, n_paths=2),
                                   np.array([[1.0]]), m.zero_control())
     out = tmp_path / "paths.csv"

@@ -40,7 +40,7 @@ def _load_tracer():
 
 
 def _lq_solve():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     grid = m.sized_grid(model, 1, [(-1.0, 1.0, 9)], 0.0, 0.1)
     return model, m.solve_hjb(model, 1, grid, 0.0, 0.1)
 
@@ -96,7 +96,7 @@ def test_integration_counter_reads_path_bundle_fields():
 def test_solve_hjb_evaluates_node_coefficients_once(monkeypatch):
     """The tracer's models layer times _lifted_batch; each solve must call it once."""
     from mfclab import hjb
-    model = m.registry_model("tanh-interaction")
+    model = m.REGISTRY["tanh-interaction"]
     grid = m.sized_grid(model, 2, [(-1.0, 1.0, 9)] * 2, 0.0, 0.1)
     calls = []
     lifted = hjb._lifted_batch

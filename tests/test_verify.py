@@ -10,7 +10,7 @@ def test_cost_identity_sweep():
     g = np.random.default_rng(0)
     names = sorted(m.REGISTRY)
     for j in range(12):
-        model = m.registry_model(names[j % len(names)])
+        model = m.REGISTRY[names[j % len(names)]]
         cfg = m.SimConfig(t0=0.0, T=0.5, steps=10, n_paths=5, seed=int(g.integers(1 << 30)))
         n = int(g.integers(1, 4))
         x0 = g.normal(size=(n, 1))
@@ -33,10 +33,33 @@ def test_duplication_consistency_coarse(lq_model):
 
 
 def test_duplication_rejects_oversized():
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     g1 = m.GridSpec(axes=((-1.0, 1.0, 9),) * 2, time_steps=100)
     with pytest.raises(ValueError):
         m.duplication_consistency(model, 2, 2, g1, g1, 0.0, 1.0, [])
+
+
+def test_duplication_gaps_match_point_by_point_lookups(lq_model):
+    """One lookup per (solve, time) over all points gives each point's gap bit for
+    bit: the reference reads the two solves one point at a time."""
+    g1 = sized_grid(lq_model, 1, (-3.0, 3.0, 17))
+    g2 = sized_grid(lq_model, 2, (-3.0, 3.0, 17))
+    points = [np.array([[x]]) for x in (-1.3, 0.0, 0.4, 2.9)]
+    times = [0.0, 0.37, 1.0]
+    rep = m.duplication_consistency(lq_model, 1, 2, g1, g2, 0.0, 1.0, points, times)
+    u1, u2 = m.solve_hjb(lq_model, 1, g1, 0.0, 1.0), m.solve_hjb(lq_model, 2, g2, 0.0, 1.0)
+    gaps = [abs(u2.value_at(t, m.duplicate_atoms(x, 2).reshape(-1))
+                - u1.value_at(t, x.reshape(-1))) for x in points for t in times]
+    assert rep.statistic == max(gaps) and rep.samples == len(gaps)
+    assert rep.details["terminal_gap"] == max(gaps[len(times) - 1::len(times)])
+
+
+def test_duplication_without_points_solves_nothing(monkeypatch):
+    from mfclab import verify
+    monkeypatch.setattr(verify, "solve_hjb", lambda *a, **k: pytest.fail("solved"))
+    grid = m.GridSpec(axes=((-1.0, 1.0, 9),), time_steps=10)
+    with pytest.raises(ValueError, match="at least one test point"):
+        m.duplication_consistency(m.REGISTRY["LQ-decoupled"], 1, 1, grid, grid, 0.0, 1.0, [])
 
 
 def test_semiconcavity_quadratic_oracle():
@@ -44,7 +67,7 @@ def test_semiconcavity_quadratic_oracle():
     g = np.random.default_rng(1)
     pairs = [(g.normal(size=(2, 1)), g.normal(size=(2, 1))) for _ in range(10)]
     value = lambda atoms: m.riccati_lq_value(1.0, 1.0, 1.0, 0.0, atoms)
-    est = m.semiconcavity_probe(value, pairs, [0.25, 0.5, 0.75])
+    est = m.semiconcavity_report(value, pairs, [0.25, 0.5, 0.75], "probe").details
     assert abs(est["semiconcavity"] - 0.25) < 1e-9
     assert abs(est["semiconvexity"] - 0.25) < 1e-9
 
@@ -53,7 +76,7 @@ def test_semiconcavity_affine_value_is_zero():
     g = np.random.default_rng(2)
     pairs = [(g.normal(size=(3, 1)), g.normal(size=(3, 1))) for _ in range(8)]
     value = lambda atoms: float(1.7 * atoms.mean() + 0.3)
-    est = m.semiconcavity_probe(value, pairs, [0.3, 0.5])
+    est = m.semiconcavity_report(value, pairs, [0.3, 0.5], "probe").details
     assert abs(est["semiconcavity"]) < 1e-12
     assert abs(est["semiconvexity"]) < 1e-12
 
@@ -65,14 +88,14 @@ def test_semiconcavity_invariant_under_affine_addition():
     lambdas = [0.4, 0.6]
     base = lambda atoms: m.riccati_lq_value(1.0, 1.0, 1.0, 0.0, atoms)
     shifted = lambda atoms: base(atoms) + 2.0 * atoms.mean() - 1.0
-    a = m.semiconcavity_probe(base, pairs, lambdas)
-    b = m.semiconcavity_probe(shifted, pairs, lambdas)
+    a = m.semiconcavity_report(base, pairs, lambdas, "probe").details
+    b = m.semiconcavity_report(shifted, pairs, lambdas, "probe").details
     assert abs(a["semiconcavity"] - b["semiconcavity"]) < 1e-9
 
 
 def test_semiconcavity_degenerate_pairs_skipped():
     x = np.array([[1.0], [2.0]])
-    est = m.semiconcavity_probe(lambda a: float((a ** 2).sum()), [(x, x)], [0.5])
+    est = m.semiconcavity_report(lambda a: float((a ** 2).sum()), [(x, x)], [0.5], "probe").details
     assert est["samples"] == 0
 
 
@@ -117,7 +140,7 @@ def test_time_holder_needs_two_gaps(lq_model, steps):
 
 
 def test_feedback_roundtrip_smoke(lq_u1):
-    model = m.registry_model("LQ-decoupled")
+    model = m.REGISTRY["LQ-decoupled"]
     cfg = m.SimConfig(t0=0.0, T=1.0, steps=32, n_paths=400, seed=55)
     rep = m.feedback_roundtrip(model, cfg, np.array([[1.0]]), lq_u1)
     assert rep.details["state_gap"] == 0.0
@@ -186,6 +209,6 @@ def test_semiconcavity_grid_sourced(lq_u1):
         if abs(float(X[0, 0] - Y[0, 0])) >= 0.5:
             pairs.append((X, Y))
     value = lambda atoms: lq_u1.value_at(0.0, atoms.reshape(-1))
-    est = m.semiconcavity_probe(value, pairs, [0.5])
+    est = m.semiconcavity_report(value, pairs, [0.5], "probe").details
     assert abs(est["semiconcavity"] - 0.25) < 2e-2
     assert abs(est["semiconvexity"] - 0.25) < 2e-2
