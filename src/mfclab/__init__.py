@@ -27,7 +27,9 @@ from .simulate import (
     Policy,
     SimConfig,
     open_loop,
+    path_blocks,
     path_statistics,
+    path_sups,
     simulate_lifted_atoms,
     simulate_particles,
     wiener_increments,

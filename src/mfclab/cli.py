@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, verify
-from .costs import _estimate
+from .costs import _estimate, _per_path_terms
 from .hjb import MAX_AXES, riccati_lq_value, sized_grid, solve_hjb
 from .measures import _as_atoms, duplicate_atoms
 from .models import REGISTRY, model_from_json
@@ -36,8 +36,8 @@ from .mollify import (
     uniform_convergence_probe,
 )
 from .reports import REPORT_HEADER, atomic_write, report_row, write_csv
-from .simulate import (SimConfig, dump_trajectories, open_loop, path_statistics,
-                       simulate_particles, zero_control)
+from .simulate import (SimConfig, dump_trajectories, open_loop, path_blocks, path_statistics,
+                       path_sups, wiener_increments, zero_control)
 
 # The mollify kind runs the probes it selects in this order.
 MOLLIFY_PROBES = ("lipschitz-preservation", "uniform-convergence", "convexity-preservation")
@@ -381,11 +381,20 @@ def _run_simulate(cfg, out_dir, jobs):
     model = model_from_json(cfg["model"])
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
-    bundle = simulate_particles(model, sim, x0, zero_control())
-    stats = path_statistics(bundle, cfg.get("r", 2.0))
-    est, _ = _estimate(model, bundle)
-    if cfg.get("dump_trajectories", False):
-        dump_trajectories(bundle, os.path.join(out_dir, "trajectories.csv"))
+    r, dump = cfg.get("r", 2.0), cfg.get("dump_trajectories", False)
+    increments = wiener_increments(sim, model.d_prime)
+    kept = []
+
+    def reduce_block(bundle):
+        if dump:  # only the dump needs every path at once
+            kept.append(bundle)
+        return path_sups(bundle, r), _per_path_terms(model, bundle)
+
+    sups, terms = zip(*map(reduce_block, path_blocks(model, sim, x0, zero_control(), increments)))
+    stats = path_statistics(np.concatenate(sups, axis=1), increments, sim.dt)
+    est, _ = _estimate(terms)
+    if dump:
+        dump_trajectories(kept, os.path.join(out_dir, "trajectories.csv"))
     rows = [[k, repr(v[0]), repr(v[1])] if isinstance(v, tuple) else [k, repr(v), ""]
             for k, v in sorted(stats.items())]
     write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)

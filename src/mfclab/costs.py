@@ -10,19 +10,13 @@ noise (discrete form of the cost lift identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .measures import mean_se
 from .models import ModelSpec
-from .simulate import (
-    PathBundle,
-    Policy,
-    SimConfig,
-    simulate_lifted_atoms,
-    simulate_particles,
-    wiener_increments,
-)
+from .simulate import PathBundle, Policy, SimConfig, path_blocks, wiener_increments
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,12 @@ def _per_path_terms(model: ModelSpec, bundle: PathBundle):
     return dt * l1.sum(axis=1), dt * l2.sum(axis=1), term
 
 
-def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.ndarray]:
-    """Cost estimate of an integrated ensemble, and its per-path totals (P,)."""
-    c1, c2, cT = _per_path_terms(model, bundle)
+def _estimate(block_terms) -> tuple[CostEstimate, np.ndarray]:
+    """Cost estimate of an ensemble, and its per-path totals (P,), from the
+    _per_path_terms of each of its blocks, in path order. A constant terminal
+    cost is one 0-d value, the same in every block, and stays one."""
+    c1, c2, cT = (np.concatenate(part) if np.ndim(part[0]) else part[0]
+                  for part in zip(*block_terms))
     totals = c1 + c2 + cT
     _, se = mean_se(totals)
     m1, m2, mT = float(c1.mean()), float(c2.mean()), float(cT.mean())
@@ -70,18 +67,24 @@ def _estimate(model: ModelSpec, bundle: PathBundle) -> tuple[CostEstimate, np.nd
     return est, totals
 
 
+def _price(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
+           increments: np.ndarray | None = None,
+           lifted: bool = False) -> tuple[CostEstimate, np.ndarray]:
+    """_estimate of the ensemble that path_blocks integrates, one block at a time."""
+    blocks = path_blocks(model, cfg, x0, policy, increments, lifted)
+    return _estimate(list(map(_per_path_terms, repeat(model), blocks)))
+
+
 def cost_finite(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J_n estimate: path average of the running-plus-terminal quadrature."""
-    bundle = simulate_particles(model, cfg, x0, policy, increments)
-    return _estimate(model, bundle)[0]
+    return _price(model, cfg, x0, policy, increments)[0]
 
 
 def cost_lifted(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: Policy,
                 increments: np.ndarray | None = None) -> CostEstimate:
     """J estimate on the atom representation (E_n restriction of the lifted problem)."""
-    bundle = simulate_lifted_atoms(model, cfg, atoms, lifted_policy, increments)
-    return _estimate(model, bundle)[0]
+    return _price(model, cfg, atoms, lifted_policy, increments, lifted=True)[0]
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,7 @@ def policy_compare(model: ModelSpec, cfg: SimConfig, x0, policies) -> PolicyComp
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
     increments = wiener_increments(cfg, model.d_prime)
-    estimates, per_path = zip(*(
-        _estimate(model, simulate_particles(model, cfg, x0, pol, increments))
-        for pol in policies))
+    estimates, per_path = zip(*(_price(model, cfg, x0, pol, increments) for pol in policies))
     order = tuple(int(i) for i in np.argsort([e.mean for e in estimates], kind="stable"))
     best = per_path[order[0]]
     return PolicyComparison(

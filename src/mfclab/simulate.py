@@ -6,15 +6,24 @@ identical per-atom update, so finite and lifted trajectories agree bit for bit
 under shared increments; that discrete identity is what the cost-lift checks
 in `verify` lean on.
 
+Every full-ensemble caller integrates through `path_blocks`: blocks of
+consecutive paths, each holding at most BLOCK_BYTES of states plus controls,
+driven by slices of the ensemble's one draw of increments. Callers reduce each
+block to per-path arrays before the next is integrated, so memory no longer
+grows with the number of paths P, and the outputs are those of one integration
+of the whole ensemble. Only a trajectory dump keeps every block; it still
+holds every path.
+
 A path that leaves the ball |x| <= BLOWUP_LIMIT (or turns non-finite) ends the
 integration: the integrator raises FloatingPointError at that step, naming how
-many paths left and when, so every PathBundle it returns is finite.
+many paths left and when (and which paths the block held, when the ensemble
+has more than one), so every PathBundle it returns is finite.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +33,8 @@ from .models import ModelSpec
 from .reports import write_csv
 
 BLOWUP_LIMIT = 1.0e8
+# states plus controls that one block of paths holds at most (one path at least)
+BLOCK_BYTES = 20 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ def wiener_increments(cfg: SimConfig, d_prime: int) -> np.ndarray:
     return np.sqrt(cfg.dt) * z
 
 
-def _integrate(model, cfg, x0, policy, increments):
+def _integrate(model, cfg, x0, policy, increments, span=None):
     atoms = _as_atoms(x0)
     n, d = atoms.shape
     if d != model.d:
@@ -131,48 +142,92 @@ def _integrate(model, cfg, x0, policy, increments):
         inside = np.abs(nxt) <= BLOWUP_LIMIT  # False on NaN and inf too
         if not inside.all():
             count = int((~inside.all(axis=(1, 2))).sum())
-            raise FloatingPointError(f"{count} of {P} paths blew up at step {k + 1} of {S}")
+            where = "" if span is None else f" (paths {span[0]}-{span[0] + P - 1} of {span[1]})"
+            raise FloatingPointError(f"{count} of {P} paths{where} blew up at step {k + 1} of {S}")
         states[:, k + 1] = nxt
         cur = nxt
     return PathBundle(cfg.dt, states, increments, trace)
 
 
 def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
-                       increments: np.ndarray | None = None) -> PathBundle:
-    """Integrate dX_i = [-a_i + b(X_i, mu_X)] ds + sigma(X_i, mu_X) dW, shared W."""
-    return _integrate(model, cfg, x0, policy, increments)
+                       increments: np.ndarray | None = None, *, span=None) -> PathBundle:
+    """Integrate dX_i = [-a_i + b(X_i, mu_X)] ds + sigma(X_i, mu_X) dW, shared W.
+
+    `span` = (index of the first path, ensemble size) marks the paths as one
+    block of a larger ensemble; the blow-up message names them by it.
+    """
+    return _integrate(model, cfg, x0, policy, increments, span)
 
 
 def simulate_lifted_atoms(model: ModelSpec, cfg: SimConfig, atoms, lifted_policy: Policy,
-                          increments: np.ndarray | None = None) -> PathBundle:
+                          increments: np.ndarray | None = None, *, span=None) -> PathBundle:
     """Integrate the lifted SDE restricted to E_n: dX = [-a + B(X)] ds + Sigma(X) dW.
 
     Controls are piecewise constant on the atom partition (one d-vector per
     atom), so the update coincides with the finite system's, atom by atom.
+    `span` is simulate_particles'.
     """
-    return _integrate(model, cfg, atoms, lifted_policy, increments)
+    return _integrate(model, cfg, atoms, lifted_policy, increments, span)
 
 
-def path_statistics(bundle: PathBundle, r: float) -> dict:
-    """Monte Carlo counterparts of the a-priori path estimates, with std errors."""
-    sup_norm = rnorm(bundle.states, r).max(axis=1)
-    dev = bundle.states - bundle.states[:, :1]
-    sup_dev = rnorm(dev, r).max(axis=1)
-    incr = bundle.increments
+def path_blocks(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
+                increments: np.ndarray | None = None, lifted: bool = False):
+    """Integrate the ensemble of `cfg` block by block: yield one PathBundle per
+    block of consecutive paths, in path order.
+
+    A block holds at most BLOCK_BYTES of float64 states plus controls, and one
+    path at least. The increments are drawn once for the whole ensemble (or
+    passed in) and sliced, and each path's update reads only its own row, so
+    the blocks' per-path results are those of one integration of the whole
+    ensemble, bit for bit. `lifted` integrates the lifted atom dynamics.
+
+    Reduce the blocks through map(): it drops each block once reduced, whereas
+    a for-loop variable keeps the last block alive while the next integrates.
+    """
+    n, d = _as_atoms(x0).shape
+    if increments is None:
+        increments = wiener_increments(cfg, model.d_prime)
+    P = cfg.n_paths
+    if increments.shape != (P, cfg.steps, model.d_prime):
+        raise ValueError(f"increments shape {increments.shape} does not match config")
+    size = max(1, BLOCK_BYTES // ((2 * cfg.steps + 1) * n * d * 8))
+    integrate = simulate_lifted_atoms if lifted else simulate_particles
+    for start in range(0, P, size):
+        stop = min(start + size, P)
+        yield integrate(model, replace(cfg, n_paths=stop - start), x0, policy,
+                        increments[start:stop], span=None if size >= P else (start, P))
+
+
+def path_sups(bundle: PathBundle, r: float) -> np.ndarray:
+    """Per-path (sup_k |X_k|_r, sup_k |X_k - X_0|_r), shape (2, P)."""
+    return np.stack([rnorm(bundle.states, r).max(axis=1),
+                     rnorm(bundle.states - bundle.states[:, :1], r).max(axis=1)])
+
+
+def path_statistics(sups: np.ndarray, increments: np.ndarray, dt: float) -> dict:
+    """Monte Carlo counterparts of the a-priori path estimates, with std errors,
+    from the ensemble's path_sups (blocks concatenated) and its increments."""
+    sup_norm, sup_dev = sups
     return {
         "mean_sup_rnorm": mean_se(sup_norm),
         "mean_sup_deviation": mean_se(sup_dev),
-        "increment_mean": mean_se(incr.reshape(-1)),
-        "increment_var_over_dt": float(incr.var(ddof=1) / bundle.dt),
-        "n_paths": bundle.n_paths,
+        "increment_mean": mean_se(increments.reshape(-1)),
+        "increment_var_over_dt": float(increments.var(ddof=1) / dt),
+        "n_paths": sup_norm.size,
         # the integrator refuses a blown-up ensemble, so this is 0; results.csv
         # keeps the row, and perfbench's simulate-mc check reads it
         "dead_paths": 0,
     }
 
 
-def dump_trajectories(bundle: PathBundle, path) -> None:
-    """CSV dump with columns (path, step, particle, coord, value)."""
-    values = bundle.states.reshape(-1).tolist()
-    rows = ([*index, repr(v)] for index, v in zip(np.ndindex(bundle.states.shape), values))
-    write_csv(path, ["path", "step", "particle", "coord", "value"], rows)
+def dump_trajectories(blocks, path) -> None:
+    """CSV dump with columns (path, step, particle, coord, value) of an ensemble
+    given as its path_blocks, path indices counted across the blocks."""
+    def rows():
+        start = 0
+        for bundle in blocks:
+            values = bundle.states.reshape(-1).tolist()
+            for (p, *index), v in zip(np.ndindex(bundle.states.shape), values):
+                yield [start + p, *index, repr(v)]
+            start += bundle.n_paths
+    write_csv(path, ["path", "step", "particle", "coord", "value"], rows())

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costs import _estimate, cost_finite, cost_lifted
+from .costs import _estimate, _per_path_terms, _price, cost_finite, cost_lifted
 from .hjb import (MAX_AXES, GridSpec, GridValueFunction, sized_grid, solve_hjb,
                   synthesize_feedback)
 from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import ProbeReport
-from .simulate import (
-    Policy,
-    SimConfig,
-    simulate_lifted_atoms,
-    simulate_particles,
-    wiener_increments,
-)
+from .simulate import Policy, SimConfig, path_blocks, wiener_increments
 
 
 def duplication_consistency(model: ModelSpec, base_n: int, m: int,
@@ -119,16 +113,21 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
     """Lift-project state identity plus a local optimality sweep.
 
     (a) the synthesized feedback, lifted to atoms and simulated through the
-    lifted dynamics, reproduces the finite trajectories bit for bit;
+    lifted dynamics, reproduces the finite trajectories bit for bit (compared
+    block by block);
     (b) on common noise, no constant-offset perturbation of the feedback beats
     it beyond two paired std errors.
     """
     atoms = _as_atoms(x0)
     policy = synthesize_feedback(u)
     increments = wiener_increments(cfg, model.d_prime)
-    fin = simulate_particles(model, cfg, atoms, policy, increments)
-    lif = simulate_lifted_atoms(model, cfg, atoms, policy, increments)
-    state_gap = float(np.max(np.abs(fin.states - lif.states)))
+
+    def compare(fin, lif):
+        return np.max(np.abs(fin.states - lif.states)), _per_path_terms(model, fin)
+
+    gaps, fin_terms = zip(*map(compare, path_blocks(model, cfg, atoms, policy, increments),
+                               path_blocks(model, cfg, atoms, policy, increments, lifted=True)))
+    state_gap = float(np.max(gaps))
 
     perturbed = []
     for off in _FEEDBACK_OFFSETS:
@@ -138,12 +137,11 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
             perturbed.append(Policy(lambda k, t, states, e=e: policy.fn(k, t, states) + e,
                                     f"feedback{off:+.2f}e{axis}"))
 
-    base_totals = _estimate(model, fin)[1]
+    base_totals = _estimate(fin_terms)[1]
     margins = []
     worst_delta = np.inf
     for pol in perturbed:
-        bundle = simulate_particles(model, cfg, atoms, pol, increments)
-        mean, se = mean_se(_estimate(model, bundle)[1] - base_totals)
+        mean, se = mean_se(_price(model, cfg, atoms, pol, increments)[1] - base_totals)
         margins.append(mean + 2.0 * se)
         worst_delta = min(worst_delta, mean)
     stat = min(margins) if state_gap == 0.0 else -np.inf

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from mfclab import simulate
 
 AXIS_1D = (-3.0, 3.0, 241)
 AXIS_2D = (-3.0, 3.0, 121)  # h = 0.05 so the probe points {-1, 0, 1} are grid nodes
@@ -10,6 +11,19 @@ AXIS_2D = (-3.0, 3.0, 121)  # h = 0.05 so the probe points {-1, 0, 1} are grid n
 def sized_grid(model, n, axis, t0=0.0, T=1.0, margin=0.25):
     """CFL-sized GridSpec with the same axis repeated on each of the n*d axes."""
     return m.sized_grid(model, n, [axis] * (n * model.d), t0, T, margin=margin)
+
+
+def cut_into_blocks(monkeypatch, block_paths, steps, n, d=1):
+    """Set simulate.BLOCK_BYTES so that path_blocks puts `block_paths` paths of
+    `steps` steps and n atoms in R^d (float64 states plus controls) in each
+    block; None leaves it. Returns a list that gets one entry per integration,
+    that is per block, from here on."""
+    if block_paths is not None:
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", block_paths * (2 * steps + 1) * n * d * 8)
+    calls = []
+    integrate = simulate._integrate
+    monkeypatch.setattr(simulate, "_integrate", lambda *a: calls.append(1) or integrate(*a))
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfclab import REGISTRY, cli, reports, simulate, sized_grid, solve_hjb
+from conftest import cut_into_blocks
+from mfclab import REGISTRY, cli, reports, sized_grid, solve_hjb
 from mfclab.cli import main
 
 
@@ -302,19 +303,25 @@ def test_flat_atom_list_is_n_atoms_in_r1(tmp_path, kind, flat, nested):
     assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
 
 
-def test_simulate_integrates_once(tmp_path, monkeypatch):
-    calls = []
-    integrate = simulate._integrate
-    monkeypatch.setattr(simulate, "_integrate", lambda *a: calls.append(1) or integrate(*a))
+@pytest.mark.parametrize("block_paths, blocks", [(None, 1), (5, 4)],
+                         ids=["one-block", "several-blocks"])
+def test_simulate_integrates_once(tmp_path, monkeypatch, block_paths, blocks):
+    """Each block of paths is integrated once, and the artifacts do not depend
+    on how the ensemble is cut into blocks."""
     cfg = _write(tmp_path / "c.json", {
         "kind": "simulate",
         "seed": 9,
         "model": {"registry": "LQ-decoupled"},
         "sim": {"t0": 0.0, "T": 0.5, "steps": 8, "n_paths": 16},
         "x0": [[1.0]],
+        "dump_trajectories": True,
     })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+    calls = cut_into_blocks(monkeypatch, block_paths, 8, 1)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == blocks
+    for name in ("results.csv", "summary.json", "trajectories.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 # b = x^3 drives paths from x0 = 3 (or 6) to overflow within 50 steps, and some
@@ -325,6 +332,55 @@ _CUBIC = {"d": 1, "d_prime": 1, "b": ["x[0]^3"], "sigma": [["1"]], "l1": "0", "k
 _BLOW_UP_SIM = {"t0": 0.0, "T": 1.0, "steps": 50, "n_paths": 4}
 _BLOW_UP_MESSAGE = (r"runtime failure: FloatingPointError: "
                     r"\d+ of 4 paths blew up at step \d+ of 50\n")
+
+
+def test_blow_up_in_a_later_block_names_its_paths(tmp_path, capsys, monkeypatch):
+    """At seed 3 from x0 = 0.5, paths 0, 1 and 3 stay in the ball and path 2
+    leaves it. Cut into blocks of two paths, the ensemble fails in its second
+    block, and the message names that block's paths; as one block, it keeps
+    the one-block text. Either way the run exits 1 and writes nothing."""
+    cfg = _write(tmp_path / "c.json", {"kind": "simulate", "seed": 3, "model": _CUBIC,
+                                       "sim": _BLOW_UP_SIM, "x0": [[0.5]]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    whole = capsys.readouterr().err
+    assert re.fullmatch(r"runtime failure: FloatingPointError: "
+                        r"1 of 4 paths blew up at step \d+ of 50\n", whole)
+    cut_into_blocks(monkeypatch, 2, 50, 1)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == whole.replace("1 of 4 paths",
+                                                    "1 of 2 paths (paths 2-3 of 4)")
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_peak_rss_does_not_grow_with_paths(tmp_path):
+    """An ensemble the size of the benchmark's simulate-mc (tanh-interaction,
+    64 atoms, P = 1000, K = 200) is integrated block by block: the run peaks
+    below 150 MB, where holding every path took about 534 MB.
+
+    The run's own rusage comes from os.wait4 (RUSAGE_CHILDREN is the max over
+    every child). It is started by a small launcher process, because Linux
+    carries the RSS high-water mark of the process a child was forked from
+    across exec, and this test process may be far larger than the run."""
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate",
+        "seed": 1901,
+        "model": {"registry": "tanh-interaction"},
+        "sim": {"t0": 0.0, "T": 1.0, "steps": 200, "n_paths": 1000},
+        "x0": np.random.default_rng(1901).normal(size=(64, 1)).tolist(),
+    })
+    launcher = ("import os, subprocess, sys\n"
+                "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "mfclab.cli",
+                           "run", "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert maxrss_kib / 1024.0 < 150.0  # ru_maxrss is in KiB on Linux
 
 
 def test_blown_up_simulate_exits_1(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from conftest import cut_into_blocks
 from mfclab import costs
 from mfclab.measures import mean_se
 
@@ -44,15 +45,21 @@ def test_breakdown_sums_to_mean():
     assert est.mean == est.running_l1 + est.running_l2 + est.terminal
 
 
-def test_cost_lift_identity_bitwise():
+@pytest.mark.parametrize("block_paths, blocks", [(None, 1), (3, 4)],
+                         ids=["one-block", "several-blocks"])
+def test_cost_lift_identity_bitwise(monkeypatch, block_paths, blocks):
     model = m.REGISTRY["LQ-mean-reverting"]
     cfg = _cfg(steps=12, n_paths=10, seed=17)
     x0 = np.array([[0.1], [0.9], [-0.4]])
     g = np.random.default_rng(2)
     pol = m.open_loop(g.normal(size=(12, 3, 1)))
     inc = m.wiener_increments(cfg, 1)
+    whole = m.cost_finite(model, cfg, x0, pol, inc)
+    integrations = cut_into_blocks(monkeypatch, block_paths, 12, 3)
     cf = m.cost_finite(model, cfg, x0, pol, inc)
     cl = m.cost_lifted(model, cfg, x0, pol, inc)
+    assert len(integrations) == 2 * blocks
+    assert cf == whole
     assert cf.mean == cl.mean
     assert cf.running_l1 == cl.running_l1
     assert cf.running_l2 == cl.running_l2
@@ -79,7 +86,9 @@ def test_policy_compare_duplicate_policy():
     assert delta == 0.0 and se == 0.0
 
 
-def test_policy_compare_prices_each_policy_once(monkeypatch):
+@pytest.mark.parametrize("block_paths, blocks", [(None, 1), (10, 4)],
+                         ids=["one-block", "several-blocks"])
+def test_policy_compare_prices_each_policy_once(monkeypatch, block_paths, blocks):
     model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(n_paths=32)
     x0 = np.array([[0.5], [-1.0]])
@@ -94,11 +103,12 @@ def test_policy_compare_prices_each_policy_once(monkeypatch):
             model, m.simulate_particles(model, cfg, x0, p, increments))
         totals.append(c1 + c2 + cT)
     best = int(np.argmin([e.mean for e in want]))
+    integrations = cut_into_blocks(monkeypatch, block_paths, 16, 2)
     calls = []
     terms = costs._per_path_terms
     monkeypatch.setattr(costs, "_per_path_terms", lambda *a: calls.append(1) or terms(*a))
     comp = m.policy_compare(model, cfg, x0, pols)
-    assert len(calls) == 2
+    assert len(integrations) == len(calls) == 2 * blocks
     assert comp.estimates == tuple(want)
     assert comp.diff_vs_best == tuple(mean_se(t - totals[best]) for t in totals)
 

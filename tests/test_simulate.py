@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
+from conftest import cut_into_blocks
 from mfclab.measures import mean_se
 from mfclab.simulate import BLOWUP_LIMIT
 
@@ -173,11 +174,30 @@ def test_open_loop_schedule_validated():
         m.open_loop(bad)
 
 
+def test_path_blocks_cut_one_integration(monkeypatch):
+    """Cut into blocks of three paths, the ensemble's states, controls and
+    increments are those of one integration of all ten paths, bit for bit;
+    increments that do not match the config are refused before any block."""
+    model = m.REGISTRY["tanh-interaction"]
+    cfg = _cfg(steps=8, n_paths=10)
+    x0 = np.array([[0.5], [-1.0]])
+    policy = m.Policy(lambda k, t, states: 0.3 * states, "linear")
+    whole = m.simulate_particles(model, cfg, x0, policy)
+    cut_into_blocks(monkeypatch, 3, cfg.steps, 2)
+    blocks = list(m.path_blocks(model, cfg, x0, policy))
+    assert [b.n_paths for b in blocks] == [3, 3, 3, 1]
+    for field in ("states", "control_trace", "increments"):
+        cut = np.concatenate([getattr(b, field) for b in blocks])
+        assert cut.tobytes() == getattr(whole, field).tobytes(), field
+    with pytest.raises(ValueError, match="does not match config"):
+        next(m.path_blocks(model, cfg, x0, policy, m.wiener_increments(_cfg(n_paths=20), 1)))
+
+
 def test_path_statistics_deterministic_paths():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m2"})
     bundle = m.simulate_particles(model, _cfg(), np.array([[2.0]]), m.zero_control())
-    stats = m.path_statistics(bundle, 1.5)
+    stats = m.path_statistics(m.path_sups(bundle, 1.5), bundle.increments, bundle.dt)
     assert stats["mean_sup_deviation"] == (0.0, 0.0)
     assert stats["mean_sup_rnorm"][0] == 2.0
 
@@ -203,7 +223,7 @@ def test_time_continuity_ratio_plateau():
     for horizon in (0.5, 0.125, 0.03125):
         cfg = m.SimConfig(t0=0.0, T=horizon, steps=32, n_paths=800, seed=47)
         bundle = m.simulate_particles(model, cfg, np.array([[0.3]]), m.zero_control())
-        stats = m.path_statistics(bundle, 1.0)
+        stats = m.path_statistics(m.path_sups(bundle, 1.0), bundle.increments, bundle.dt)
         ratios.append(stats["mean_sup_deviation"][0] / np.sqrt(horizon))
     # Brownian scaling: the ratio is a constant, not a growing quantity
     assert max(ratios) / min(ratios) < 1.25
@@ -217,7 +237,7 @@ def test_trajectory_dump(tmp_path):
     out = tmp_path / "paths.csv"
     from mfclab.simulate import dump_trajectories
 
-    dump_trajectories(bundle, out)
+    dump_trajectories([bundle], out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,step,particle,coord,value"
     assert len(lines) == 1 + 2 * 4 * 1 * 1

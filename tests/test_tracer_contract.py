@@ -9,11 +9,13 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import mfclab as m
+from conftest import cut_into_blocks
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -91,6 +93,38 @@ def test_integration_counter_reads_path_bundle_fields():
     # the integration counter reads out.states and out.control_trace
     fields = {f.name for f in dataclasses.fields(m.PathBundle)}
     assert {"states", "control_trace"} <= fields
+
+
+def test_block_counts_sum_to_the_one_block_counts(monkeypatch):
+    """Each block of an ensemble is the PathBundle of one simulate_particles
+    call, looked up when called as the tracer's wrapper would be, and the
+    integration and quadrature counters read it as they read a whole ensemble:
+    over the blocks, their particle steps, quadrature particle steps and state
+    bytes sum to the counts of the same ensemble run as one block."""
+    from mfclab import simulate
+    tracer = _load_tracer()
+    model = m.REGISTRY["tanh-interaction"]
+    cfg = m.SimConfig(t0=0.0, T=0.5, steps=8, n_paths=10, seed=3)
+    x0 = np.array([[0.5], [-1.0]])
+    integrate = simulate.simulate_particles
+    returned = []
+    monkeypatch.setattr(simulate, "simulate_particles",
+                        lambda *a, **kw: returned.append(integrate(*a, **kw)) or returned[-1])
+
+    def counts():
+        total = Counter()
+        for bundle in m.path_blocks(model, cfg, x0, m.zero_control()):
+            assert bundle is returned[-1]
+            total.update(tracer._count_integration({}, bundle))
+            total.update(tracer._count_quadrature({"bundle": bundle}, None))
+        return total
+
+    whole = counts()
+    cut_into_blocks(monkeypatch, 3, cfg.steps, 2)
+    blocks = counts()
+    assert (whole["integrations"], blocks["integrations"]) == (1, 4)
+    for key in ("particle_steps", "quadrature_particle_steps", "state_bytes"):
+        assert blocks[key] == whole[key], key
 
 
 def test_solve_hjb_evaluates_node_coefficients_once(monkeypatch):
