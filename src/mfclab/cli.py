@@ -96,13 +96,13 @@ _GRID_SCHEMA = _object(["axes"], time_steps=_COUNT,
 
 
 # -- probes: each runner maps (spec, model, horizon, grids) to a list of reports ----
-# `_verify_probe` resolves them; grids maps a grid key to (n, sized grid) per solve.
+# `_plan` resolves them; grids maps a grid key to (n, sized grid) per solve.
 
 _DEFAULT_MODEL = {"registry": "LQ-decoupled"}  # when neither spec nor config names one
 _MC_REPS = 4000  # Monte Carlo replicates of a mollifier probe without `mc_reps`
 
 
-def _spec_horizon(block, pointer=None):
+def _spec_horizon(block, pointer):
     """(t0, T) of a probe spec, horizon or sim block, [0, 1] where it sets neither;
     T <= t0 is a config error at `pointer`."""
     t0, T = block.get("t0", 0.0), block.get("T", 1.0)
@@ -121,17 +121,19 @@ def _probe_cost_identity(spec, model, horizon, grids):
 
 
 def _probe_duplication(spec, model, horizon, grids):
-    pts = [np.reshape(p, (grids["grid_small"][0], model.d)) for p in spec["test_points"]]
-    return [verify.duplication_consistency(
-        model, spec["base_n"], spec["m"], grids["grid_small"][1], grids["grid_big"][1],
-        *horizon, pts, threshold=spec.get("threshold", 2e-2))]
+    t0, T = horizon
+    # the large solve first, so that the small one's slices are not held through its march
+    u_big, u_small = (solve_hjb(model, *grids[k], t0, T) for k in ("grid_big", "grid_small"))
+    pts = [np.reshape(p, (u_small.n, model.d)) for p in spec["test_points"]]
+    # the horizon's own T: the last stored time t0 + K dt can miss it by a rounding error
+    return [verify.duplication_consistency(u_small, u_big, pts, [t0, 0.5 * (t0 + T), T],
+                                           threshold=spec.get("threshold", 2e-2))]
 
 
 def _probe_feedback(spec, model, horizon, grids):
-    n, grid = grids["grid"]
-    u = solve_hjb(model, n, grid, *horizon)
+    u = solve_hjb(model, *grids["grid"], *horizon)
     sim = SimConfig(seed=spec["seed"], **spec["sim"])
-    return [verify.feedback_roundtrip(model, sim, np.reshape(spec["x0"], (n, model.d)), u)]
+    return [verify.feedback_roundtrip(model, sim, np.reshape(spec["x0"], (u.n, model.d)), u)]
 
 
 def _probe_permutation(spec, model, horizon, grids):
@@ -228,9 +230,10 @@ def _kind(required, **properties) -> dict:
 
 
 # kind -> (JSON schema of its config, name of its runner, solves); the order is the
-# schema's enum order. Every runner maps (config, out_dir, jobs) to (summary,
-# reports). They are looked up by name when called, so a wrapper bound to the
-# module attribute (perfbench/tracer.py wraps _run_verify) is the one that runs.
+# schema's enum order. Every runner maps (plan, out_dir, jobs) to (summary,
+# reports), plan being `_plan`'s list, the config's entry first. They are looked
+# up by name when called, so a wrapper bound to the module attribute
+# (perfbench/tracer.py wraps _run_verify) is the one that runs.
 KINDS = {
     "simulate": (
         _kind(["model", "sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, r=_R,
@@ -274,8 +277,9 @@ _CONFIG_VALIDATOR = jsonschema.validators.extend(
 )(CONFIG_SCHEMA)
 
 
-def _load_config(path: str, seed=None) -> dict:
-    """The config at `path`, with `seed` (when given) in place of its own, checked."""
+def _load_config(path: str, seed=None) -> tuple:
+    """(plan, config): the config at `path`, with `seed` (when given) in place of
+    its own, checked and resolved by `_plan`."""
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -290,25 +294,40 @@ def _load_config(path: str, seed=None) -> dict:
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
-    _check_values(cfg)
-    return cfg
+    return list(_plan(cfg)), cfg
 
 
-def _check_values(cfg) -> None:
-    """What a schema-valid config can still get wrong, named by pointer: a bad
-    model document, T <= t0, a sim window its solve does not cover, a grid whose
-    axis count is not n*d or with an axis whose lo >= hi, a point whose size is
-    not n*d, atoms not in R^d, a number that is not finite, or a sweep whose
-    Monte Carlo rows cannot run. The config is checked as one more spec, with
-    its `horizon` block as the horizon."""
+def _mollify_spec(cfg) -> dict:
+    """The `mollify` block with its defaults, `k_list` and the seed: the spec of each
+    probe the block selects and of the sample evaluations."""
+    return {"seed": cfg["seed"], "functional": "mean", **cfg.get("mollify", {}),
+            "k_list": cfg.get("k_list", [4, 16, 64])}
+
+
+def _plan(cfg):
+    """Each spec of a schema-valid config resolved once to (spec, model, (t0, T),
+    counts): the config (its `horizon` block as the horizon), each probe spec and
+    each probe the `mollify` block selects. A probe's seed defaults to the
+    config's, a model to the config's and then to LQ-decoupled, a horizon to
+    [0, 1]; counts maps each solve's grid key to its n (the sweep's: each n to its
+    atoms). A config error names its pointer: a bad model, T <= t0, a sim window
+    its solve does not cover, a grid with lo >= hi or whose axis count is not n*d,
+    a point that is not n*d finite numbers inside each grid it is read on
+    (lo <= x <= hi), atoms not in R^d, or a sweep whose Monte Carlo rows cannot run."""
+    probes = [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
+    if cfg["kind"] == "mollify":
+        block = _mollify_spec(cfg)
+        selected = block.pop("probes", MOLLIFY_PROBES)
+        probes = [("$.mollify", dict(block, probe=n)) for n in MOLLIFY_PROBES if n in selected]
     specs = [("$", cfg, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
-    specs += [(f"$.probes[{i}]", p, PROBES[p["probe"]][2], (p, f"$.probes[{i}]"))
-              for i, p in enumerate(cfg.get("probes", []))]
+    specs += [(pointer, {"seed": cfg["seed"], **p}, PROBES[p["probe"]][2], (p, pointer))
+              for pointer, p in probes]
     for pointer, spec, solves, horizon in specs:
         try:
-            d = model_from_json(spec.get("model", cfg.get("model", _DEFAULT_MODEL))).d
+            model = model_from_json(spec.get("model", cfg.get("model", _DEFAULT_MODEL)))
         except ValueError as e:
             raise ConfigError(f"bad model at {pointer}.model: {e}") from e
+        d = model.d
         t0, T = _spec_horizon(*horizon)
         sim = _spec_horizon(spec.get("sim", {}), f"{pointer}.sim")
         # a feedback from a solve is simulated inside its horizon; a sweep's Monte
@@ -353,32 +372,40 @@ def _check_values(cfg) -> None:
             if atom_d is not None and atom_d != d:
                 raise ConfigError(f"bad point at {pointer}.{key}: atoms in R^{atom_d} but the "
                                   f"model's d = {d}")
+            # a solve's point, duplicated to the n of each grid of its spec, lies in
+            # that grid; the sweep's atoms lie on its one axis
+            grids = ([(f"{pointer}.{k}", spec[k]["axes"], c // n) for k, c in counts.items()]
+                     if n else [("$.sweep.grid_axis", [sweep["grid_axis"]], 1)] if sweep else [])
+            for grid, grid_axes, m in grids:
+                x = duplicate_atoms(arr.reshape(-1, d), m).reshape(-1)
+                lo, hi, _ = np.broadcast_arrays(*np.array(grid_axes)[:, :2].T, x)
+                for i in np.flatnonzero((x < lo) | (x > hi))[:1]:
+                    raise ConfigError(f"bad point at {pointer}.{key}: coordinate {i}, {x[i]}, "
+                                      f"is outside [{lo[i]}, {hi[i]}] of {grid}")
         # a sweep row past MAX_AXES is priced by Monte Carlo, under `sim`, with the
         # feedback of the smallest n's grid solve applied atom by atom, so n = 1
-        ns = [_as_atoms(np.asarray(sweep["base_atoms"])).shape[0] * m
-              for m in sweep.get("duplications", [1, 2])] if sweep else []
-        if ns and min(ns) * d > MAX_AXES:
+        fams = {len(a): a for a in (duplicate_atoms(sweep["base_atoms"], m)
+                                    for m in sweep.get("duplications", [1, 2]))} if sweep else {}
+        if fams and min(fams) * d > MAX_AXES:
             raise ConfigError(f"bad sweep at $.sweep.duplications: the smallest n*d = "
-                              f"{min(ns) * d} > {MAX_AXES} has no grid solve")
-        if ns and max(ns) * d > MAX_AXES and "sim" not in sweep:
-            raise ConfigError(f"bad sweep at $.sweep: n*d = {max(ns) * d} > {MAX_AXES} needs "
+                              f"{min(fams) * d} > {MAX_AXES} has no grid solve")
+        if fams and max(fams) * d > MAX_AXES and "sim" not in sweep:
+            raise ConfigError(f"bad sweep at $.sweep: n*d = {max(fams) * d} > {MAX_AXES} needs "
                               f"`sim` for its Monte Carlo rows")
-        if ns and max(ns) * d > MAX_AXES and min(ns) > 1:
+        if fams and max(fams) * d > MAX_AXES and min(fams) > 1:
             raise ConfigError(f"bad sweep at $.sweep: its Monte Carlo rows apply the smallest "
-                              f"family's feedback atom by atom, which needs n = 1, not {min(ns)}")
+                              f"family's feedback atom by atom, which needs n = 1, not {min(fams)}")
+        yield spec, model, (t0, T), fams or counts
 
 
-def _sized_grids(spec, solves, model, horizon) -> dict:
-    """{grid key: (n, grid)} for each solve of a spec, each grid sized once."""
-    counts = {key: count(spec) for key, count in solves.items()}
-    return {key: (n, sized_grid(model, n, spec[key]["axes"], *horizon,
-                                time_steps=spec[key].get("time_steps"),
-                                margin=spec[key].get("margin", 0.25)))
-            for key, n in counts.items()}
+def _sized_grids(spec, counts, model, horizon) -> dict:
+    """{grid key: (n, grid)} for each solve of a resolved spec, each grid sized once."""
+    t0, T = horizon
+    return {key: (n, sized_grid(model, n, t0=t0, T=T, **spec[key])) for key, n in counts.items()}
 
 
-def _run_simulate(cfg, out_dir, jobs):
-    model = model_from_json(cfg["model"])
+def _run_simulate(plan, out_dir, jobs):
+    [(cfg, model, _, _)] = plan
     sim = SimConfig(seed=cfg["seed"], **cfg["sim"])
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
     r, dump = cfg.get("r", 2.0), cfg.get("dump_trajectories", False)
@@ -413,10 +440,9 @@ def _value_dump(u, cadence):
         yield f"{k}" + f"\r\n{k}".join(map(str.__add__, tails, reprs)) + "\r\n"
 
 
-def _run_solve(cfg, out_dir, jobs):
-    model = model_from_json(cfg["model"])
-    horizon = _spec_horizon(cfg.get("horizon", {}))
-    [(n, grid)] = _sized_grids(cfg, KINDS["solve-hjb"][2], model, horizon).values()
+def _run_solve(plan, out_dir, jobs):
+    [(cfg, model, horizon, counts)] = plan
+    [(n, grid)] = _sized_grids(cfg, counts, model, horizon).values()
     u = solve_hjb(model, n, grid, *horizon)
     cadence = cfg.get("dump_cadence", 1)
     atomic_write(os.path.join(out_dir, "results.csv"), _value_dump(u, cadence), newline="")
@@ -425,11 +451,8 @@ def _run_solve(cfg, out_dir, jobs):
                "stored_times": u.times.tolist()}
     atomic_write(os.path.join(out_dir, "grid.json"),
                  json.dumps(sidecar, indent=2, sort_keys=True))
-    summary = {
-        "grid": grid.to_json(),
-        "stored_times": u.times.tolist(),
-        "value_at_origin": u.value_at(horizon[0], np.zeros(len(grid.axes))),
-    }
+    summary = {key: sidecar[key] for key in ("grid", "stored_times")}
+    summary["value_at_origin"] = u.value_at(horizon[0], np.zeros(len(grid.axes)))
     if "x0" in cfg:
         pt = np.asarray(cfg["x0"], dtype=np.float64).reshape(-1)
         summary["value_at_x0"] = u.value_at(horizon[0], pt)
@@ -440,54 +463,39 @@ def _run_solve(cfg, out_dir, jobs):
     return summary, []
 
 
-def _verify_probe(spec, cfg):
-    """Run one probe spec, resolved once: its seed defaults to the config's; its
-    model to the config's, then to LQ-decoupled; its horizon to [0, 1]; and each
-    solve its PROBES entry declares gets its grid sized here."""
-    _, runner, solves = PROBES[spec["probe"]]
-    spec = {"seed": cfg["seed"], **spec}
-    model = model_from_json(spec.get("model", cfg.get("model", _DEFAULT_MODEL)))
-    horizon = _spec_horizon(spec)
-    return runner(spec, model, horizon, _sized_grids(spec, solves, model, horizon))
+def _verify_probe(spec, model, horizon, counts):
+    """Run one probe spec resolved by `_plan`, its grids sized here."""
+    return PROBES[spec["probe"]][1](spec, model, horizon,
+                                    _sized_grids(spec, counts, model, horizon))
 
 
-def _run_verify(cfg, out_dir, jobs):
-    probes = cfg.get("probes", [])
+def _run_verify(plan, out_dir, jobs):
+    probes = plan[1:]
     if jobs > 1 and len(probes) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_spec = list(pool.map(lambda s: _verify_probe(s, cfg), probes))
+            per_spec = list(pool.map(lambda entry: _verify_probe(*entry), probes))
     else:
-        per_spec = [_verify_probe(s, cfg) for s in probes]
+        per_spec = [_verify_probe(*entry) for entry in probes]
     reports = [r for rs in per_spec for r in rs]
     return {"probes": [r.to_json() for r in reports]}, reports
 
 
-def _run_mollify(cfg, out_dir, jobs):
-    # the mollify block, with its defaults, is the spec of every probe it selects
-    spec = {"functional": "mean", **cfg.get("mollify", {}),
-            "k_list": cfg.get("k_list", [4, 16, 64])}
-    selected = spec.pop("probes", MOLLIFY_PROBES)
-    reports = [r for name in MOLLIFY_PROBES if name in selected
-               for r in _verify_probe(dict(spec, probe=name), cfg)]
-    fam = default_test_family(count=3, seed=cfg["seed"] + 3)
+def _run_mollify(plan, out_dir, jobs):
+    summary, reports = _run_verify(plan, out_dir, jobs)
+    spec = _mollify_spec(plan[0][0])
+    fam = default_test_family(count=3, seed=spec["seed"] + 3)
     estimates = smooth_eval(FUNCTIONALS[spec["functional"]], spec["k_list"][-1],
-                            spec.get("mc_reps", _MC_REPS), cfg["seed"], fam)
-    evals = [{"point": i, "estimate": list(est)} for i, est in enumerate(estimates)]
-    return {"probes": [r.to_json() for r in reports], "sample_evaluations": evals}, reports
+                            spec.get("mc_reps", _MC_REPS), spec["seed"], fam)
+    summary["sample_evaluations"] = [{"point": i, "estimate": list(est)}
+                                     for i, est in enumerate(estimates)]
+    return summary, reports
 
 
-def _run_sweep(cfg, out_dir, jobs):
+def _run_sweep(plan, out_dir, jobs):
+    [(cfg, model, horizon, families)] = plan
     block = cfg["sweep"]
-    model = model_from_json(cfg["model"])
-    horizon = _spec_horizon(cfg.get("horizon", {}))
-    fams = {}
-    for m in block.get("duplications", [1, 2]):
-        arr = duplicate_atoms(block["base_atoms"], m)
-        fams[arr.shape[0]] = arr
-    mc_cfg = None
-    if "sim" in block:
-        mc_cfg = SimConfig(seed=cfg["seed"], **block["sim"])
-    rows = verify.convergence_sweep(model, fams, tuple(block["grid_axis"]), *horizon,
+    mc_cfg = SimConfig(seed=cfg["seed"], **block["sim"]) if "sim" in block else None
+    rows = verify.convergence_sweep(model, families, tuple(block["grid_axis"]), *horizon,
                                     mc_cfg=mc_cfg)
     csv_rows = [[r["n"], repr(r["value"]), repr(r["std_error"]), r["mode"],
                  "" if r["gap_to_previous"] is None else repr(r["gap_to_previous"])]
@@ -499,14 +507,14 @@ def _run_sweep(cfg, out_dir, jobs):
 
 def _cmd_run(args) -> int:
     try:
-        cfg = _load_config(args.config, args.seed)
+        plan, cfg = _load_config(args.config, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.get("out_dir", ".")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        summary, reports = globals()[KINDS[cfg["kind"]][1]](cfg, out_dir, args.jobs)
+        summary, reports = globals()[KINDS[cfg["kind"]][1]](plan, out_dir, args.jobs)
         if "probes" in summary:  # a probe kind's table, header only when it ran none
             write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))
         atomic_write(os.path.join(out_dir, "summary.json"),

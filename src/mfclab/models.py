@@ -73,17 +73,6 @@ class ModelSpec:
         """Running control cost kappa |a|^2 / 2; a shape (..., d)."""
         return 0.5 * self.kappa * (np.asarray(a) ** 2).sum(axis=-1)
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "b": [ex.print_coefficient(e) for e in self.drift],
-            "sigma": [[ex.print_coefficient(e) for e in row] for row in self.sigma],
-            "l1": ex.print_coefficient(self.l1),
-            "kappa": self.kappa,
-            "UT": ex.print_coefficient(self.terminal),
-        }
-
 
 def l2_conjugate(p, kappa: float):
     """Convex conjugate of the quadratic control cost: l2*(p) = |p|^2 / (2 kappa)."""

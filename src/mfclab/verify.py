@@ -13,38 +13,40 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import _estimate, _per_path_terms, _price, cost_finite, cost_lifted
-from .hjb import (MAX_AXES, GridSpec, GridValueFunction, sized_grid, solve_hjb,
-                  synthesize_feedback)
+from .hjb import MAX_AXES, GridValueFunction, sized_grid, solve_hjb, synthesize_feedback
 from .measures import _as_atoms, duplicate_atoms, mean_se, rnorm
 from .models import ModelSpec
 from .reports import ProbeReport
 from .simulate import Policy, SimConfig, path_blocks, wiener_increments
 
 
-def duplication_consistency(model: ModelSpec, base_n: int, m: int,
-                            grid_small: GridSpec, grid_big: GridSpec,
-                            t0: float, T: float, test_points,
+def duplication_consistency(u_small: GridValueFunction, u_big: GridValueFunction, test_points,
                             compare_times=None, threshold: float = 2e-2) -> ProbeReport:
-    """Solve u_n and u_{mn} independently; compare values on duplicated atoms."""
-    if base_n * m * model.d > MAX_AXES:
-        raise ValueError(f"duplicated problem exceeds the n*d <= {MAX_AXES} grid limit")
+    """Compare two independent solves, u_n and u_{mn} with m = u_big.n / u_small.n,
+    on duplicated atoms: each test point holds the n atoms of u_small."""
+    n, m = u_small.n, u_big.n // u_small.n
+    ends = np.array([u.times[[0, -1]] for u in (u_small, u_big)])
+    if u_small.model != u_big.model or u_big.n != n * m or not np.allclose(*ends, rtol=1e-12):
+        raise ValueError("solves do not fit: u_big needs u_small's model and horizon, m*n atoms")
     if not len(test_points):
         raise ValueError("duplication consistency needs at least one test point")
-    u_small = solve_hjb(model, base_n, grid_small, t0, T)
-    u_big = solve_hjb(model, base_n * m, grid_big, t0, T)
+    t0, T = ends[0].tolist()
     times = list(compare_times) if compare_times is not None else [t0, 0.5 * (t0 + T), T]
     small = np.stack([_as_atoms(x).reshape(-1) for x in test_points])
     big = np.stack([duplicate_atoms(x, m).reshape(-1) for x in test_points])
     gaps = np.array([np.abs(u_big.value_at(t, big) - u_small.value_at(t, small))
                      for t in times])                        # (times, points)
-    terminal_gap = max((float(g.max()) for t, g in zip(times, gaps) if t == T), default=0.0)
+    # the gap between the two terminal slices, where U_T factors through the measure
+    terminal = [all(u.slice_for_time(t) == len(u.times) - 1 for u in (u_small, u_big))
+                for t in times]
+    terminal_gap = max((float(g.max()) for g, last in zip(gaps, terminal) if last), default=0.0)
     return ProbeReport(
-        name=f"duplication-consistency[{model.name},n={base_n}->{base_n * m}]",
+        name=f"duplication-consistency[{u_small.model.name},n={n}->{u_big.n}]",
         samples=len(test_points) * len(times),
         statistic=float(gaps.max()),
         threshold=threshold,
-        provenance={"model": model.name, "base_n": base_n, "m": m,
-                    "grid_small": grid_small.to_json(), "grid_big": grid_big.to_json()},
+        provenance={"model": u_small.model.name, "base_n": n, "m": m,
+                    "grid_small": u_small.grid.to_json(), "grid_big": u_big.grid.to_json()},
         details={"terminal_gap": terminal_gap, "times": times},
     )
 

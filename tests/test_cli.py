@@ -177,6 +177,24 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
           "x0": [float("nan")]}, "$.x0"),
         ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM,
           "x0": [[0.5], [0.2, 0.3]]}, "$.x0"),
+        # points outside a grid they are read on (lo <= x <= hi): an x0 on its solve's
+        # grid, a test point on grid_small and, duplicated, on grid_big, and the
+        # sweep's base atoms on grid_axis
+        ({"kind": "solve-hjb", "seed": 1, "model": {"registry": "LQ-decoupled"},
+          "grid": _GRID_1D, "x0": [10.0]}, "$.x0"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip", x0=[[3.2]],
+                 sim=dict(_SIM, T=1.0, steps=20, n_paths=50))]}, "$.probes[0].x0"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 test_points=[[0.5], [5.0]], threshold=1.0)]}, "$.probes[0].test_points[1]"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 grid_big={"axes": [[-3.0, 3.0, 17], [-1.0, 1.0, 17]]},
+                 test_points=[[0.5], [-1.5]], threshold=1.0)]}, "$.probes[0].test_points[1]"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1], [3.5]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1]}},
+         "$.sweep.base_atoms"),
         # a duplication probe with no point to compare, a sweep with no family
         ({"kind": "verify", "seed": 1, "probes": [
             dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
@@ -400,8 +418,9 @@ def test_blown_up_simulate_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     {"kind": "verify", "seed": 1, "probes": [
         {"probe": "cost-identity", "model": _CUBIC, "sim": _BLOW_UP_SIM, "x0": [[3.0]]}]},
-    {"kind": "sweep", "seed": 1, "model": _CUBIC,
-     "sweep": {"base_atoms": [[6.0]], "grid_axis": [-4.0, 4.0, 41], "duplications": [1, 4],
+    # the noise drives paths off the grid, where the clamped feedback cannot hold x^3
+    {"kind": "sweep", "seed": 1, "model": dict(_CUBIC, sigma=[["3"]]),
+     "sweep": {"base_atoms": [[1.5]], "grid_axis": [-2.0, 2.0, 41], "duplications": [1, 4],
                "sim": _BLOW_UP_SIM}},
     {"kind": "verify", "seed": 2, "probes": [
         {"probe": "feedback-roundtrip", "model": _CUBIC, "grid": {"axes": [[-1.0, 1.0, 41]]},
@@ -705,18 +724,46 @@ def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):
     assert want.time_steps != default_horizon.time_steps
 
 
-def test_verify_concurrent_jobs_match_serial(tmp_path):
+def test_verify_concurrent_jobs_match_serial(tmp_path, capsys):
+    """--jobs runs the probes of a verify config and those a mollify block selects."""
     probes = [{
         "probe": "cost-identity",
         "model": {"registry": name},
         "sim": {"t0": 0.0, "T": 0.5, "steps": 6, "n_paths": 4},
         "x0": [[0.5]],
     } for name in ("LQ-decoupled", "LQ-mean-reverting", "tanh-interaction")]
-    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 5, "probes": probes})
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2), "--jobs", "3"]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    mollify = {"kind": "mollify", "seed": 5, "k_list": [2, 4],
+               "mollify": {"mc_reps": 200, "segments": 2}}
+    for doc, jobs in [({"kind": "verify", "seed": 5, "probes": probes}, "3"), (mollify, "2")]:
+        cfg = _write(tmp_path / "c.json", doc)
+        runs = []
+        for argv in ([], ["--jobs", jobs]):
+            out = tmp_path / f"o{len(runs)}"
+            code = main(["run", "--config", cfg, "--out", str(out), *argv])
+            runs.append((code, capsys.readouterr().out,
+                         *((out / a).read_bytes() for a in ("results.csv", "summary.json"))))
+        assert runs[0] == runs[1] and runs[0][1], doc["kind"]
+
+
+def test_each_spec_builds_its_model_once(tmp_path, monkeypatch):
+    """A three-probe verify config is resolved once: one model for the config and
+    one per probe, none rebuilt to run the probes."""
+    calls = []
+    build = cli.model_from_json
+    monkeypatch.setattr(cli, "model_from_json", lambda doc: calls.append(doc) or build(doc))
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 2, "probes": [
+        {"probe": name, **SMALL_SPECS[name]}
+        for name in ("cost-identity", "duplication-consistency", "time-holder")]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+    assert len(calls) == 4
+
+
+def test_points_on_the_grid_edge_are_inside(tmp_path):
+    for doc in [dict(SMALL_CONFIGS["solve-hjb"], x0=[3.0]),
+                dict(SMALL_CONFIGS["sweep"], sweep=dict(SMALL_CONFIGS["sweep"]["sweep"],
+                                                        base_atoms=[[-3.0]]))]:
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0, doc
 
 
 def test_run_format_json_stdout(tmp_path, capsys):

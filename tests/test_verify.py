@@ -21,45 +21,53 @@ def test_cost_identity_sweep():
         assert rep.statistic == 0.0
 
 
+def _solves(model, axis, *ns, t0=0.0, T=1.0):
+    """Independent grid solves u_n of `model`, one per n, on the axis repeated n times."""
+    return [m.solve_hjb(model, n, sized_grid(model, n, axis, t0, T), t0, T) for n in ns]
+
+
 def test_duplication_consistency_coarse(lq_model):
-    g1 = sized_grid(lq_model, 1, (-3.0, 3.0, 61))
-    g2 = sized_grid(lq_model, 2, (-3.0, 3.0, 61))
-    rep = m.duplication_consistency(lq_model, 1, 2, g1, g2, 0.0, 1.0,
-                                    [np.array([[0.0]]), np.array([[1.5]])],
+    u1, u2 = _solves(lq_model, (-3.0, 3.0, 61), 1, 2)
+    rep = m.duplication_consistency(u1, u2, [np.array([[0.0]]), np.array([[1.5]])],
                                     threshold=5e-2)
     assert rep.passed
+    assert rep.name == "duplication-consistency[LQ-decoupled,n=1->2]"
+    assert rep.provenance["m"] == 2 and rep.details["times"] == [0.0, 0.5, 1.0]
     # terminal functionals factor through the measure: exactly zero at t = T
     assert rep.details["terminal_gap"] == 0.0
 
 
-def test_duplication_rejects_oversized():
-    model = m.REGISTRY["LQ-decoupled"]
-    g1 = m.GridSpec(axes=((-1.0, 1.0, 9),) * 2, time_steps=100)
-    with pytest.raises(ValueError):
-        m.duplication_consistency(model, 2, 2, g1, g1, 0.0, 1.0, [])
+def test_duplication_rejects_a_mismatched_pair(lq_model):
+    """A pair fits when u_big has m times u_small's atoms, on the same model and
+    horizon; oversized grids are refused earlier, by GridSpec."""
+    axis = (-1.0, 1.0, 9)
+    u1, u2, u3 = _solves(lq_model, axis, 1, 2, 3, T=0.1)
+    [other_model] = _solves(m.REGISTRY["LQ-mean-reverting"], axis, 2, T=0.1)
+    [other_horizon] = _solves(lq_model, axis, 2, T=0.2)
+    point = [np.array([[0.5]])]
+    for small, big in [(u2, u3), (u2, u1), (u1, other_model), (u1, other_horizon)]:
+        with pytest.raises(ValueError, match="solves do not fit"):
+            m.duplication_consistency(small, big, point)
+    assert m.duplication_consistency(u1, u3, point).provenance["m"] == 3
 
 
 def test_duplication_gaps_match_point_by_point_lookups(lq_model):
     """One lookup per (solve, time) over all points gives each point's gap bit for
     bit: the reference reads the two solves one point at a time."""
-    g1 = sized_grid(lq_model, 1, (-3.0, 3.0, 17))
-    g2 = sized_grid(lq_model, 2, (-3.0, 3.0, 17))
+    u1, u2 = _solves(lq_model, (-3.0, 3.0, 17), 1, 2)
     points = [np.array([[x]]) for x in (-1.3, 0.0, 0.4, 2.9)]
     times = [0.0, 0.37, 1.0]
-    rep = m.duplication_consistency(lq_model, 1, 2, g1, g2, 0.0, 1.0, points, times)
-    u1, u2 = m.solve_hjb(lq_model, 1, g1, 0.0, 1.0), m.solve_hjb(lq_model, 2, g2, 0.0, 1.0)
+    rep = m.duplication_consistency(u1, u2, points, times)
     gaps = [abs(u2.value_at(t, m.duplicate_atoms(x, 2).reshape(-1))
                 - u1.value_at(t, x.reshape(-1))) for x in points for t in times]
     assert rep.statistic == max(gaps) and rep.samples == len(gaps)
     assert rep.details["terminal_gap"] == max(gaps[len(times) - 1::len(times)])
 
 
-def test_duplication_without_points_solves_nothing(monkeypatch):
-    from mfclab import verify
-    monkeypatch.setattr(verify, "solve_hjb", lambda *a, **k: pytest.fail("solved"))
-    grid = m.GridSpec(axes=((-1.0, 1.0, 9),), time_steps=10)
+def test_duplication_without_points_is_a_value_error(lq_model):
+    u1, u2 = _solves(lq_model, (-1.0, 1.0, 9), 1, 2, T=0.1)
     with pytest.raises(ValueError, match="at least one test point"):
-        m.duplication_consistency(m.REGISTRY["LQ-decoupled"], 1, 1, grid, grid, 0.0, 1.0, [])
+        m.duplication_consistency(u1, u2, [])
 
 
 def test_semiconcavity_quadratic_oracle():
