@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -121,12 +122,10 @@ def _probe_cost_identity(spec, model, horizon, grids):
 
 
 def _probe_duplication(spec, model, horizon, grids):
-    t0, T = horizon
     # the large solve first, so that the small one's slices are not held through its march
-    u_big, u_small = (solve_hjb(model, *grids[k], t0, T) for k in ("grid_big", "grid_small"))
+    u_big, u_small = (solve_hjb(model, *grids[k], *horizon) for k in ("grid_big", "grid_small"))
     pts = [np.reshape(p, (u_small.n, model.d)) for p in spec["test_points"]]
-    # the horizon's own T: the last stored time t0 + K dt can miss it by a rounding error
-    return [verify.duplication_consistency(u_small, u_big, pts, [t0, 0.5 * (t0 + T), T],
+    return [verify.duplication_consistency(u_small, u_big, pts,
                                            threshold=spec.get("threshold", 2e-2))]
 
 
@@ -267,13 +266,16 @@ class ConfigError(Exception):
 
 
 # A JSON number such as 8.0 is an integer to JSON Schema, but not to range() or
-# np.empty(), which would fail on it after the check has passed. The schema
-# itself is checked by the tests; meta-validating it on every run would take
-# far longer than validating the config.
+# np.empty(), which would fail on it after the check has passed. A number is
+# finite: json reads NaN, Infinity and 1e400 as floats (an int of any size is
+# finite; math.isfinite would overflow on it). The schema itself is checked by
+# the tests; meta-validating it on every run would take far longer.
 _CONFIG_VALIDATOR = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)),
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda checker, v: (checker.is_type(v, "integer")
+                                      or isinstance(v, float) and math.isfinite(v))}),
 )(CONFIG_SCHEMA)
 
 
@@ -297,29 +299,27 @@ def _load_config(path: str, seed=None) -> tuple:
     return list(_plan(cfg)), cfg
 
 
-def _mollify_spec(cfg) -> dict:
-    """The `mollify` block with its defaults, `k_list` and the seed: the spec of each
-    probe the block selects and of the sample evaluations."""
-    return {"seed": cfg["seed"], "functional": "mean", **cfg.get("mollify", {}),
-            "k_list": cfg.get("k_list", [4, 16, 64])}
-
-
 def _plan(cfg):
     """Each spec of a schema-valid config resolved once to (spec, model, (t0, T),
-    counts): the config (its `horizon` block as the horizon), each probe spec and
-    each probe the `mollify` block selects. A probe's seed defaults to the
-    config's, a model to the config's and then to LQ-decoupled, a horizon to
-    [0, 1]; counts maps each solve's grid key to its n (the sweep's: each n to its
-    atoms). A config error names its pointer: a bad model, T <= t0, a sim window
-    its solve does not cover, a grid with lo >= hi or whose axis count is not n*d,
-    a point that is not n*d finite numbers inside each grid it is read on
-    (lo <= x <= hi), atoms not in R^d, or a sweep whose Monte Carlo rows cannot run."""
+    counts): the config (its `horizon` block as the horizon; the mollify kind's
+    resolved `mollify` block in its place), each probe spec and each probe that
+    block selects. A probe's seed defaults to the config's, a model to the
+    config's and then to LQ-decoupled, a horizon to [0, 1]; counts maps each
+    solve's grid key to its n (the sweep's: each n to its atoms). A config error
+    names its pointer: a bad model, T <= t0, a sim window its solve does not
+    cover, a grid with lo >= hi or whose axis count is not n*d, a point that is
+    not n*d finite numbers inside each grid it is read on (lo <= x <= hi), atoms
+    not in R^d, or a sweep whose Monte Carlo rows cannot run."""
     probes = [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
+    top = cfg
     if cfg["kind"] == "mollify":
-        block = _mollify_spec(cfg)
-        selected = block.pop("probes", MOLLIFY_PROBES)
-        probes = [("$.mollify", dict(block, probe=n)) for n in MOLLIFY_PROBES if n in selected]
-    specs = [("$", cfg, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
+        # the block with its defaults, `k_list` and the seed: the spec of each probe it
+        # selects and of the sample evaluations
+        top = {"seed": cfg["seed"], "functional": "mean", **cfg.get("mollify", {}),
+               "k_list": cfg.get("k_list", [4, 16, 64])}
+        selected = top.pop("probes", MOLLIFY_PROBES)
+        probes = [("$.mollify", dict(top, probe=n)) for n in MOLLIFY_PROBES if n in selected]
+    specs = [("$", top, KINDS[cfg["kind"]][2], (cfg.get("horizon", {}), "$.horizon"))]
     specs += [(pointer, {"seed": cfg["seed"], **p}, PROBES[p["probe"]][2], (p, pointer))
               for pointer, p in probes]
     for pointer, spec, solves, horizon in specs:
@@ -452,7 +452,8 @@ def _run_solve(plan, out_dir, jobs):
     atomic_write(os.path.join(out_dir, "grid.json"),
                  json.dumps(sidecar, indent=2, sort_keys=True))
     summary = {key: sidecar[key] for key in ("grid", "stored_times")}
-    summary["value_at_origin"] = u.value_at(horizon[0], np.zeros(len(grid.axes)))
+    if all(lo <= 0 <= hi for lo, hi, _ in grid.axes):  # a lookup off the grid is clamped
+        summary["value_at_origin"] = u.value_at(horizon[0], np.zeros(len(grid.axes)))
     if "x0" in cfg:
         pt = np.asarray(cfg["x0"], dtype=np.float64).reshape(-1)
         summary["value_at_x0"] = u.value_at(horizon[0], pt)
@@ -474,7 +475,7 @@ def _run_verify(plan, out_dir, jobs):
     if jobs > 1 and len(probes) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             per_spec = list(pool.map(lambda entry: _verify_probe(*entry), probes))
-    else:
+    else:  # a one-worker pool would add about 2 MB of peak RSS to a mollify run
         per_spec = [_verify_probe(*entry) for entry in probes]
     reports = [r for rs in per_spec for r in rs]
     return {"probes": [r.to_json() for r in reports]}, reports
@@ -482,7 +483,7 @@ def _run_verify(plan, out_dir, jobs):
 
 def _run_mollify(plan, out_dir, jobs):
     summary, reports = _run_verify(plan, out_dir, jobs)
-    spec = _mollify_spec(plan[0][0])
+    spec = plan[0][0]
     fam = default_test_family(count=3, seed=spec["seed"] + 3)
     estimates = smooth_eval(FUNCTIONALS[spec["functional"]], spec["k_list"][-1],
                             spec.get("mc_reps", _MC_REPS), spec["seed"], fam)

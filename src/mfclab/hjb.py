@@ -294,7 +294,8 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         if k in row:
             values[row[k]] = u
 
-    times = t0 + dt * np.array(kept, dtype=np.float64)
+    # t0 + k dt bit for bit for k < K, and T itself at k = K
+    times = np.linspace(t0, T, K + 1)[kept]
     return GridValueFunction(grid=grid, model=model, n=n, dt=dt, times=times, values=values)
 
 

@@ -65,27 +65,23 @@ def _bump_unit_draws(seed: int, slots: np.ndarray, d: int):
     flat = slots.reshape(-1)
     out = np.empty((flat.size, d))
     proposals = 0
-    # _CHUNK slots at a time, each to acceptance: a slot's draws depend on its own
-    # counters only, so the chunking changes neither the draws nor the proposals
-    for start in range(0, flat.size, _CHUNK):
-        chunk, chunk_out = flat[start:start + _CHUNK], out[start:start + _CHUNK]
-        pending = np.arange(chunk.size)     # C order, as a boolean mask would select
-        for rnd in range(_MAX_REJECTION_ROUNDS):
-            if not pending.size:
-                break
-            idx = chunk[pending]
-            z = rng.normals(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd), d)
-            u = rng.uniforms(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd + 1), 2)
-            proposals += idx.size
-            norm = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
-            direction = z / norm
-            radius = u[..., 0] ** (1.0 / d)
-            y = direction * radius[..., None]
-            accept = u[..., 1] < np.exp(1.0 / (radius ** 2 - 1.0) + 1.0)
-            chunk_out[pending[accept]] = y[accept]
-            pending = pending[~accept]
-        if pending.size:
-            raise RuntimeError("bump rejection sampling did not terminate")
+    pending = np.arange(flat.size)     # C order, as a boolean mask would select
+    for rnd in range(_MAX_REJECTION_ROUNDS):
+        if not pending.size:
+            break
+        idx = flat[pending]
+        z = rng.normals(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd), d)
+        u = rng.uniforms(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd + 1), 2)
+        proposals += idx.size
+        norm = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
+        direction = z / norm
+        radius = u[..., 0] ** (1.0 / d)
+        y = direction * radius[..., None]
+        accept = u[..., 1] < np.exp(1.0 / (radius ** 2 - 1.0) + 1.0)
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise RuntimeError("bump rejection sampling did not terminate")
     return out.reshape(slots.shape + (d,)), proposals
 
 

@@ -88,7 +88,6 @@ class PathBundle:
 
     dt: float
     states: np.ndarray         # (P, steps+1, n, d)
-    increments: np.ndarray     # (P, steps, d')
     control_trace: np.ndarray  # (P, steps, n, d)
 
     @property
@@ -146,7 +145,7 @@ def _integrate(model, cfg, x0, policy, increments, span=None):
             raise FloatingPointError(f"{count} of {P} paths{where} blew up at step {k + 1} of {S}")
         states[:, k + 1] = nxt
         cur = nxt
-    return PathBundle(cfg.dt, states, increments, trace)
+    return PathBundle(cfg.dt, states, trace)
 
 
 def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,

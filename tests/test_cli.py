@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -240,6 +241,26 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "sweep", "seed": 1, "model": {"registry": "LQ-decoupled"}, "sweep": {
             "base_atoms": [[0.5], [-0.5]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1, 4],
             "sim": {"t0": 0.0, "T": 1.0, "steps": 8, "n_paths": 50}}}, "$.sweep"),
+        # a config number that is not finite (json writes NaN and Infinity)
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D,
+          "horizon": {"t0": -math.inf, "T": 1.0}}, "$.horizon.t0"),
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": dict(_SIM, T=math.inf),
+          "x0": [[0.0]]}, "$.sim.T"),
+        (dict(SMALL_CONFIGS["solve-hjb"], model=dict(_D1_MODEL, kappa=math.inf)),
+         "$.model.kappa"),
+        (dict(SMALL_CONFIGS["solve-hjb"], model=dict(_D1_MODEL, kappa=math.nan)),
+         "$.model.kappa"),
+        (dict(SMALL_CONFIGS["simulate"], r=math.nan), "$.r"),
+        (dict(SMALL_CONFIGS["solve-hjb"], grid=dict(_GRID_1D, margin=math.nan)),
+         "$.grid.margin"),
+        (dict(SMALL_CONFIGS["solve-hjb"], grid={"axes": [[-math.inf, 3.0, 17]]}),
+         "$.grid.axes[0][0]"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            {"probe": "permutation-invariance", "grid": _GRID_2D, "threshold": math.nan}]},
+         "$.probes[0].threshold"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["cost-identity"], probe="cost-identity", threshold=math.inf)]},
+         "$.probes[0].threshold"),
     ]
     for doc, pointer in cases:
         cfg = _write(tmp_path / "c.json", doc)
@@ -672,6 +693,30 @@ def test_solve_hjb_end_to_end(tmp_path):
     want = 0.25 + 0.5 * np.log(2.0)
     assert abs(summary["value_at_x0"] - want) < 2e-2
     assert abs(summary["riccati_value_at_x0"] - want) < 1e-8
+
+
+def test_solve_hjb_stores_T_itself(tmp_path):
+    """With 49 steps on [0, 1], t0 + K dt misses T = 1; the last stored time is T."""
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "solve-hjb", "seed": 1, "model": {"registry": "LQ-decoupled"},
+        "grid": {"axes": [[-2.0, 2.0, 9]], "time_steps": 49}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    for artifact in ("summary.json", "grid.json"):
+        assert json.loads((out / artifact).read_text())["stored_times"][-1] == 1.0, artifact
+
+
+def test_value_at_origin_only_on_a_grid_that_holds_it(tmp_path):
+    """A lookup off the grid reads the clamped edge value, so a grid without the
+    origin writes no `value_at_origin`; one that holds it still does."""
+    for lo, holds in [(1.0, False), (-3.0, True)]:
+        cfg = _write(tmp_path / "c.json", {
+            "kind": "solve-hjb", "seed": 1, "model": {"registry": "LQ-decoupled"},
+            "grid": {"axes": [[lo, 3.0, 17]]}, "x0": [2.0]})
+        out = tmp_path / f"o{lo}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert ("value_at_origin" in summary) == holds and "value_at_x0" in summary, lo
 
 
 def test_riccati_oracle_before_time_zero(tmp_path):

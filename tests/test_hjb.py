@@ -247,9 +247,19 @@ def test_stored_slices_are_the_kept_march_slices(meanrev_model):
     stride = -(-(K + 1) // 7)
     kept = sorted({0, K} | set(range(0, K + 1, stride)))
     assert stride > 1 and kept[-2] != K
-    assert np.array_equal(u.times, t0 + u.dt * np.array(kept, dtype=np.float64))
-    assert np.array_equal(full.times, t0 + full.dt * np.arange(K + 1, dtype=np.float64))
+    assert np.array_equal(u.times, np.linspace(t0, T, K + 1)[kept])
+    assert np.array_equal(full.times, np.linspace(t0, T, K + 1))
+    # every time before T is t0 + k dt bit for bit
+    assert np.array_equal(full.times[:-1], t0 + full.dt * np.arange(K, dtype=np.float64))
     assert np.array_equal(u.values, full.values[kept])
+
+
+def test_last_stored_time_is_T():
+    """t0 + K dt misses T = 1 by a rounding error at K = 49; the last slice is T."""
+    model = m.REGISTRY["LQ-decoupled"]
+    assert 0.0 + (1.0 - 0.0) / 49 * 49 != 1.0
+    u = m.solve_hjb(model, 1, m.GridSpec(axes=((-2.0, 2.0, 9),), time_steps=49), 0.0, 1.0)
+    assert u.times[0] == 0.0 and u.times[-1] == 1.0
 
 
 # SHA-256 of solve_hjb(...).values for each registry model and n on the grids

@@ -58,19 +58,6 @@ def test_bump_draws_are_independent_of_batching(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_bump_draws_are_independent_of_chunking(monkeypatch, d):
-    """Sampling the slots 64 at a time (15 full chunks and a partial one) gives
-    the draws and the proposal count of one chunk, bit for bit."""
-    slots = np.arange(1000, dtype=np.uint64).reshape(10, 100) * np.uint64(7) + np.uint64(3)
-    whole, proposals = _bump_unit_draws(31, slots, d)
-    monkeypatch.setattr(mollify, "_CHUNK", 64)
-    chunked, chunked_proposals = _bump_unit_draws(31, slots, d)
-    assert chunked.shape == whole.shape == (10, 100, d)
-    assert chunked.tobytes() == whole.tobytes()
-    assert chunked_proposals == proposals
-
-
-@pytest.mark.parametrize("d", [1, 2])
 def test_coupled_values_are_independent_of_chunking(monkeypatch, d):
     """Pricing the replicates a few at a time (2 per chunk, the last chunk short)
     or one at a time (the chunk holds fewer slots than one replicate) gives the

@@ -175,9 +175,9 @@ def test_open_loop_schedule_validated():
 
 
 def test_path_blocks_cut_one_integration(monkeypatch):
-    """Cut into blocks of three paths, the ensemble's states, controls and
-    increments are those of one integration of all ten paths, bit for bit;
-    increments that do not match the config are refused before any block."""
+    """Cut into blocks of three paths, the ensemble's states and controls are
+    those of one integration of all ten paths, bit for bit; increments that do
+    not match the config are refused before any block."""
     model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(steps=8, n_paths=10)
     x0 = np.array([[0.5], [-1.0]])
@@ -186,7 +186,7 @@ def test_path_blocks_cut_one_integration(monkeypatch):
     cut_into_blocks(monkeypatch, 3, cfg.steps, 2)
     blocks = list(m.path_blocks(model, cfg, x0, policy))
     assert [b.n_paths for b in blocks] == [3, 3, 3, 1]
-    for field in ("states", "control_trace", "increments"):
+    for field in ("states", "control_trace"):
         cut = np.concatenate([getattr(b, field) for b in blocks])
         assert cut.tobytes() == getattr(whole, field).tobytes(), field
     with pytest.raises(ValueError, match="does not match config"):
@@ -196,8 +196,9 @@ def test_path_blocks_cut_one_integration(monkeypatch):
 def test_path_statistics_deterministic_paths():
     model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0"]],
                                "l1": "0", "kappa": 1.0, "UT": "m2"})
-    bundle = m.simulate_particles(model, _cfg(), np.array([[2.0]]), m.zero_control())
-    stats = m.path_statistics(m.path_sups(bundle, 1.5), bundle.increments, bundle.dt)
+    cfg = _cfg()
+    bundle = m.simulate_particles(model, cfg, np.array([[2.0]]), m.zero_control())
+    stats = m.path_statistics(m.path_sups(bundle, 1.5), m.wiener_increments(cfg, 1), bundle.dt)
     assert stats["mean_sup_deviation"] == (0.0, 0.0)
     assert stats["mean_sup_rnorm"][0] == 2.0
 
@@ -223,7 +224,8 @@ def test_time_continuity_ratio_plateau():
     for horizon in (0.5, 0.125, 0.03125):
         cfg = m.SimConfig(t0=0.0, T=horizon, steps=32, n_paths=800, seed=47)
         bundle = m.simulate_particles(model, cfg, np.array([[0.3]]), m.zero_control())
-        stats = m.path_statistics(m.path_sups(bundle, 1.0), bundle.increments, bundle.dt)
+        stats = m.path_statistics(m.path_sups(bundle, 1.0), m.wiener_increments(cfg, 1),
+                                  bundle.dt)
         ratios.append(stats["mean_sup_deviation"][0] / np.sqrt(horizon))
     # Brownian scaling: the ratio is a constant, not a growing quantity
     assert max(ratios) / min(ratios) < 1.25

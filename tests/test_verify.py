@@ -37,6 +37,15 @@ def test_duplication_consistency_coarse(lq_model):
     assert rep.details["terminal_gap"] == 0.0
 
 
+def test_duplication_default_times_end_at_T(lq_model):
+    """With 49 steps on [0, 1], t0 + K dt misses T = 1; the default compare times
+    are the solves' own t0, midpoint and T."""
+    u1, u2 = (m.solve_hjb(lq_model, n, m.GridSpec(((-2.0, 2.0, 9),) * n, time_steps=49))
+              for n in (1, 2))
+    rep = m.duplication_consistency(u1, u2, [np.array([[0.5]])])
+    assert rep.details["times"] == [0.0, 0.5, 1.0]
+
+
 def test_duplication_rejects_a_mismatched_pair(lq_model):
     """A pair fits when u_big has m times u_small's atoms, on the same model and
     horizon; oversized grids are refused earlier, by GridSpec."""
