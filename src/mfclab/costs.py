@@ -34,17 +34,20 @@ class CostEstimate:
 
 
 def _per_path_terms(model: ModelSpec, bundle: PathBundle):
-    """Per-path (running_l1, running_l2, terminal), left-endpoint quadrature."""
+    """Per-path (running_l1, running_l2, terminal), left-endpoint quadrature. The
+    atom-averaged integrands fill (P, K) arrays one time step at a time, so no
+    temporary spans more than one step's (P, n, d) states."""
     states = bundle.states          # (P, K+1, n, d)
     controls = bundle.control_trace  # (P, K, n, d)
-    dt = bundle.dt
-    left = states[:, :-1]
-    m1, m2 = model.features(left)
-    l1 = model.l1_at(left, m1[..., None, :], m2[..., None]).mean(axis=-1)  # (P, K)
-    l2 = model.l2(controls).mean(axis=-1)                                  # (P, K)
+    l1, l2 = (np.empty(controls.shape[:2]) for _ in range(2))
+    for k in range(controls.shape[1]):
+        left = states[:, k]
+        m1, m2 = model.features(left)
+        l1[:, k] = model.l1_at(left, m1[..., None, :], m2[..., None]).mean(axis=-1)
+        l2[:, k] = model.l2(controls[:, k]).mean(axis=-1)
     m1T, m2T = model.features(states[:, -1])
     term = np.asarray(model.terminal_at(m1T, m2T), dtype=np.float64)
-    return dt * l1.sum(axis=1), dt * l2.sum(axis=1), term
+    return bundle.dt * l1.sum(axis=1), bundle.dt * l2.sum(axis=1), term
 
 
 def _estimate(block_terms) -> tuple[CostEstimate, np.ndarray]:

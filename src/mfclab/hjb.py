@@ -18,8 +18,13 @@ its diagonal alone overstates the damping along degenerate directions). With
 nondegenerate diffusion and fine grids this reduces to plain central
 differencing, exact in space on the quadratic LQ benchmark; for sigma = 0 it is
 the classical monotone Lax-Friedrichs scheme. A solve writes each slice and its
-ghost layer into one reused buffer, whose shifted views every stencil reads;
-the weights that are fixed in time are built before the march.
+ghost layer into one reused buffer, whose shifted views every stencil reads.
+What is fixed in time becomes contiguous node arrays before the march, one per
+axis or atom (one value where it is the same at every node), and each step
+writes into per-axis buffers allocated once per solve. A step does the float
+operations of the textbook form in the same order, so no layout of the march
+moves a stored bit: -b.p is (-b) p, the atom average ((H_0 + H_1) + H_2)/n as
+numpy's mean(-1) sums it, and 2u is formed once per step.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import _as_atoms
-from .models import ModelSpec, _lifted_batch, feedback_map, hamiltonian
+from .models import ModelSpec, _lifted_batch, feedback_map
 from .simulate import Policy
 
 CFL_SAFETY = 0.9
@@ -119,6 +124,11 @@ def _ghosted(u: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
+def _per_axis(x: np.ndarray) -> np.ndarray:
+    """Per-axis scalars (nd,) as a column that broadcasts over (nd, *shape) stacks."""
+    return x.reshape(-1, *(1,) * len(x))
+
+
 class _Ghost:
     """A ghost buffer (slice shape + 2 on each axis) and, built once, the views
     of its shifted interior that the stencils read: (plus, minus) per axis, and
@@ -136,10 +146,17 @@ class _Ghost:
                                 for sa, sb in itertools.product((1, -1), repeat=2)])
                         for a, b in itertools.combinations(range(len(shape)), 2)]
 
+    def axis_gradients(self, u: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Ghost slice u into the buffer; write its central gradient into out, one
+        contiguous node array per axis (nd, *shape), and return out."""
+        _ghosted(u, self.buf)
+        for p, m, g in zip(self.plus, self.minus, out):
+            np.subtract(p, m, out=g)
+        return np.divide(out, _per_axis(2.0 * h), out=out)
+
     def gradient(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Ghost slice u into the buffer; return its central gradient (*shape, nd)."""
-        _ghosted(u, self.buf)
-        return np.stack([(p - m) / (2.0 * ha) for p, m, ha in zip(self.plus, self.minus, h)], -1)
+        return np.stack(list(self.axis_gradients(u, h, np.empty((len(h),) + u.shape))), -1)
 
 
 def _multilinear(coords, data: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -213,33 +230,48 @@ class GridValueFunction:
         return mask
 
 
+def _compact(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Node data x (*lead, *shape) as a contiguous array or, when each leading entry
+    holds one bit pattern at every node, as those values alone, (*lead, 1, ...):
+    a coefficient that is the same everywhere then holds no node array, and
+    broadcasting it gives the same bits."""
+    bits = x.reshape(x.shape[:lead] + (-1,)).view(np.int64)
+    same = (bits == bits[..., :1]).all()
+    return np.ascontiguousarray(x[(Ellipsis,) + (slice(1),) * (x.ndim - lead)] if same else x)
+
+
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
-    """Per-node coefficient arrays (fixed in time): b (*shape, n, d), l1
-    (*shape, n), A_n, U_T, and the CFL constants (2 max_nodes Tr A_n / h_min^2,
+    """Node arrays fixed in time: the negated drift -b per axis a = i d + c (atom
+    i, component c), (nd, *shape); l1 per atom, (n, *shape) or _compact; A_n
+    (*shape, nd, nd); U_T; and the CFL constants (2 max_nodes Tr A_n / h_min^2,
     h_min): the diffusion part of the CFL rate and the smallest spacing."""
     nd = n * model.d
+    shape = grid.shape()
     b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
     sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
     A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
     hmin = float(grid.spacings().min())
-    return b, l1, A, (2.0 * Lam / hmin ** 2, hmin), uT
+    negb = np.moveaxis(-b.reshape(shape + (nd,)), -1, 0).copy()
+    return negb, _compact(np.moveaxis(l1, -1, 0)), A, (2.0 * Lam / hmin ** 2, hmin), uT
 
 
-def _march_terms(model: ModelSpec, n: int, b: np.ndarray, cfl: tuple, grads: np.ndarray):
-    """The costate p = n Du of a gradient field (*shape, nd), the speeds |-b + a| per
-    axis at the control a = feedback_map(p), and the explicit CFL bound on dt."""
-    nd = n * model.d
-    p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
-    speeds = np.abs(-b + feedback_map(p, model.kappa)).reshape(grads.shape[:-1] + (nd,))
-    Theta = float(speeds.reshape(-1, nd).max(axis=0).sum())
-    return p, speeds, CFL_SAFETY / (cfl[0] + Theta / cfl[1])
+def _march_terms(ghost: _Ghost, u: np.ndarray, h: np.ndarray, n: int, kappa: float,
+                 negb: np.ndarray, cfl: tuple, p: np.ndarray, speeds: np.ndarray) -> float:
+    """Write the costate p = n Du of slice u and the speeds |-b + a| at the control
+    a = feedback_map(p) = p / kappa into the per-axis stacks p and speeds
+    (nd, *shape); return the explicit CFL bound on dt."""
+    np.multiply(ghost.axis_gradients(u, h, p), n, out=p)
+    np.abs(np.add(negb, np.divide(p, kappa, out=speeds), out=speeds), out=speeds)
+    Theta = float(speeds.reshape(len(speeds), -1).max(axis=1).sum())
+    return CFL_SAFETY / (cfl[0] + Theta / cfl[1])
 
 
 def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
     """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
-    b, _, _, cfl, uT = _node_coefficients(model, n, grid)
-    bound = _march_terms(model, n, b, cfl, _Ghost(uT.shape).gradient(uT, grid.spacings()))[-1]
+    negb, _, _, cfl, uT = _node_coefficients(model, n, grid)
+    bound = _march_terms(_Ghost(uT.shape), uT, grid.spacings(), n, model.kappa, negb, cfl,
+                         np.empty_like(negb), np.empty_like(negb))
     return max(1, math.ceil(STEP_SAFETY * (T - t0) / bound))
 
 
@@ -258,14 +290,18 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     """Backward explicit march; raises CFLError naming the required step count."""
     if T <= t0:
         raise ValueError("need T > t0")
-    nd = n * model.d
-    b, l1, A, cfl, uT = _node_coefficients(model, n, grid)
+    d, kappa = model.d, model.kappa
+    nd = n * d
+    negb, l1, A, cfl, uT = _node_coefficients(model, n, grid)
     h = grid.spacings()
-    # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
-    weights = [0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]
-    credit = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)[..., None] / h
+    hcol = _per_axis(h)
     ghost = _Ghost(uT.shape)    # the one ghost buffer of the solve
-    crosses = [(A[..., a, bb], 4.0 * h[a] * h[bb], views) for a, bb, views in ghost.corners]
+    # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
+    weights = _compact(np.stack([0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]))
+    credit = _compact(np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None) / hcol)
+    crosses = [(_compact(A[..., a, bb], 0), 4.0 * h[a] * h[bb], views)
+               for a, bb, views in ghost.corners]
+    del A
     K = grid.time_steps
     dt = (T - t0) / K
 
@@ -275,20 +311,33 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     values = np.empty((len(kept),) + uT.shape)
     values[-1] = uT
 
-    u = uT
+    u = uT.copy()
+    p, speeds, bp = (np.empty_like(negb) for _ in range(3))
+    rhs, u2, term = (np.empty_like(u) for _ in range(3))
     for k in range(K - 1, -1, -1):
-        p, speeds, bound = _march_terms(model, n, b, cfl, ghost.gradient(u, h))
+        bound = _march_terms(ghost, u, h, n, kappa, negb, cfl, p, speeds)
         if dt > bound:
             raise CFLError(dt, bound, math.ceil((T - t0) / bound))
-        Hbar = hamiltonian(b, l1, p, model.kappa).mean(-1)
-        theta_eff = np.maximum(0.0, speeds - credit)
-        rhs = -Hbar
-        for a in range(nd):
-            d2 = ghost.plus[a] - 2.0 * u + ghost.minus[a]
-            rhs = rhs + (weights[a] + 0.5 * theta_eff[..., a] / h[a]) * d2
-        for Aab, denom, (pp, pm, mp, mm) in crosses:
-            rhs = rhs + Aab * ((pp - pm - mp + mm) / denom)
-        u = u + dt * rhs
+        # per atom H_i = -b_i.p_i - l1_i + |p_i|^2 / (2 kappa): -(b.p) and (-b).p differ
+        # at most in the sign of a zero, which adding |p|^2/(2 kappa) >= +0 erases
+        np.multiply(negb, p, out=bp)
+        np.multiply(p, p, out=p)
+        H, conj = (x if d == 1 else x.reshape((n, d) + u.shape).sum(axis=1) for x in (bp, p))
+        np.add(np.subtract(H, l1, out=H), np.divide(conj, 2.0 * kappa, out=conj), out=H)
+        np.negative(np.divide(np.sum(H, axis=0, out=rhs), n, out=rhs), out=rhs)  # -mean_i H_i
+        # second differences, with the LLF viscosity in excess of the credit
+        theta = np.maximum(0.0, np.subtract(speeds, credit, out=speeds), out=speeds)
+        coef = np.add(weights, np.divide(np.multiply(0.5, theta, out=theta), hcol, out=theta),
+                      out=theta)
+        np.multiply(u, 2.0, out=u2)
+        for plus, minus, c in zip(ghost.plus, ghost.minus, coef):
+            np.add(np.subtract(plus, u2, out=term), minus, out=term)
+            rhs += np.multiply(c, term, out=term)
+        for Aab, denom, (qpp, qpm, qmp, qmm) in crosses:
+            np.subtract(qpp, qpm, out=term)
+            np.add(np.subtract(term, qmp, out=term), qmm, out=term)
+            rhs += np.multiply(Aab, np.divide(term, denom, out=term), out=term)
+        u += np.multiply(rhs, dt, out=rhs)
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite values while marching at slice {k}")
         if k in row:

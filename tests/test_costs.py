@@ -178,3 +178,30 @@ def test_quadrature_consistency_halving_dt():
                             m.zero_control())
         errs.append(abs(est.mean - exact))
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
+
+
+def _whole_block_terms(model, bundle):
+    """The quadrature of a block from its (P, K, n, d) left endpoints at once."""
+    left = bundle.states[:, :-1]
+    m1, m2 = model.features(left)
+    l1 = model.l1_at(left, m1[..., None, :], m2[..., None]).mean(axis=-1)
+    l2 = model.l2(bundle.control_trace).mean(axis=-1)
+    m1T, m2T = model.features(bundle.states[:, -1])
+    term = np.asarray(model.terminal_at(m1T, m2T), dtype=np.float64)
+    return bundle.dt * l1.sum(axis=1), bundle.dt * l2.sum(axis=1), term
+
+
+@pytest.mark.parametrize("name", ["tanh-interaction", "LQ-mean-reverting"])
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("n", [4, 64])
+def test_per_step_quadrature_is_the_whole_block_formula(name, steps, n):
+    """The integrands filled one time step at a time give the whole-block sums bit
+    for bit; n = 64 runs numpy's pairwise summation over the atoms."""
+    model = m.REGISTRY[name]
+    g = np.random.default_rng(steps * n)
+    cfg = _cfg(steps=steps, n_paths=9, seed=steps + n)
+    pol = m.open_loop(g.normal(size=(steps, n, 1)))
+    bundle = m.simulate_particles(model, cfg, g.normal(size=(n, 1)), pol)
+    got, want = costs._per_path_terms(model, bundle), _whole_block_terms(model, bundle)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 import mfclab as m
-from mfclab.hjb import _Ghost, _ghosted
+from mfclab.hjb import CFL_SAFETY, _Ghost, _ghosted
+from mfclab.models import _lifted_batch
 from conftest import AXIS_1D, lq_exact, sized_grid
 
 
@@ -287,3 +290,110 @@ def test_solve_values_match_their_pins(name, n):
     axes = [(-2.0, 2.0, {1: 41, 2: 21, 3: 11}[n])] * n
     u = m.solve_hjb(model, n, m.sized_grid(model, n, axes, 0.0, 0.5), 0.0, 0.5)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == SOLVE_PINS[(name, n)]
+
+
+def _reference_march(model, n, grid, t0, T):
+    """Every slice of the march in its textbook form, the oracle of the per-axis
+    march: (*shape, n, d) costates, models.hamiltonian averaged by mean(-1), a
+    fresh odd-reflection np.pad of each slice and new arrays for every term.
+    Yields U_T and then each slice the march computes; raises CFLError as solve_hjb
+    does."""
+    nd = n * model.d
+    b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
+    sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
+    A = np.einsum("...am,...bm->...ab", sflat, sflat)
+    h = grid.spacings()
+    hmin = float(h.min())
+    rate = 2.0 * float(np.einsum("...aa->...a", A).sum(axis=-1).max()) / hmin ** 2
+    weights = [0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]
+    credit = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)[..., None] / h
+    unit = np.eye(nd, dtype=int)
+    K = grid.time_steps
+    dt = (T - t0) / K
+    u = uT
+    yield u
+    for k in range(K - 1, -1, -1):
+        g = np.pad(u, 1, mode="reflect", reflect_type="odd")
+
+        def at(off):
+            return g[tuple(slice(1 + o, g.shape[i] - 1 + o) for i, o in enumerate(off))]
+
+        plus, minus = [at(e) for e in unit], [at(-e) for e in unit]
+        grads = np.stack([(pl - mi) / (2.0 * ha) for pl, mi, ha in zip(plus, minus, h)], -1)
+        p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
+        speeds = np.abs(-b + m.feedback_map(p, model.kappa)).reshape(grads.shape[:-1] + (nd,))
+        bound = CFL_SAFETY / (rate + float(speeds.reshape(-1, nd).max(axis=0).sum()) / hmin)
+        if dt > bound:
+            raise m.CFLError(dt, bound, math.ceil((T - t0) / bound))
+        Hbar = m.hamiltonian(b, l1, p, model.kappa).mean(-1)
+        theta_eff = np.maximum(0.0, speeds - credit)
+        rhs = -Hbar
+        for a in range(nd):
+            d2 = plus[a] - 2.0 * u + minus[a]
+            rhs = rhs + (weights[a] + 0.5 * theta_eff[..., a] / h[a]) * d2
+        for a, c in itertools.combinations(range(nd), 2):
+            pp, pm, mp, mm = (at(sa * unit[a] + sc * unit[c])
+                              for sa, sc in itertools.product((1, -1), repeat=2))
+            rhs = rhs + A[..., a, c] * ((pp - pm - mp + mm) / (4.0 * h[a] * h[c]))
+        u = u + dt * rhs
+        yield u
+
+
+# sigma = 0 turns the LLF viscosity fully on (no diffusion credit); the custom
+# d = 2 and d = 3 models have state-dependent, correlated noise and cross terms.
+MARCH_MODELS = {
+    "sigma0": {"d": 1, "d_prime": 1, "b": ["-x[0] + 0.5*m1[0]"], "sigma": [["0"]],
+               "l1": "0.5*x[0]^2", "kappa": 0.7, "UT": "0.5*m2"},
+    "d2": {"d": 2, "d_prime": 2, "b": ["-x[0] + m1[1]", "sin(x[1])"],
+           "sigma": [["1", "0.3"], ["0.2*x[0]", "0.5"]],
+           "l1": "0.5*(x[0] - m1[0])^2 + x[1]^2", "kappa": 1.3, "UT": "0.5*m2 + m1[0]*m1[1]"},
+    "d3": {"d": 3, "d_prime": 1, "b": ["-x[0]", "x[2] - m1[1]", "0"],
+           "sigma": [["0.5"], ["0.3*tanh(x[1])"], ["1"]],
+           "l1": "x[0]^2 + 0.1*x[1]*x[2]", "kappa": 1.0, "UT": "0.5*m2"},
+}
+
+
+def _march_model(name):
+    return m.REGISTRY[name] if name in m.REGISTRY else m.model_from_json(MARCH_MODELS[name])
+
+
+@pytest.mark.parametrize("name,n,axes", [
+    ("tanh-interaction", 1, [(-2.0, 2.0, 21)]),
+    ("LQ-mean-reverting", 2, [(-2.0, 2.0, 13), (-1.5, 2.5, 11)]),
+    ("tanh-interaction", 3, [(-2.0, 2.0, 9), (-1.0, 2.0, 8), (-2.5, 1.5, 10)]),
+    ("sigma0", 1, [(-3.0, 3.0, 31)]),
+    ("sigma0", 2, [(-3.0, 3.0, 13)] * 2),
+    ("sigma0", 3, [(-2.0, 2.5, 9)] * 3),
+    ("d2", 1, [(-2.0, 2.0, 13), (-1.0, 3.0, 11)]),
+    ("d3", 1, [(-2.0, 2.0, 9), (-1.0, 3.0, 8), (-1.5, 1.5, 10)]),
+])
+def test_march_matches_its_reference_bit_for_bit(name, n, axes):
+    """Every slice of the per-axis march equals the textbook march's bit for bit,
+    for (n, d) = (1, 1), (2, 1), (3, 1), (1, 2) and (1, 3)."""
+    model = _march_model(name)
+    grid = m.sized_grid(model, n, axes, 0.0, 0.25)
+    u = m.solve_hjb(model, n, grid, 0.0, 0.25, max_stored_slices=grid.time_steps + 1)
+    want = np.stack(list(_reference_march(model, n, grid, 0.0, 0.25))[::-1])
+    assert u.values.shape == want.shape
+    assert u.values.tobytes() == want.tobytes()
+
+
+def test_undersized_march_raises_the_reference_cfl_error(monkeypatch):
+    """A step count that passes the terminal slice but not a later one raises the
+    reference's CFLError, message and step count, at the same step."""
+    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [["0.2"]],
+                               "l1": "4*x[0]^2", "kappa": 1.0, "UT": "0.5*m2"})
+    grid = m.GridSpec(axes=((-2.0, 2.0, 17),) * 2, time_steps=36)
+    done = []
+    with pytest.raises(m.CFLError) as want:
+        done.extend(_reference_march(model, 2, grid, 0.0, 1.0))
+    assert len(done) == 8     # U_T and seven steps; the eighth step raises
+    seen = []    # one gradient per step taken
+    gradients = _Ghost.axis_gradients
+    monkeypatch.setattr(_Ghost, "axis_gradients",
+                        lambda self, *a: seen.append(1) or gradients(self, *a))
+    with pytest.raises(m.CFLError) as got:
+        m.solve_hjb(model, 2, grid, 0.0, 1.0)
+    assert str(got.value) == str(want.value)
+    assert got.value.required_steps == want.value.required_steps
+    assert len(seen) == len(done)
