@@ -1,6 +1,7 @@
 """The behaviour contract, pinned: the benchmark workloads' toy configs and one
-sweep config, at seeds 1 and 2, write byte-identical results.csv, summary.json
-and grid.json, with the same exit code, as when the pins below were made.
+sweep config, at seeds 1 and 2, and the full-size mollify-m2 config at seed 1,
+write byte-identical results.csv, summary.json and grid.json, with the same
+exit code, as when the pins below were made.
 
 perfbench/workloads.py builds the configs. It is loaded by path and only read,
 as test_tracer_contract.py loads the tracer. Only a change to a random stream
@@ -46,6 +47,16 @@ PINS = {
                 "summary.json": "57139f57dd2c225a2ac2874cdb1bbfb89ab9c9cf05342f9fcb106d7ae8461b21"})},
 }
 
+# The full-size mollify-m2 config at seed 1: its 1,000 replicates put up to 65,000
+# bump slots in one sampler call, more than one Philox tile and enough that the
+# sampler draws one round per pass at first; the toy config's 50 replicates
+# (at most 3,250 slots) reach neither.
+FULL_PINS = {
+    "mollify-m2": {
+        1: (1, {"results.csv": "28a627b901cb8d4b550f1925ce51ceb3e9334cfe3ed4572a902159704f3f1313",
+                "summary.json": "e1cc2962396c6c86d8926dc26ff70aa7f43f40abe1f6bfd5b6b6ac972ab86e7a"})},
+}
+
 
 # No workload runs the sweep kind, so its config is pinned here: grid rows at
 # n = 1 and 2, and a Monte Carlo row at n = 4.
@@ -89,6 +100,16 @@ def test_toy_run_matches_its_pins(name, tmp_path, capsys):
     workload = workloads.WORKLOADS[name]
     for seed, pin in PINS[name].items():
         got = _run(workload.config(seed, toy=True), tmp_path / f"out-{seed}", workload.jobs,
+                   workloads.STABLE_ARTIFACTS)
+        assert got == pin, (seed, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PINS))
+def test_full_size_run_matches_its_pins(name, tmp_path, capsys):
+    workloads = _load_workloads()
+    workload = workloads.WORKLOADS[name]
+    for seed, pin in FULL_PINS[name].items():
+        got = _run(workload.config(seed, toy=False), tmp_path / f"out-{seed}", workload.jobs,
                    workloads.STABLE_ARTIFACTS)
         assert got == pin, (seed, capsys.readouterr().err)
 

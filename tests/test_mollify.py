@@ -3,7 +3,7 @@ import pytest
 
 import mfclab as m
 from mfclab import expressions as ex
-from mfclab import mollify
+from mfclab import mollify, rng
 from mfclab.mollify import BaseFunctional, _bump_unit_draws, _coupled_values, default_test_family
 
 
@@ -91,6 +91,54 @@ def test_bump_rejection_round_limit(monkeypatch):
     assert proposals == 2 and np.all(np.abs(draws) < 1.0)
     with pytest.raises(RuntimeError, match="did not terminate"):
         _bump_unit_draws(5, np.array([0, 1, 2], dtype=np.uint64), 1)
+
+
+def _round_by_round_draws(seed, slots, d, max_rounds):
+    """The sampler as it was before it drew rounds ahead and directions late:
+    per round, the d direction normals and the two uniforms of every pending slot."""
+    slots = np.asarray(slots, dtype=np.uint64)
+    flat = slots.reshape(-1)
+    out = np.empty((flat.size, d))
+    proposals = 0
+    pending = np.arange(flat.size)
+    for rnd in range(max_rounds):
+        if not pending.size:
+            break
+        idx = flat[pending]
+        z = rng.normals(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd), d)
+        u = rng.uniforms(seed, rng.TAG_MOLLIFY_OFFSET, idx, np.uint64(2 * rnd + 1), 2)
+        proposals += idx.size
+        norm = np.sqrt((z ** 2).sum(axis=-1, keepdims=True))
+        direction = z / norm
+        radius = u[..., 0] ** (1.0 / d)
+        y = direction * radius[..., None]
+        accept = u[..., 1] < np.exp(1.0 / (radius ** 2 - 1.0) + 1.0)
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise RuntimeError("bump rejection sampling did not terminate")
+    return out.reshape(slots.shape + (d,)), proposals
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3, 5, mollify._MAX_REJECTION_ROUNDS])
+@pytest.mark.parametrize("count", [1, 37, 5_000, 70_000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sampler_matches_round_by_round_draws(monkeypatch, d, count, max_rounds):
+    """Drawing rounds ahead (several per pass below _BATCH pending slots) and
+    directions only for accepted proposals serves the round-by-round draws and
+    proposal count bit for bit, or refuses exactly when the round limit does.
+    The slot counts start below and above _BATCH, and 70,000 spans three Philox tiles."""
+    assert 37 < mollify._BATCH < 5_000 and 2 * rng._TILE < 70_000
+    monkeypatch.setattr(mollify, "_MAX_REJECTION_ROUNDS", max_rounds)
+    slots = np.arange(count, dtype=np.uint64) * np.uint64(3) + np.uint64(d)
+    try:
+        want = _round_by_round_draws(41, slots, d, max_rounds)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            _bump_unit_draws(41, slots, d)
+        return
+    draws, proposals = _bump_unit_draws(41, slots, d)
+    assert draws.tobytes() == want[0].tobytes() and proposals == want[1]
 
 
 def test_constant_functional_is_fixed_point():

@@ -42,6 +42,11 @@ def test_index_arrays_are_not_written():
     rng.pair_uniforms(3, rng.TAG_MOLLIFY_INDEX, idx, idx, idx)
     rng._philox4x32(idx, idx, idx, idx, 1, 2)
     np.testing.assert_array_equal(idx, keep)
+    long = np.arange(rng._TILE + 5, dtype=np.uint64)    # the rounds run tile by tile
+    keep = long.copy()
+    rng.uniforms(3, rng.TAG_MOLLIFY_OFFSET, long, np.uint64(1), 2)
+    rng._philox4x32(long, long, long, long, 1, 2)
+    np.testing.assert_array_equal(long, keep)
 
 
 def test_broadcast_batch_equals_scalar_calls():
@@ -120,3 +125,36 @@ PHILOX_KAT = [
 def test_philox_known_answers(ctr, key, want):
     got = rng._philox4x32(*ctr, *key)
     assert tuple(int(w) for w in got) == want
+
+
+@pytest.mark.parametrize("ctr, key, want", PHILOX_KAT)
+def test_philox_known_answers_across_tiles(ctr, key, want):
+    """One call over two tiles and three counters: the known-answer counter at
+    both ends of the first tile boundary and at either end of the call gives
+    its known answer, and every counter gives what a call within one tile does."""
+    size = 2 * rng._TILE + 3
+    words = np.random.default_rng(5).integers(0, 1 << 32, (4, size), dtype=np.uint64)
+    at = [0, rng._TILE - 1, rng._TILE, size - 1]
+    words[:, at] = np.array(ctr, dtype=np.uint64)[:, None]
+    got = rng._philox4x32(*words, *key)
+    for w, v in zip(got, want):
+        assert w.shape == (size,) and np.all(w[at] == v)
+    for start in range(0, size, 1000):
+        part = rng._philox4x32(*words[:, start:start + 1000], *key)
+        for w, p in zip(got, part):
+            np.testing.assert_array_equal(w[start:start + 1000], p)
+
+
+def test_broadcast_batch_over_several_tiles_equals_row_calls():
+    """An (N, 1) x (1, B) batch of more than one tile (whose broadcast copies
+    numpy would lay out in Fortran order unless asked for C order) draws what
+    its rows draw, word for word and value for value."""
+    i0 = np.arange(37, dtype=np.uint64)[:, None] * np.uint64(5)
+    i1 = np.arange(1000, dtype=np.uint64)[None, :]
+    assert i0.size * i1.size > rng._TILE
+    words = rng._philox4x32(i0, i1, 7, rng.TAG_WIENER, 3, 4)
+    z = rng.normals(3, rng.TAG_WIENER, i0, i1, 3)
+    for i in range(37):
+        for w, row in zip(words, rng._philox4x32(i0[i], i1[0], 7, rng.TAG_WIENER, 3, 4)):
+            np.testing.assert_array_equal(w[i], row)
+        np.testing.assert_array_equal(z[i], rng.normals(3, rng.TAG_WIENER, i0[i], i1[0], 3))
