@@ -9,13 +9,14 @@ reruns of the same config; timestamps live only in the manifest.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
 import math
 import os
 import sys
+import threading
+import time
 from datetime import datetime, timezone
 
 import jsonschema
@@ -470,12 +471,37 @@ def _verify_probe(spec, model, horizon, counts):
                                     _sized_grids(spec, counts, model, horizon))
 
 
+def _verify_entry(entry):
+    """`_verify_probe` of one plan entry, by a name a process pool can pickle."""
+    return _verify_probe(*entry)
+
+
+def _exit_with_parent(parent):
+    """Initializer of a pool worker: a daemon thread ends the worker once `parent`
+    is no longer its parent, so that no worker outlives a killed run."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _run_verify(plan, out_dir, jobs):
     probes = plan[1:]
     if jobs > 1 and len(probes) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_spec = list(pool.map(lambda entry: _verify_probe(*entry), probes))
-    else:  # a one-worker pool would add about 2 MB of peak RSS to a mollify run
+        # one forked worker per concurrent probe (POSIX), so that the probes do
+        # not share a GIL. fork, not spawn: no other Python thread runs here when
+        # the pool forks (it starts its own after its workers), and a spawned
+        # worker would import numpy, scipy and mfclab again. Imported here, so
+        # that a serial run does not pay for it.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(jobs, len(probes)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
+            per_spec = list(pool.map(_verify_entry, probes))
+    else:  # in this process: a single probe or --jobs 1 forks nothing
         per_spec = [_verify_probe(*entry) for entry in probes]
     reports = [r for rs in per_spec for r in rs]
     return {"probes": [r.to_json() for r in reports]}, reports
@@ -576,7 +602,8 @@ def main(argv=None) -> int:
     runp.add_argument("--config", required=True, help="JSON experiment config")
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="override config seed")
-    runp.add_argument("--jobs", type=_count_arg, default=1, help="concurrent probes (>= 1)")
+    runp.add_argument("--jobs", type=_count_arg, default=1,
+                      help="probes run at once, each in a forked worker process (>= 1)")
     runp.add_argument("--format", choices=["csv", "json"], default="csv")
     runp.set_defaults(fn=_cmd_run)
     listp = sub.add_parser("list", help="print model and probe catalogs")

@@ -21,10 +21,12 @@ FUNCTIONS = ("abs", "cos", "exp", "log", "sin", "sqrt", "tanh")
 
 class ExpressionSyntaxError(ValueError):
     def __init__(self, message: str, position: int, expected=()):
-        self.position = position
-        self.expected = tuple(expected)
+        self.message, self.position, self.expected = message, position, tuple(expected)
         hint = f" (expected one of: {', '.join(expected)})" if expected else ""
         super().__init__(f"syntax error at offset {position}: {message}{hint}")
+
+    def __reduce__(self):  # unpickled (from a worker process) by the constructor
+        return type(self), (self.message, self.position, self.expected)
 
 
 class EvaluationError(ValueError):

@@ -48,11 +48,14 @@ MAX_AXES = 3
 
 class CFLError(RuntimeError):
     def __init__(self, dt: float, bound: float, required_steps: int):
-        self.required_steps = required_steps
+        self.dt, self.bound, self.required_steps = dt, bound, required_steps
         super().__init__(
             f"time step {dt:.3e} violates the CFL bound {bound:.3e}; "
             f"use at least {required_steps} time steps"
         )
+
+    def __reduce__(self):  # unpickled (from a worker process) by the constructor
+        return type(self), (self.dt, self.bound, self.required_steps)
 
 
 @dataclass(frozen=True)

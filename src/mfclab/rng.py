@@ -85,36 +85,44 @@ def pair_uniforms(seed: int, tag: int, i0, i1, i2):
 
 def pair_normals(seed: int, tag: int, i0, i1, i2):
     """Two N(0,1) arrays per counter, via Box-Muller."""
-    u1, u2 = pair_uniforms(seed, tag, i0, i1, i2)
+    return _box_muller(*pair_uniforms(seed, tag, i0, i1, i2))
+
+
+def _box_muller(u1, u2, halves=None):
+    """Box-Muller normals (rad cos, rad sin) of two U(0,1) arrays; the sine half
+    only of the first `halves` entries along the last axis (of all when None)."""
     rad = np.sqrt(-2.0 * np.log(u1))
     ang = (2.0 * np.pi) * u2
-    return rad * np.cos(ang), rad * np.sin(ang)
+    return rad * np.cos(ang), rad[..., :halves] * np.sin(ang[..., :halves])
 
 
 def _blocks(pair, seed: int, tag: int, i0, i1, count: int):
-    """`count` values of the pair stream `pair` per (i0, i1) index pair, shape
-    broadcast(i0, i1) + (count,).
+    """`count` values per (i0, i1) index pair, shape broadcast(i0, i1) + (count,):
+    `pair(u1, u2, halves)` maps the uniform pairs of the counters to the value
+    pairs: the first values of every block, the second of the first `halves`.
 
     Consecutive values come from counter blocks i2 = 0, 1, ... so the draw for a
     given (seed, tag, i0, i1, j) never depends on how many others were requested.
+    For an odd `count` the last block's second value is not used, so it is not
+    computed (a sine per index pair for normals).
     """
     i0 = np.asarray(i0)
     i1 = np.asarray(i1)
     shape = np.broadcast_shapes(i0.shape, i1.shape)
     blocks = (count + 1) // 2
     blk = np.arange(blocks, dtype=np.uint64).reshape((1,) * len(shape) + (blocks,))
-    v0, v1 = pair(seed, tag, i0[..., None], i1[..., None], blk)
+    v0, v1 = pair(*pair_uniforms(seed, tag, i0[..., None], i1[..., None], blk), count // 2)
     out = np.empty(shape + (count,))
     out[..., 0::2] = v0
-    out[..., 1::2] = v1[..., :count // 2]
+    out[..., 1::2] = v1
     return out
 
 
 def normals(seed: int, tag: int, i0, i1, count: int):
     """`count` N(0,1) values per (i0, i1) index pair; block layout as in _blocks()."""
-    return _blocks(pair_normals, seed, tag, i0, i1, count)
+    return _blocks(_box_muller, seed, tag, i0, i1, count)
 
 
 def uniforms(seed: int, tag: int, i0, i1, count: int):
     """`count` U(0,1) values per (i0, i1) index pair; block layout as in _blocks()."""
-    return _blocks(pair_uniforms, seed, tag, i0, i1, count)
+    return _blocks(lambda u1, u2, halves: (u1, u2[..., :halves]), seed, tag, i0, i1, count)

@@ -1,19 +1,26 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pickle
+import pkgutil
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import cut_into_blocks
-from mfclab import REGISTRY, cli, reports, sized_grid, solve_hjb
+import mfclab
+from mfclab import (REGISTRY, CFLError, EvaluationError, ExpressionSyntaxError,
+                    UnsupportedShapeError, cli, reports, sized_grid, solve_hjb)
 from mfclab.cli import main
 
 
@@ -459,7 +466,8 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
     """`list`, a simulate run, a solve (its summary reads values off the grid),
     a grid-feedback round trip and a mollify run (its Lipschitz denominators are
     d = 1 Wasserstein distances) never call the assignment solver, the
-    quadrature or scipy's interpolators, so they must not import them."""
+    quadrature or scipy's interpolators, so they must not import them. None of
+    them runs probes concurrently, so none imports the process pool either."""
     configs = [_write(tmp_path / f"c{i}.json", doc) for i, doc in enumerate([
         {"kind": "simulate", "seed": 3, "model": {"registry": "tanh-interaction"},
          "sim": _SIM, "x0": [[0.5], [-0.5]]},
@@ -480,7 +488,8 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
         f"    assert main(['run', '--config', cfg, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
         # exit 1 is the second moment's failing uniform-convergence verdict
         f"assert main(['run', '--config', {mollify!r}, '--out', {str(tmp_path / 'm')!r}]) in (0, 1)\n"
-        "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.integrate')\n"
+        "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.integrate', 'multiprocessing',\n"
+        "         'concurrent.futures')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -770,7 +779,9 @@ def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):
 
 
 def test_verify_concurrent_jobs_match_serial(tmp_path, capsys):
-    """--jobs runs the probes of a verify config and those a mollify block selects."""
+    """--jobs runs the probes of a verify config and those a mollify block selects
+    in worker processes; the artifacts, stdout, stderr and exit code are those of
+    --jobs 1, with every verdict passing and with a failing one."""
     probes = [{
         "probe": "cost-identity",
         "model": {"registry": name},
@@ -779,15 +790,140 @@ def test_verify_concurrent_jobs_match_serial(tmp_path, capsys):
     } for name in ("LQ-decoupled", "LQ-mean-reverting", "tanh-interaction")]
     mollify = {"kind": "mollify", "seed": 5, "k_list": [2, 4],
                "mollify": {"mc_reps": 200, "segments": 2}}
-    for doc, jobs in [({"kind": "verify", "seed": 5, "probes": probes}, "3"), (mollify, "2")]:
+    docs = [
+        ({"kind": "verify", "seed": 5, "probes": probes}, "3", 0),
+        ({"kind": "verify", "seed": 5, "probes": [probes[0], dict(probes[1], threshold=-1.0)]},
+         "2", 1),
+        (dict(mollify, mollify=dict(mollify["mollify"], probes=["lipschitz-preservation",
+                                                                "convexity-preservation"])),
+         "2", 0),
+        # the uniform-convergence verdict fails at these sizes
+        (mollify, "3", 1),
+    ]
+    for doc, jobs, want in docs:
         cfg = _write(tmp_path / "c.json", doc)
         runs = []
         for argv in ([], ["--jobs", jobs]):
             out = tmp_path / f"o{len(runs)}"
             code = main(["run", "--config", cfg, "--out", str(out), *argv])
-            runs.append((code, capsys.readouterr().out,
+            std = capsys.readouterr()
+            runs.append((code, std.out, std.err,
                          *((out / a).read_bytes() for a in ("results.csv", "summary.json"))))
-        assert runs[0] == runs[1] and runs[0][1], doc["kind"]
+        assert runs[0] == runs[1] and runs[0][1], doc
+        assert runs[0][0] == want and runs[0][2].startswith("failed probes: ") == bool(want), doc
+
+
+@pytest.mark.parametrize("error", [
+    CFLError(1e-3, 5e-4, 20),
+    ExpressionSyntaxError("unexpected end of input", 7, ("number", "(")),
+    FloatingPointError("1 of 4 paths blew up at step 2 of 4"),
+], ids=lambda e: type(e).__name__)
+def test_probe_error_in_a_worker_is_reported_as_in_process(tmp_path, capsys, monkeypatch, error):
+    """An exception a probe raises in a pool worker reaches the run as itself:
+    --jobs 2 exits as --jobs 1 does, with the same `runtime failure:` line."""
+    def fail(spec, model, horizon, grids):
+        raise error
+
+    schema, _, solves = cli.PROBES["time-holder"]
+    monkeypatch.setitem(cli.PROBES, "time-holder", (schema, fail, solves))
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 1, "probes": [
+        {"probe": name, **SMALL_SPECS[name]} for name in ("cost-identity", "time-holder")]})
+    runs = []
+    for jobs in ("1", "2"):
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs])
+        runs.append((code, capsys.readouterr().err))
+    assert runs[0] == runs[1] == (1, f"runtime failure: {type(error).__name__}: {error}\n")
+
+
+def test_every_exception_class_pickles():
+    """What a worker process raises is pickled to the run: every exception class
+    of mfclab comes back with its type, message and attributes."""
+    errors = [cli.ConfigError("bad grid at $.grid: an axis needs lo < hi, got [1, 0]"),
+              CFLError(1e-3, 5e-4, 20),
+              ExpressionSyntaxError("unexpected end of input", 7, ("number", "(")),
+              EvaluationError("x[2] is not given"),
+              UnsupportedShapeError("unequal atom counts in d = 2")]
+    modules = [importlib.import_module(f"mfclab.{info.name}")
+               for info in pkgutil.iter_modules(mfclab.__path__)]
+    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type)
+               and issubclass(c, BaseException) and c.__module__ == m.__name__}
+    assert {type(e) for e in errors} == classes
+    for e in errors:
+        back = pickle.loads(pickle.dumps(e))
+        assert (type(back), str(back), vars(back)) == (type(e), str(e), vars(e))
+
+
+def test_jobs_forks_one_worker_per_concurrent_probe(tmp_path, monkeypatch):
+    """The pool forks min(jobs, probes) workers; --jobs 1 and a single probe run
+    in this process and fork none."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    specs = [{"probe": "cost-identity", **SMALL_SPECS["cost-identity"], "seed": s}
+             for s in range(3)]
+    for probes, jobs, want in [(specs, "8", 3), (specs, "2", 2), (specs, "1", 0),
+                               (specs[:1], "8", 0)]:
+        cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 1, "probes": probes})
+        forks.clear()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 0
+        assert len(forks) == want, (len(probes), jobs)
+
+
+def _children(pid) -> dict:
+    """{(pid, start time): state letter} of the live processes whose parent is `pid`."""
+    out = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # ended while we read
+            continue
+        if int(fields[1]) == pid:
+            out[int(stat.parent.name), fields[19]] = fields[0]
+    return out
+
+
+def _alive(process) -> bool:
+    """Whether (pid, start time) still runs: not ended, not a zombie, pid not reused."""
+    pid, start = process
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
+    except OSError:
+        return False
+    return fields[19] == start and fields[0] not in "ZX"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_no_worker_outlives_a_killed_run(tmp_path):
+    """SIGKILL of a `run --jobs 2` in the middle of its marches: its two pool
+    workers end within seconds instead of running on re-parented."""
+    grid = {"axes": [[-3.0, 3.0, 81]] * 2}
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 1, "probes": [
+        {"probe": "permutation-invariance", "grid": grid, "T": 4.0}] * 2})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "mfclab.cli", "run", "--config", cfg,
+                             "--out", str(tmp_path / "o"), "--jobs", "2"],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
+        time.sleep(0.5)
+        assert proc.poll() is None, "the run ended before it was killed"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid, _ in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_each_spec_builds_its_model_once(tmp_path, monkeypatch):
