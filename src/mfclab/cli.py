@@ -17,6 +17,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import jsonschema
@@ -52,7 +53,8 @@ def _object(required, **properties) -> dict:
 
 
 _NUMBER = {"type": "number"}
-_ARRAY = {"type": "array"}
+# a point or a list of atoms: numbers, or lists of numbers (one per atom)
+_POINT = {"type": "array", "items": {"anyOf": [_NUMBER, {"type": "array", "items": _NUMBER}]}}
 # a seed plus a probe's fixed offsets (such as 1009 * k) stays below 2^64, the
 # width of a Philox key
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2 ** 63 - 1}
@@ -193,19 +195,19 @@ PROBES = {
         _spec("probe", ["functional", "k_list"], **_SMOOTHING, segments=_COUNT),
         _probe_convexity, {}),
     "cost-identity": (
-        _spec("probe", ["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY,
+        _spec("probe", ["sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_POINT,
               threshold=_NUMBER),
         _probe_cost_identity, {}),
     "duplication-consistency": (
         _spec("probe", ["base_n", "m", "grid_small", "grid_big", "test_points"], **_HORIZON,
               model=_MODEL_SCHEMA, base_n=_COUNT, m=_COUNT, grid_small=_GRID_SCHEMA,
               grid_big=_GRID_SCHEMA, threshold=_NUMBER,
-              test_points={"type": "array", "minItems": 1, "items": _ARRAY}),
+              test_points={"type": "array", "minItems": 1, "items": _POINT}),
         _probe_duplication,
         {"grid_small": lambda s: s["base_n"], "grid_big": lambda s: s["base_n"] * s["m"]}),
     "feedback-roundtrip": (
         _spec("probe", ["grid", "sim", "x0"], **_HORIZON, model=_MODEL_SCHEMA, n=_COUNT,
-              grid=_GRID_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY),
+              grid=_GRID_SCHEMA, sim=_SIM_SCHEMA, x0=_POINT),
         _probe_feedback, _SOLVE_AT_N),
     "lipschitz-preservation": (
         _spec("probe", ["functional", "k_list"], **_SMOOTHING),
@@ -236,12 +238,12 @@ def _kind(required, **properties) -> dict:
 # (perfbench/tracer.py wraps _run_verify) is the one that runs.
 KINDS = {
     "simulate": (
-        _kind(["model", "sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_ARRAY, r=_R,
+        _kind(["model", "sim", "x0"], model=_MODEL_SCHEMA, sim=_SIM_SCHEMA, x0=_POINT, r=_R,
               dump_trajectories={"type": "boolean"}),
         "_run_simulate", {}),
     "solve-hjb": (
         _kind(["model", "grid"], model=_MODEL_SCHEMA, grid=_GRID_SCHEMA,
-              horizon=_HORIZON_SCHEMA, n=_COUNT, x0=_ARRAY, dump_cadence=_COUNT),
+              horizon=_HORIZON_SCHEMA, n=_COUNT, x0=_POINT, dump_cadence=_COUNT),
         "_run_solve", _SOLVE_AT_N),
     "verify": (
         _kind([], probes={"type": "array", "items": _tagged("probe", PROBES)},
@@ -254,7 +256,7 @@ KINDS = {
         "_run_mollify", {}),
     "sweep": (
         _kind(["model", "sweep"], model=_MODEL_SCHEMA, horizon=_HORIZON_SCHEMA, sweep=_object(
-            ["base_atoms", "grid_axis"], base_atoms=_ARRAY, grid_axis=_AXIS,
+            ["base_atoms", "grid_axis"], base_atoms=_POINT, grid_axis=_AXIS,
             duplications=_COUNTS, sim=_SIM_SCHEMA)),
         "_run_sweep", {}),
 }
@@ -309,7 +311,7 @@ def _plan(cfg):
     solve's grid key to its n (the sweep's: each n to its atoms). A config error
     names its pointer: a bad model, T <= t0, a sim window its solve does not
     cover, a grid with lo >= hi or whose axis count is not n*d, a point that is
-    not n*d finite numbers inside each grid it is read on (lo <= x <= hi), atoms
+    not n*d numbers inside each grid it is read on (lo <= x <= hi), atoms
     not in R^d, or a sweep whose Monte Carlo rows cannot run."""
     probes = [(f"$.probes[{i}]", p) for i, p in enumerate(cfg.get("probes", []))]
     top = cfg
@@ -365,8 +367,6 @@ def _plan(cfg):
                 atom_d = None if n else _as_atoms(arr).shape[1]
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"bad point at {pointer}.{key}: {e}") from e
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"bad point at {pointer}.{key}: a number is not finite")
             if n and arr.size != n * d:
                 raise ConfigError(f"bad point at {pointer}.{key}: {arr.size} numbers but n*d = "
                                   f"{n}*{d} = {n * d}")
@@ -458,7 +458,8 @@ def _run_solve(plan, out_dir, jobs):
     if "x0" in cfg:
         pt = np.asarray(cfg["x0"], dtype=np.float64).reshape(-1)
         summary["value_at_x0"] = u.value_at(horizon[0], pt)
-        if model == REGISTRY["LQ-decoupled"]:  # the oracle's coefficients, not its name
+        lq = REGISTRY["LQ-decoupled"]
+        if replace(model, name=lq.name) == lq:  # the oracle's coefficients, not its name
             summary["riccati_value_at_x0"] = riccati_lq_value(
                 1.0, model.kappa, horizon[1], horizon[0], pt.reshape(n, model.d),
                 rk_steps=10 * grid.time_steps)
@@ -469,11 +470,6 @@ def _verify_probe(spec, model, horizon, counts):
     """Run one probe spec resolved by `_plan`, its grids sized here."""
     return PROBES[spec["probe"]][1](spec, model, horizon,
                                     _sized_grids(spec, counts, model, horizon))
-
-
-def _verify_entry(entry):
-    """`_verify_probe` of one plan entry, by a name a process pool can pickle."""
-    return _verify_probe(*entry)
 
 
 def _exit_with_parent(parent):
@@ -500,7 +496,7 @@ def _run_verify(plan, out_dir, jobs):
         with ProcessPoolExecutor(min(jobs, len(probes)),
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
-            per_spec = list(pool.map(_verify_entry, probes))
+            per_spec = list(pool.map(_verify_probe, *zip(*probes)))
     else:  # in this process: a single probe or --jobs 1 forks nothing
         per_spec = [_verify_probe(*entry) for entry in probes]
     reports = [r for rs in per_spec for r in rs]

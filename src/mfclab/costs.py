@@ -1,10 +1,11 @@
 """Monte Carlo cost functionals for the finite and lifted control problems.
 
 Left-endpoint quadrature matches the integrator's control convention, so the
-discrete cost is exactly consistent with the discrete dynamics. The lifted
-cost evaluates L1, L2, U_T on atom paths; since the lifted integrands are the
-atom averages of the finite ones, the two costs agree bit for bit on shared
-noise (discrete form of the cost lift identity).
+discrete cost is exactly consistent with the discrete dynamics; the integrator
+records the integrands at each left endpoint, and only U_T is evaluated here.
+The lifted cost takes L1, L2, U_T on atom paths; since the lifted integrands
+are the atom averages of the finite ones, the two costs agree bit for bit on
+shared noise (discrete form of the cost lift identity).
 """
 
 from __future__ import annotations
@@ -34,20 +35,11 @@ class CostEstimate:
 
 
 def _per_path_terms(model: ModelSpec, bundle: PathBundle):
-    """Per-path (running_l1, running_l2, terminal), left-endpoint quadrature. The
-    atom-averaged integrands fill (P, K) arrays one time step at a time, so no
-    temporary spans more than one step's (P, n, d) states."""
-    states = bundle.states          # (P, K+1, n, d)
-    controls = bundle.control_trace  # (P, K, n, d)
-    l1, l2 = (np.empty(controls.shape[:2]) for _ in range(2))
-    for k in range(controls.shape[1]):
-        left = states[:, k]
-        m1, m2 = model.features(left)
-        l1[:, k] = model.l1_at(left, m1[..., None, :], m2[..., None]).mean(axis=-1)
-        l2[:, k] = model.l2(controls[:, k]).mean(axis=-1)
-    m1T, m2T = model.features(states[:, -1])
+    """Per-path (running_l1, running_l2, terminal), left-endpoint quadrature of
+    the integrands the integrator recorded, and U_T at the final states."""
+    m1T, m2T = model.features(bundle.states[:, -1])
     term = np.asarray(model.terminal_at(m1T, m2T), dtype=np.float64)
-    return bundle.dt * l1.sum(axis=1), bundle.dt * l2.sum(axis=1), term
+    return bundle.dt * bundle.l1.sum(axis=1), bundle.dt * bundle.l2.sum(axis=1), term
 
 
 def _estimate(block_terms) -> tuple[CostEstimate, np.ndarray]:

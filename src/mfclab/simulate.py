@@ -4,20 +4,23 @@ One Wiener increment per (path, step) drives *all* particles in that path
 (common noise, no idiosyncratic noise). The lifted atom dynamics execute the
 identical per-atom update, so finite and lifted trajectories agree bit for bit
 under shared increments; that discrete identity is what the cost-lift checks
-in `verify` lean on.
+in `verify` lean on. Each step also records the atom means of l1 and l2 at its
+left endpoint, from the features it computes for b and sigma, so that the cost
+quadrature only sums them.
 
 Every full-ensemble caller integrates through `path_blocks`: blocks of
-consecutive paths, each holding at most BLOCK_BYTES of states plus controls,
-driven by slices of the ensemble's one draw of increments. Callers reduce each
-block to per-path arrays before the next is integrated, so memory no longer
-grows with the number of paths P, and the outputs are those of one integration
-of the whole ensemble. Only a trajectory dump keeps every block; it still
-holds every path.
+consecutive paths, each holding at most BLOCK_BYTES of states, controls and
+running costs, driven by slices of the ensemble's one draw of increments.
+Callers reduce each block to per-path arrays before the next is integrated, so
+memory no longer grows with the number of paths P, and the outputs are those
+of one integration of the whole ensemble. Only a trajectory dump keeps every
+block; it still holds every path.
 
 A path that leaves the ball |x| <= BLOWUP_LIMIT (or turns non-finite) ends the
 integration: the integrator raises FloatingPointError at that step, naming how
 many paths left and when (and which paths the block held, when the ensemble
-has more than one), so every PathBundle it returns is finite.
+has more than one), so every PathBundle it returns is finite. An l1 value
+that is not finite ends it too, with the EvaluationError that names l1.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .models import ModelSpec
 from .reports import write_csv
 
 BLOWUP_LIMIT = 1.0e8
-# states plus controls that one block of paths holds at most (one path at least)
+# states, controls and running costs that one block holds at most (one path at least)
 BLOCK_BYTES = 20 * 2 ** 20
 
 
@@ -89,6 +92,8 @@ class PathBundle:
     dt: float
     states: np.ndarray         # (P, steps+1, n, d)
     control_trace: np.ndarray  # (P, steps, n, d)
+    l1: np.ndarray             # (P, steps): atom mean of l1 at each left endpoint
+    l2: np.ndarray             # (P, steps): atom mean of l2 of each step's controls
 
     @property
     def n_paths(self) -> int:
@@ -120,6 +125,7 @@ def _integrate(model, cfg, x0, policy, increments, span=None):
 
     states = np.empty((P, S + 1, n, d))
     trace = np.empty((P, S, n, d))
+    l1, l2 = np.empty((P, S)), np.empty((P, S))
     cur = np.broadcast_to(atoms, (P, n, d)).copy()
     states[:, 0] = cur
     for k in range(S):
@@ -130,11 +136,13 @@ def _integrate(model, cfg, x0, policy, increments, span=None):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"policy produced non-finite controls at step {k}")
         trace[:, k] = a
-        # Non-strict: a coefficient value that is not finite yields non-finite
-        # states, which the check below reports as a blow-up.
+        l2[:, k] = model.l2(trace[:, k]).mean(axis=-1)
+        # Non-strict: a drift or sigma value that is not finite yields non-finite
+        # states, which the check below reports as a blow-up. l1 is strict.
         with np.errstate(over="ignore", invalid="ignore"):
             m1, m2 = model.features(cur)
             m1b, m2b = m1[:, None, :], m2[:, None]
+            l1[:, k] = model.l1_at(cur, m1b, m2b).mean(axis=-1)
             B = model.drift_at(cur, m1b, m2b, strict=False)
             sig = model.sigma_at(cur, m1b, m2b, strict=False)
             nxt = cur + (-a + B) * cfg.dt + np.einsum("pnij,pj->pni", sig, increments[:, k])
@@ -145,7 +153,7 @@ def _integrate(model, cfg, x0, policy, increments, span=None):
             raise FloatingPointError(f"{count} of {P} paths{where} blew up at step {k + 1} of {S}")
         states[:, k + 1] = nxt
         cur = nxt
-    return PathBundle(cfg.dt, states, trace)
+    return PathBundle(cfg.dt, states, trace, l1, l2)
 
 
 def simulate_particles(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
@@ -174,11 +182,11 @@ def path_blocks(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
     """Integrate the ensemble of `cfg` block by block: yield one PathBundle per
     block of consecutive paths, in path order.
 
-    A block holds at most BLOCK_BYTES of float64 states plus controls, and one
-    path at least. The increments are drawn once for the whole ensemble (or
-    passed in) and sliced, and each path's update reads only its own row, so
-    the blocks' per-path results are those of one integration of the whole
-    ensemble, bit for bit. `lifted` integrates the lifted atom dynamics.
+    A block holds at most BLOCK_BYTES of float64 states, controls and running
+    costs, and one path at least. The increments are drawn once for the whole
+    ensemble (or passed in) and sliced, and each path's update reads only its
+    own row, so the blocks' per-path results are those of one integration of
+    the whole ensemble, bit for bit. `lifted` integrates the lifted atom dynamics.
 
     Reduce the blocks through map(): it drops each block once reduced, whereas
     a for-loop variable keeps the last block alive while the next integrates.
@@ -189,7 +197,7 @@ def path_blocks(model: ModelSpec, cfg: SimConfig, x0, policy: Policy,
     P = cfg.n_paths
     if increments.shape != (P, cfg.steps, model.d_prime):
         raise ValueError(f"increments shape {increments.shape} does not match config")
-    size = max(1, BLOCK_BYTES // ((2 * cfg.steps + 1) * n * d * 8))
+    size = max(1, BLOCK_BYTES // (((2 * cfg.steps + 1) * n * d + 2 * cfg.steps) * 8))
     integrate = simulate_lifted_atoms if lifted else simulate_particles
     for start in range(0, P, size):
         stop = min(start + size, P)

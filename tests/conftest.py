@@ -15,11 +15,12 @@ def sized_grid(model, n, axis, t0=0.0, T=1.0, margin=0.25):
 
 def cut_into_blocks(monkeypatch, block_paths, steps, n, d=1):
     """Set simulate.BLOCK_BYTES so that path_blocks puts `block_paths` paths of
-    `steps` steps and n atoms in R^d (float64 states plus controls) in each
-    block; None leaves it. Returns a list that gets one entry per integration,
-    that is per block, from here on."""
+    `steps` steps and n atoms in R^d (float64 states, controls and running
+    costs) in each block; None leaves it. Returns a list that gets one entry
+    per integration, that is per block, from here on."""
     if block_paths is not None:
-        monkeypatch.setattr(simulate, "BLOCK_BYTES", block_paths * (2 * steps + 1) * n * d * 8)
+        monkeypatch.setattr(simulate, "BLOCK_BYTES",
+                            block_paths * ((2 * steps + 1) * n * d + 2 * steps) * 8)
     calls = []
     integrate = simulate._integrate
     monkeypatch.setattr(simulate, "_integrate", lambda *a: calls.append(1) or integrate(*a))

@@ -182,9 +182,20 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
             dict(SMALL_SPECS["feedback-roundtrip"], probe="feedback-roundtrip",
                  x0=[[0.5], [0.2]])]}, "$.probes[0].x0"),
         ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D,
-          "x0": [float("nan")]}, "$.x0"),
+          "x0": [float("nan")]}, "$.x0[0]"),
         ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM,
           "x0": [[0.5], [0.2, 0.3]]}, "$.x0"),
+        # a coordinate that is not a JSON number, which numpy would read as one
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM,
+          "x0": [["0.5"], [0.2]]}, "$.x0[0][0]"),
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM,
+          "x0": [[0.5], [True]]}, "$.x0[1][0]"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 test_points=[[0.5], ["0.2"]])]}, "$.probes[0].test_points[1][0]"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [[0.1], [None]], "grid_axis": [-3.0, 3.0, 17]}},
+         "$.sweep.base_atoms[1][0]"),
         # points outside a grid they are read on (lo <= x <= hi): an x0 on its solve's
         # grid, a test point on grid_small and, duplicated, on grid_big, and the
         # sweep's base atoms on grid_axis
@@ -590,8 +601,8 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
 
 
 def test_failed_run_writes_no_new_artifact(tmp_path, capsys):
-    """The running cost log(x[0]) is refused by the cost estimate, after the
-    paths and their statistics: the earlier run's artifacts stay as they were."""
+    """The running cost log(x[0]) is refused by the integrator, at the first
+    step a path starts at x <= 0: the earlier run's artifacts stay as they were."""
     out = tmp_path / "o"
     good = _write(tmp_path / "good.json",
                   dict(SMALL_CONFIGS["simulate"], dump_trajectories=True))
@@ -669,6 +680,22 @@ def test_finite_coefficient_values_are_valid_in_every_layer(tmp_path, doc):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_non_finite_running_cost_is_refused_at_its_step(tmp_path, capsys):
+    """Under b = x^3 from x0 = 3 the paths pass x = 4, where log(4 - x[0]) stops
+    being finite, a few steps before they leave the ball: the integrator names
+    l1 at that step instead of reporting the later blow-up."""
+    cfg = _write(tmp_path / "c.json", {"kind": "simulate", "seed": 2,
+                                       "model": dict(_CUBIC, l1="log(4 - x[0])"),
+                                       "sim": _BLOW_UP_SIM, "x0": [[3.0]]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("runtime failure: EvaluationError: log(4 - x[0]) has "
+                                       "a value that is not finite\n")
+    blow_up = _write(tmp_path / "b.json", {"kind": "simulate", "seed": 2, "model": _CUBIC,
+                                           "sim": _BLOW_UP_SIM, "x0": [[3.0]]})
+    assert main(["run", "--config", blow_up, "--out", str(tmp_path / "o")]) == 1
+    assert re.fullmatch(_BLOW_UP_MESSAGE, capsys.readouterr().err)
+
+
 def test_non_finite_drift_is_a_blow_up(tmp_path, capsys):
     cfg = _write(tmp_path / "c.json", dict(
         SMALL_CONFIGS["simulate"], model=dict(_D1_MODEL, b=["x[0] + 1/(1-1)"]),
@@ -744,11 +771,14 @@ def test_riccati_oracle_before_time_zero(tmp_path):
 
 def test_riccati_oracle_needs_lq_decoupled_coefficients(tmp_path):
     """The oracle solves LQ-decoupled's problem; a model that only borrows the
-    name gets none, one with the same coefficients still gets it."""
+    name gets none, one with the same coefficients still gets it, under any
+    name or none (a document without a name is "custom")."""
     lq_named = {"name": "LQ-decoupled", "d": 1, "d_prime": 1, "kappa": 1.0}
+    same = dict(b=["0"], sigma=[["1"]], l1="0", UT="0.5*m2")
     models = {"borrowed name": dict(lq_named, b=["-2*x[0]"], sigma=[["0.3"]], l1="x[0]^2",
                                     UT="m2"),
-              "same coefficients": dict(lq_named, b=["0"], sigma=[["1"]], l1="0", UT="0.5*m2")}
+              "same coefficients": dict(lq_named, **same),
+              "same coefficients, no name": {"d": 1, "d_prime": 1, "kappa": 1.0, **same}}
     for label, model in models.items():
         cfg = _write(tmp_path / "c.json", {"kind": "solve-hjb", "seed": 1, "model": model,
                                            "grid": {"axes": [[-3.0, 3.0, 41]]}, "x0": [0.5]})
@@ -756,7 +786,7 @@ def test_riccati_oracle_needs_lq_decoupled_coefficients(tmp_path):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "value_at_x0" in summary
-        assert ("riccati_value_at_x0" in summary) == (label == "same coefficients"), label
+        assert ("riccati_value_at_x0" in summary) == label.startswith("same"), label
 
 
 def test_solve_without_time_steps_uses_the_hjb_rule(tmp_path):

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import mfclab as m
 from conftest import cut_into_blocks
-from mfclab import costs
+from mfclab import costs, expressions
 from mfclab.measures import mean_se
 
 
@@ -64,6 +66,29 @@ def test_cost_lift_identity_bitwise(monkeypatch, block_paths, blocks):
     assert cf.running_l1 == cl.running_l1
     assert cf.running_l2 == cl.running_l2
     assert cf.terminal == cl.terminal
+
+
+@pytest.mark.parametrize("block_paths, blocks", [(None, 1), (3, 3)],
+                         ids=["one-block", "several-blocks"])
+def test_each_coefficient_is_evaluated_once_per_euler_step(monkeypatch, block_paths, blocks):
+    """Pricing a block of K steps evaluates each running coefficient tree (b,
+    sigma and l1) once per Euler step and U_T once, and the measure features
+    K + 1 times: at each step's left endpoint, which the drift, sigma and l1
+    share, and at the final states."""
+    model = m.REGISTRY["tanh-interaction"]
+    cfg = _cfg(steps=12, n_paths=9, seed=4)
+    cut_into_blocks(monkeypatch, block_paths, 12, 3)
+    trees, features = Counter(), []
+    evaluate, moments = expressions.evaluate, m.ModelSpec.features
+    monkeypatch.setattr(expressions, "evaluate",
+                        lambda e, *a, **kw: trees.update([id(e)]) or evaluate(e, *a, **kw))
+    monkeypatch.setattr(m.ModelSpec, "features",
+                        lambda self, atoms: features.append(1) or moments(self, atoms))
+    m.cost_finite(model, cfg, np.array([[0.1], [0.9], [-0.4]]), m.zero_control())
+    running = (*model.drift, *(e for row in model.sigma for e in row), model.l1)
+    assert trees == Counter({**{id(e): blocks * 12 for e in running},
+                             id(model.terminal): blocks})
+    assert len(features) == blocks * (12 + 1)
 
 
 def test_single_particle_reduces_to_standard_control():

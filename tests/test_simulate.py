@@ -3,6 +3,7 @@ import pytest
 
 import mfclab as m
 from conftest import cut_into_blocks
+from mfclab import simulate
 from mfclab.measures import mean_se
 from mfclab.simulate import BLOWUP_LIMIT
 
@@ -175,9 +176,9 @@ def test_open_loop_schedule_validated():
 
 
 def test_path_blocks_cut_one_integration(monkeypatch):
-    """Cut into blocks of three paths, the ensemble's states and controls are
-    those of one integration of all ten paths, bit for bit; increments that do
-    not match the config are refused before any block."""
+    """Cut into blocks of three paths, the ensemble's states, controls and
+    running costs are those of one integration of all ten paths, bit for bit;
+    increments that do not match the config are refused before any block."""
     model = m.REGISTRY["tanh-interaction"]
     cfg = _cfg(steps=8, n_paths=10)
     x0 = np.array([[0.5], [-1.0]])
@@ -186,11 +187,28 @@ def test_path_blocks_cut_one_integration(monkeypatch):
     cut_into_blocks(monkeypatch, 3, cfg.steps, 2)
     blocks = list(m.path_blocks(model, cfg, x0, policy))
     assert [b.n_paths for b in blocks] == [3, 3, 3, 1]
-    for field in ("states", "control_trace"):
+    for field in ("states", "control_trace", "l1", "l2"):
         cut = np.concatenate([getattr(b, field) for b in blocks])
         assert cut.tobytes() == getattr(whole, field).tobytes(), field
     with pytest.raises(ValueError, match="does not match config"):
         next(m.path_blocks(model, cfg, x0, policy, m.wiener_increments(_cfg(n_paths=20), 1)))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_block_holds_at_most_block_bytes(monkeypatch, n):
+    """Every block's states, controls and recorded running costs fit in
+    BLOCK_BYTES, and one more path would not; at n*d = 1 the two (P, K) running
+    costs are as large as the states."""
+    model = m.REGISTRY["LQ-decoupled"]
+    cfg = _cfg(steps=20, n_paths=40)
+    monkeypatch.setattr(simulate, "BLOCK_BYTES", 10_000)
+    blocks = list(m.path_blocks(model, cfg, np.linspace(-1.0, 1.0, n)[:, None],
+                                m.zero_control()))
+    assert len(blocks) > 1
+    held = [b.states.nbytes + b.control_trace.nbytes + b.l1.nbytes + b.l2.nbytes
+            for b in blocks]
+    per_path = held[0] // blocks[0].n_paths
+    assert max(held) <= simulate.BLOCK_BYTES < per_path * (blocks[0].n_paths + 1)
 
 
 def test_path_statistics_deterministic_paths():
