@@ -9,6 +9,7 @@ reruns of the same config; timestamps live only in the manifest.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import hashlib
 import json
@@ -362,6 +363,10 @@ def _plan(cfg):
         if sweep:
             points.append(("sweep.base_atoms", sweep["base_atoms"], None))
         for key, point, n in points:
+            # the schema lets each item be a number or a list of numbers
+            if len({len(a) if isinstance(a, list) else None for a in point}) > 1:
+                raise ConfigError(f"bad point at {pointer}.{key}: a point is a list of numbers "
+                                  f"or a list of atoms of equal length")
             try:
                 arr = np.asarray(point, dtype=np.float64)
                 atom_d = None if n else _as_atoms(arr).shape[1]
@@ -411,18 +416,20 @@ def _run_simulate(plan, out_dir, jobs):
     x0 = _as_atoms(np.asarray(cfg["x0"], dtype=np.float64))
     r, dump = cfg.get("r", 2.0), cfg.get("dump_trajectories", False)
     increments = wiener_increments(sim, model.d_prime)
-    kept = []
+    reduced = []
 
     def reduce_block(bundle):
-        if dump:  # only the dump needs every path at once
-            kept.append(bundle)
-        return path_sups(bundle, r), _per_path_terms(model, bundle)
+        reduced.append((path_sups(bundle, r), _per_path_terms(model, bundle)))
+        return bundle
 
-    sups, terms = zip(*map(reduce_block, path_blocks(model, sim, x0, zero_control(), increments)))
+    blocks = map(reduce_block, path_blocks(model, sim, x0, zero_control(), increments))
+    if dump:  # each block's rows are written once it is reduced
+        dump_trajectories(blocks, os.path.join(out_dir, "trajectories.csv"))
+    else:  # drops each block once reduced
+        collections.deque(blocks, maxlen=0)
+    sups, terms = zip(*reduced)
     stats = path_statistics(np.concatenate(sups, axis=1), increments, sim.dt)
     est, _ = _estimate(terms)
-    if dump:
-        dump_trajectories(kept, os.path.join(out_dir, "trajectories.csv"))
     rows = [[k, repr(v[0]), repr(v[1])] if isinstance(v, tuple) else [k, repr(v), ""]
             for k, v in sorted(stats.items())]
     write_csv(os.path.join(out_dir, "results.csv"), ["statistic", "value", "std_error"], rows)

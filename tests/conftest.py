@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,19 @@ def cut_into_blocks(monkeypatch, block_paths, steps, n, d=1):
     integrate = simulate._integrate
     monkeypatch.setattr(simulate, "_integrate", lambda *a: calls.append(1) or integrate(*a))
     return calls
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocate while fn() runs, over what was
+    allocated before (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cut_into_blocks
+from conftest import cut_into_blocks, traced_peak
 import mfclab
 from mfclab import (REGISTRY, CFLError, EvaluationError, ExpressionSyntaxError,
-                    UnsupportedShapeError, cli, reports, sized_grid, solve_hjb)
+                    UnsupportedShapeError, cli, reports, simulate, sized_grid, solve_hjb)
 from mfclab.cli import main
 
 
@@ -286,6 +286,36 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         assert f"at {pointer}: " in capsys.readouterr().err, doc
 
 
+@pytest.mark.parametrize("doc, pointer", [
+    ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM, "x0": [0.5, [1.0]]},
+     "$.x0"),
+    ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM, "x0": [[0.5], 1.0]},
+     "$.x0"),
+    ({"kind": "simulate", "seed": 1, "model": _D2_MODEL, "sim": _SIM,
+      "x0": [[0.5], [1.0, 2.0]]}, "$.x0"),
+    ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D, "x0": [[0.5], []]},
+     "$.x0"),
+    ({"kind": "verify", "seed": 1, "probes": [
+        dict(SMALL_SPECS["cost-identity"], probe="cost-identity", x0=[[0.5], [0.2, 0.3]])]},
+     "$.probes[0].x0"),
+    ({"kind": "verify", "seed": 1, "probes": [
+        dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+             test_points=[[0.5], [0.5, [0.2]]])]}, "$.probes[0].test_points[1]"),
+    ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+        "base_atoms": [[0.1], 0.2], "grid_axis": [-3.0, 3.0, 17]}}, "$.sweep.base_atoms"),
+], ids=["x0-number-then-atom", "x0-atom-then-number", "x0-atoms-of-two-lengths",
+        "x0-empty-atom", "probe-x0", "test-point", "sweep-base-atoms"])
+def test_ragged_point_exits_2_in_the_projects_words(tmp_path, capsys, doc, pointer):
+    """A point that mixes numbers and atoms, or holds atoms of unequal length,
+    passes the schema and is refused before numpy reads it."""
+    cfg = _write(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad point at {pointer}: a point is a list of numbers or a list of "
+        f"atoms of equal length\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", list(SMALL_CONFIGS))
 def test_small_config_of_each_kind_runs(tmp_path, kind):
     cfg = _write(tmp_path / "c.json", SMALL_CONFIGS[kind])
@@ -379,6 +409,30 @@ def test_simulate_integrates_once(tmp_path, monkeypatch, block_paths, blocks):
     assert len(calls) == blocks
     for name in ("results.csv", "summary.json", "trajectories.csv"):
         assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_trajectory_dump_holds_one_block(tmp_path, monkeypatch):
+    """A simulate run that dumps its trajectories writes each block's rows once
+    the block is reduced, and drops the block before the next integrates: over
+    six blocks of 214 kB it peaks below one and a half blocks plus 256 KiB of
+    slack (the file's write buffers, one path's rows, per-step temporaries).
+    Holding the last block while the next integrates took two blocks plus the
+    slack, and keeping every block for the dump took six."""
+    steps, n, block_paths = 40, 32, 10
+    cfg = _write(tmp_path / "c.json", {
+        "kind": "simulate", "seed": 5, "model": {"registry": "tanh-interaction"},
+        "sim": {"t0": 0.0, "T": 1.0, "steps": steps, "n_paths": 6 * block_paths},
+        "x0": np.linspace(-1.0, 1.0, n)[:, None].tolist(), "dump_trajectories": True})
+    plan, _ = cli._load_config(cfg)
+    calls = cut_into_blocks(monkeypatch, block_paths, steps, n)
+    monkeypatch.setattr(simulate, "_TILE", 1024)  # path_sups temporaries far below a block
+    block = simulate.BLOCK_BYTES
+    out = tmp_path / "o"
+    out.mkdir()
+    peak = traced_peak(lambda: cli._run_simulate(plan, str(out), 1))
+    assert len(calls) == 6
+    assert (out / "trajectories.csv").stat().st_size > 6 * block
+    assert peak < 1.5 * block + 2 ** 18
 
 
 # b = x^3 drives paths from x0 = 3 (or 6) to overflow within 50 steps, and some

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
-from conftest import cut_into_blocks
+from conftest import cut_into_blocks, traced_peak
 from mfclab import simulate
 from mfclab.measures import mean_se
 from mfclab.simulate import BLOWUP_LIMIT
@@ -209,6 +209,44 @@ def test_a_block_holds_at_most_block_bytes(monkeypatch, n):
             for b in blocks]
     per_path = held[0] // blocks[0].n_paths
     assert max(held) <= simulate.BLOCK_BYTES < per_path * (blocks[0].n_paths + 1)
+
+
+def _whole_block_sups(states, r):
+    """path_sups in one pass over the whole block: the reference the tiles match."""
+    return np.stack([m.rnorm(states, r).max(axis=1),
+                     m.rnorm(states - states[:, :1], r).max(axis=1)])
+
+
+def _bundle(states):
+    P, K = states.shape[0], states.shape[1] - 1
+    return m.PathBundle(0.01, states, np.zeros((P, K) + states.shape[2:]), np.zeros((P, K)),
+                        np.zeros((P, K)))
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("P, n, d", [(5, 1, 1), (5, 64, 1), (5, 3, 2), (1, 3, 2)])
+# K + 1 states: two, and one below, at and one above a boundary of 4-step tiles
+@pytest.mark.parametrize("steps", [1, 18, 19, 20])
+@pytest.mark.parametrize("tile_steps", [1, 4])
+def test_tiled_path_sups_change_no_bit(monkeypatch, r, P, n, d, steps, tile_steps):
+    """path_sups read in tiles of a few steps gives the whole-block maxima byte
+    for byte; the tiles here are small, so many tile boundaries are crossed."""
+    monkeypatch.setattr(simulate, "_TILE", tile_steps * P * n * d)
+    g = np.random.default_rng([P, n, d, steps])
+    states = g.standard_normal((P, steps + 1, n, d)) * g.exponential(size=(P, steps + 1, 1, 1))
+    sups = m.path_sups(_bundle(states), r)
+    assert sups.shape == (2, P)
+    assert sups.tobytes() == _whole_block_sups(states, r).tobytes()
+
+
+def test_path_sups_allocates_a_few_tiles():
+    """On a block the size of simulate-mc's (100 paths, 200 steps, 64 atoms: 9.8
+    MiB of states), the temporaries of path_sups stay within four tiles, far
+    below the block; the whole-block pass allocated three times the states."""
+    states = np.random.default_rng(3).standard_normal((100, 201, 64, 1))
+    bundle = _bundle(states)
+    peak = traced_peak(lambda: m.path_sups(bundle, 1.5))
+    assert peak <= 4 * simulate._TILE * 8 < states.nbytes / 4
 
 
 def test_path_statistics_deterministic_paths():
