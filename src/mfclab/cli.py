@@ -55,7 +55,8 @@ def _object(required, **properties) -> dict:
 
 _NUMBER = {"type": "number"}
 # a point or a list of atoms: numbers, or lists of numbers (one per atom)
-_POINT = {"type": "array", "items": {"anyOf": [_NUMBER, {"type": "array", "items": _NUMBER}]}}
+_POINT = {"type": "array", "minItems": 1,
+          "items": {"anyOf": [_NUMBER, {"type": "array", "items": _NUMBER}]}}
 # a seed plus a probe's fixed offsets (such as 1009 * k) stays below 2^64, the
 # width of a Philox key
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2 ** 63 - 1}
@@ -96,7 +97,7 @@ _AXIS = {
     "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 8}],
 }
 _GRID_SCHEMA = _object(["axes"], time_steps=_COUNT,
-                       axes={"type": "array", "minItems": 1, "maxItems": 3, "items": _AXIS},
+                       axes={"type": "array", "minItems": 1, "maxItems": MAX_AXES, "items": _AXIS},
                        margin={"type": "number", "minimum": 0, "exclusiveMaximum": 0.5})
 
 
@@ -367,11 +368,8 @@ def _plan(cfg):
             if len({len(a) if isinstance(a, list) else None for a in point}) > 1:
                 raise ConfigError(f"bad point at {pointer}.{key}: a point is a list of numbers "
                                   f"or a list of atoms of equal length")
-            try:
-                arr = np.asarray(point, dtype=np.float64)
-                atom_d = None if n else _as_atoms(arr).shape[1]
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad point at {pointer}.{key}: {e}") from e
+            arr = np.asarray(point, dtype=np.float64)
+            atom_d = None if n else _as_atoms(arr).shape[1]
             if n and arr.size != n * d:
                 raise ConfigError(f"bad point at {pointer}.{key}: {arr.size} numbers but n*d = "
                                   f"{n}*{d} = {n * d}")

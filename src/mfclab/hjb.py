@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,11 +104,7 @@ class GridSpec:
         ]
 
     def to_json(self) -> dict:
-        return {
-            "axes": [list(a) for a in self.axes],
-            "time_steps": self.time_steps,
-            "margin": self.margin,
-        }
+        return dict(asdict(self), axes=[list(a) for a in self.axes])
 
 
 # The interior of a ghost buffer shifted by o in {-1, 0, 1} along one axis: _AT[o].

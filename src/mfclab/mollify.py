@@ -91,13 +91,10 @@ def _bump_unit_draws(seed: int, slots: np.ndarray, d: int):
         radius = u[..., 0] ** (1.0 / d)
         accept = u[..., 1] < np.exp(1.0 / (radius ** 2 - 1.0) + 1.0)
         del u
-        hits = np.flatnonzero(accept)                 # accepted (slot, round) pairs, slot-major
+        slot = np.flatnonzero(accept.any(axis=1))     # pending slots with an acceptance
+        first = accept[slot].argmax(axis=1)           # each one's first accepted round
         del accept
-        slot, first = np.divmod(hits, count)
-        keep = np.ones(hits.size, dtype=bool)
-        keep[1:] = slot[1:] != slot[:-1]              # a slot's first accepted round only
-        slot, first = slot[keep], first[keep]
-        radius = radius.reshape(-1)[hits[keep]]
+        radius = radius[slot, first]
         proposals += int(first.sum()) + slot.size + count * (pending.size - slot.size)
         z = rng.normals(seed, rng.TAG_MOLLIFY_OFFSET, idx[slot],
                         np.uint64(2) * rounds[first], d)

@@ -13,7 +13,7 @@ import contextlib
 import csv
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 REPORT_HEADER = ("probe", "statistic", "threshold", "pass")
 
@@ -43,16 +43,7 @@ class ProbeReport:
         raise ValueError(f"unknown direction {self.direction!r}")
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "direction": self.direction,
-            "passed": self.passed,
-            "provenance": self.provenance,
-            "details": self.details,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def report_row(r: ProbeReport) -> list:

@@ -102,6 +102,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "byte offset" in err
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
 
 
 def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
@@ -214,6 +216,15 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
             "base_atoms": [[0.1], [3.5]], "grid_axis": [-3.0, 3.0, 17], "duplications": [1]}},
          "$.sweep.base_atoms"),
+        # an empty point
+        ({"kind": "simulate", "seed": 1, "model": _D1_MODEL, "sim": _SIM, "x0": []}, "$.x0"),
+        ({"kind": "solve-hjb", "seed": 1, "model": _D1_MODEL, "grid": _GRID_1D, "x0": []},
+         "$.x0"),
+        ({"kind": "sweep", "seed": 1, "model": _D1_MODEL, "sweep": {
+            "base_atoms": [], "grid_axis": [-3.0, 3.0, 17]}}, "$.sweep.base_atoms"),
+        ({"kind": "verify", "seed": 1, "probes": [
+            dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
+                 test_points=[[0.5], []])]}, "$.probes[0].test_points[1]"),
         # a duplication probe with no point to compare, a sweep with no family
         ({"kind": "verify", "seed": 1, "probes": [
             dict(SMALL_SPECS["duplication-consistency"], probe="duplication-consistency",
@@ -284,6 +295,11 @@ def test_unknown_key_exits_2_with_pointer(tmp_path, capsys):
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, doc
         assert f"at {pointer}: " in capsys.readouterr().err, doc
+    # the schema refuses an empty point before numpy reads it
+    cfg = _write(tmp_path / "c.json", dict(SMALL_CONFIGS["simulate"], x0=[]))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config schema violation at $.x0: [] should be non-empty\n")
 
 
 @pytest.mark.parametrize("doc, pointer", [
@@ -917,6 +933,33 @@ def test_probe_error_in_a_worker_is_reported_as_in_process(tmp_path, capsys, mon
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs])
         runs.append((code, capsys.readouterr().err))
     assert runs[0] == runs[1] == (1, f"runtime failure: {type(error).__name__}: {error}\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_killed_worker_ends_the_run_at_once(tmp_path, capsys, monkeypatch):
+    """A --jobs 2 worker that dies (SIGKILL) breaks the pool: the run exits 1 with
+    BrokenProcessPool at once, writes no artifact, and the pool ends its other
+    worker, which would otherwise sleep for a minute."""
+    def die(spec, model, horizon, grids):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def sleep(spec, model, horizon, grids):
+        time.sleep(60)
+
+    for name, runner in (("time-holder", die), ("cost-identity", sleep)):
+        schema, _, solves = cli.PROBES[name]
+        monkeypatch.setitem(cli.PROBES, name, (schema, runner, solves))
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 1, "probes": [
+        {"probe": name, **SMALL_SPECS[name]} for name in ("cost-identity", "time-holder")]})
+    before = _children(os.getpid())
+    start = time.monotonic()
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert time.monotonic() - start < 30
+    assert (code, capsys.readouterr().err) == (1, (
+        "runtime failure: BrokenProcessPool: A process in the process pool was terminated "
+        "abruptly while the future was running or pending.\n"))
+    assert list((tmp_path / "o").iterdir()) == []
+    assert not any(map(_alive, set(_children(os.getpid())) - set(before)))
 
 
 def test_every_exception_class_pickles():

@@ -100,6 +100,16 @@ def test_syntax_error_position_and_expected():
     with pytest.raises(ex.ExpressionSyntaxError, match="1e400 is not a finite double") as info:
         ex.parse_coefficient("exp(-1e400*x[0]^2)")
     assert info.value.position == 5
+    for src, pos in [("x[0.5]", 2), ("m1[1e0]", 3)]:
+        with pytest.raises(ex.ExpressionSyntaxError, match="index must be an integer") as info:
+            ex.parse_coefficient(src)
+        assert (info.value.position, info.value.expected) == (pos, ("integer",))
+
+
+@pytest.mark.parametrize("fn", [ex.print_coefficient, ex.evaluate])
+def test_a_node_that_is_not_an_expression_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="not an expression node: 1.5"):
+        fn(ex.Neg(1.5))
 
 
 # tokens, pieces of tokens and characters that are not in the grammar

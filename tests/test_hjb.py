@@ -20,6 +20,8 @@ def test_gridspec_validation():
         m.GridSpec(axes=((-1.0, 1.0, 16),) * 4, time_steps=10)
     with pytest.raises(ValueError):
         m.GridSpec(axes=((-1.0, 1.0, 16),), time_steps=10, margin=0.5)
+    with pytest.raises(ValueError, match="time_steps must be >= 1"):
+        m.GridSpec(axes=((-1.0, 1.0, 16),), time_steps=0)
 
 
 def test_cfl_violation_names_required_steps(lq_model):
@@ -187,6 +189,19 @@ def test_riccati_examples():
     assert abs(v - (0.25 + 0.5 * np.log(2.0))) <= 1e-8
     dup = m.riccati_lq_value(1.0, 1.0, 1.0, 0.0, np.array([[1.0], [1.0]]))
     assert abs(dup - v) <= 1e-14
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda model: m.solve_hjb(model, 1, m.GridSpec(((-1.0, 1.0, 16),), 10), 1.0, 1.0),
+     "need T > t0"),
+    (lambda model: m.solve_hjb(model, 1, m.GridSpec(((-1.0, 1.0, 16),), 10), 1.0, 0.5),
+     "need T > t0"),
+    (lambda model: m.riccati_lq_value(1.0, 1.0, 1.0, 1.5, [[0.0]]), "need t <= T"),
+    (lambda model: m.riccati_lq_value(1.0, 0.0, 1.0, 0.0, [[0.0]]), "kappa must be positive"),
+], ids=["solve-T-at-t0", "solve-T-before-t0", "riccati-t-past-T", "riccati-kappa-0"])
+def test_horizon_and_kappa_guards(lq_model, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(lq_model)
 
 
 def test_riccati_kappa_scaling():

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import mfclab as m
+from conftest import traced_peak
+from mfclab.measures import _as_atoms
 
 
 def test_moment_examples():
@@ -165,3 +169,27 @@ def test_metric_monotone_in_r():
         x, y = g.normal(size=(n, d)), g.normal(size=(n, d))
         r, s = sorted(g.uniform(1.0, 2.0, size=2))
         assert m.wasserstein_r(x, y, r) <= m.wasserstein_r(x, y, s) + 1e-12
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: _as_atoms(np.zeros((2, 2, 1))), ValueError,
+     "atoms must have shape (n, d), got (2, 2, 1)"),
+    (lambda: m.duplicate_atoms(np.zeros((2, 1)), 0), ValueError,
+     "duplication factor must be >= 1"),
+    (lambda: m.wasserstein_r(np.zeros((2, 1)), np.zeros((2, 2)), 1.0), m.UnsupportedShapeError,
+     "dimension mismatch: 1 vs 2"),
+    (lambda: m.wasserstein_r(np.zeros((2, 2)), np.zeros((3, 2)), 1.0), m.UnsupportedShapeError,
+     "unequal atom counts requires d = 1"),
+    # the common refinement of 3,163 and 3,167 atoms (both prime) has 10,017,221
+    (lambda: m.wasserstein_r(np.zeros(3163), np.zeros(3167), 1.0), m.UnsupportedShapeError,
+     "common refinement of sizes 3163 and 3167 is too large (10017221)"),
+    (lambda: m.brute_force_wasserstein(np.zeros((2, 1)), np.zeros((3, 1)), 1.0),
+     m.UnsupportedShapeError, "oracle requires equal atom counts"),
+], ids=["atoms-3d", "duplicate-0", "w-unequal-d", "w-unequal-counts-d2", "w-refinement-too-large",
+        "brute-force-unequal-counts"])
+def test_shape_guards_raise_before_allocating(call, error, fragment):
+    def refused():
+        with pytest.raises(error, match=re.escape(fragment)):
+            call()
+
+    assert traced_peak(refused) < 2 ** 20

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,8 @@ def test_kappa_positive():
                            "l1": "0", "kappa": 0.0, "UT": "m2"})
     with pytest.raises(ValueError):
         m.l2_conjugate(np.array([1.0]), -1.0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        m.feedback_map(np.array([1.0]), 0.0)
 
 
 def test_registry_contents():
@@ -142,3 +146,14 @@ def test_sigma_shape_validation():
     with pytest.raises(ValueError):
         m.model_from_json({"d": 2, "d_prime": 1, "b": ["0", "0"], "sigma": [["1"]],
                            "l1": "0", "kappa": 1.0, "UT": "m2"})
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"d": 2, "d_prime": 1, "b": ["0"], "sigma": [["1"], ["1"]], "l1": "0", "kappa": 1.0,
+      "UT": "m2"}, "drift needs 2 component expressions"),
+    ({"d": 1, "b": ["0"], "l1": "0"},
+     "model document missing keys: ['UT', 'd_prime', 'kappa', 'sigma']"),
+], ids=["drift-length", "missing-keys"])
+def test_model_document_guards(doc, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        m.model_from_json(doc)

@@ -166,6 +166,15 @@ def test_policy_shape_and_finiteness_validated():
         m.simulate_particles(model, _cfg(), np.array([[0.0]]), bad_value)
 
 
+def test_initial_state_and_increments_validated():
+    model = m.REGISTRY["LQ-decoupled"]
+    with pytest.raises(ValueError, match="initial state dimension 2 != model dimension 1"):
+        m.simulate_particles(model, _cfg(), np.zeros((1, 2)), m.zero_control())
+    with pytest.raises(ValueError, match=r"increments shape \(4, 15, 1\) does not match config"):
+        m.simulate_particles(model, _cfg(), np.zeros((1, 1)), m.zero_control(),
+                             np.zeros((4, 15, 1)))
+
+
 def test_open_loop_schedule_validated():
     with pytest.raises(ValueError, match="shape"):
         m.open_loop(np.zeros((4, 1)))

@@ -114,6 +114,10 @@ def test_semiconcavity_degenerate_pairs_skipped():
     x = np.array([[1.0], [2.0]])
     est = m.semiconcavity_report(lambda a: float((a ** 2).sum()), [(x, x)], [0.5], "probe").details
     assert est["samples"] == 0
+    # a coincident pair among others adds no sample; each other pair adds one per lambda
+    rep = m.semiconcavity_report(lambda a: float((a ** 2).sum()), [(x, -x), (x, x), (-x, x)],
+                                 [0.25, 0.5], "probe")
+    assert rep.samples == rep.details["samples"] == 4
 
 
 def test_semiconcavity_report_modes():
@@ -126,10 +130,17 @@ def test_semiconcavity_report_modes():
     assert soft.threshold is None and soft.passed
 
 
-def test_permutation_invariance_probe(lq_u2):
+def test_permutation_invariance_probe(lq_u2, lq_u1):
     rep = m.permutation_invariance_probe(lq_u2)
     assert rep.passed
     assert rep.statistic <= 1e-12
+    with pytest.raises(ValueError, match="implemented for n=2, d=1 grids"):
+        m.permutation_invariance_probe(lq_u1)
+
+
+def test_unknown_report_direction_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown direction 'gt'"):
+        m.ProbeReport("probe", 1, 0.0, 1.0, direction="gt").passed
 
 
 def test_time_holder_probe_small(lq_model):
