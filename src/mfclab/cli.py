@@ -127,8 +127,10 @@ def _probe_cost_identity(spec, model, horizon, grids):
 
 
 def _probe_duplication(spec, model, horizon, grids):
-    # the large solve first, so that the small one's slices are not held through its march
-    u_big, u_small = (solve_hjb(model, *grids[k], *horizon) for k in ("grid_big", "grid_small"))
+    # each solve keeps only the slices the probe compares: at t0, the midpoint and T
+    times = verify.duplication_times(*horizon)
+    u_big, u_small = (solve_hjb(model, *grids[k], *horizon, read_times=times)
+                      for k in ("grid_big", "grid_small"))
     pts = [np.reshape(p, (u_small.n, model.d)) for p in spec["test_points"]]
     return [verify.duplication_consistency(u_small, u_big, pts,
                                            threshold=spec.get("threshold", 2e-2))]

@@ -195,6 +195,7 @@ class GridValueFunction:
     dt: float
     times: np.ndarray     # stored slice times, ascending, times[0] = t0, times[-1] = T
     values: np.ndarray    # (len(times), *grid.shape())
+    read_times: tuple | None = None   # the only times it is read at; None: any time
     _gradient_cache: dict = field(default_factory=dict, repr=False)  # slice -> grid_gradient
 
     @property
@@ -202,6 +203,8 @@ class GridValueFunction:
         return self.model.d
 
     def slice_for_time(self, t: float) -> int:
+        if self.read_times is not None and t not in self.read_times:
+            raise ValueError(f"time {t} is not a read time of this solve {self.read_times}")
         return int(np.argmin(np.abs(self.times - t)))
 
     def _interpolate(self, t: float, pts: np.ndarray, gradient: bool = False) -> np.ndarray:
@@ -285,8 +288,13 @@ def sized_grid(model: ModelSpec, n: int, axes, t0: float, T: float,
 
 
 def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: float = 1.0,
-              max_stored_slices: int = 257) -> GridValueFunction:
-    """Backward explicit march; raises CFLError naming the required step count."""
+              max_stored_slices: int = 257, read_times=None) -> GridValueFunction:
+    """Backward explicit march; raises CFLError naming the required step count.
+
+    Every stride-th slice is a stored one, for at most max_stored_slices. With
+    read_times, the solve keeps of them only the t0 and T slices and the one
+    nearest each read time (the first on ties, as the lookup of a full store
+    picks it), and is readable at those times alone."""
     if T <= t0:
         raise ValueError("need T > t0")
     d, kappa = model.d, model.kappa
@@ -304,8 +312,13 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     K = grid.time_steps
     dt = (T - t0) / K
 
+    # t0 + k dt bit for bit for k < K, and T itself at k = K
+    times = np.linspace(t0, T, K + 1)
     stride = max(1, math.ceil((K + 1) / max_stored_slices))
     kept = sorted({0, K} | set(range(0, K + 1, stride)))
+    if read_times is not None:
+        read_times = tuple(float(t) for t in read_times)
+        kept = sorted({0, K} | {kept[np.argmin(np.abs(times[kept] - t))] for t in read_times})
     row = {k: i for i, k in enumerate(kept)}
     values = np.empty((len(kept),) + uT.shape)
     values[-1] = uT
@@ -342,9 +355,8 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         if k in row:
             values[row[k]] = u
 
-    # t0 + k dt bit for bit for k < K, and T itself at k = K
-    times = np.linspace(t0, T, K + 1)[kept]
-    return GridValueFunction(grid=grid, model=model, n=n, dt=dt, times=times, values=values)
+    return GridValueFunction(grid=grid, model=model, n=n, dt=dt, times=times[kept],
+                             values=values, read_times=read_times)
 
 
 def grid_gradient(u: GridValueFunction, k: int) -> np.ndarray:

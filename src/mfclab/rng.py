@@ -8,6 +8,8 @@ and batch size, which is what makes the Monte Carlo layers bit-reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -104,17 +106,23 @@ def _blocks(pair, seed: int, tag: int, i0, i1, count: int):
     Consecutive values come from counter blocks i2 = 0, 1, ... so the draw for a
     given (seed, tag, i0, i1, j) never depends on how many others were requested.
     For an odd `count` the last block's second value is not used, so it is not
-    computed (a sine per index pair for normals).
+    computed (a sine per index pair for normals). The draws are made and written
+    into the result in tiles of about _TILE counters along the first index axis,
+    which changes no bit: each draw is a pure function of its counter.
     """
-    i0 = np.asarray(i0)
-    i1 = np.asarray(i1)
-    shape = np.broadcast_shapes(i0.shape, i1.shape)
+    i0, i1 = np.broadcast_arrays(np.asarray(i0), np.asarray(i1))
+    out = np.empty(i0.shape + (count,))
+    i0, i1 = np.atleast_1d(i0, i1)
     blocks = (count + 1) // 2
-    blk = np.arange(blocks, dtype=np.uint64).reshape((1,) * len(shape) + (blocks,))
-    v0, v1 = pair(*pair_uniforms(seed, tag, i0[..., None], i1[..., None], blk), count // 2)
-    out = np.empty(shape + (count,))
-    out[..., 0::2] = v0
-    out[..., 1::2] = v1
+    blk = np.arange(blocks, dtype=np.uint64)
+    rows = out.reshape(i0.shape + (count,))     # a view; one row for scalar indices
+    step = max(1, _TILE // max(1, blocks * math.prod(i0.shape[1:])))
+    for start in range(0, len(rows), step):
+        tile = slice(start, start + step)
+        v0, v1 = pair(*pair_uniforms(seed, tag, i0[tile, ..., None], i1[tile, ..., None], blk),
+                      count // 2)
+        rows[tile, ..., 0::2] = v0
+        rows[tile, ..., 1::2] = v1
     return out
 
 

@@ -114,7 +114,8 @@ def wiener_increments(cfg: SimConfig, d_prime: int) -> np.ndarray:
     paths = np.arange(cfg.n_paths, dtype=np.uint64)[:, None]
     steps = np.arange(cfg.steps, dtype=np.uint64)[None, :]
     z = rng.normals(cfg.seed, rng.TAG_WIENER, paths, steps, d_prime)
-    return np.sqrt(cfg.dt) * z
+    z *= np.sqrt(cfg.dt)     # in place: the same bits as sqrt(dt) * z, no second array
+    return z
 
 
 def _integrate(model, cfg, x0, policy, increments, span=None):

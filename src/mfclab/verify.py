@@ -20,6 +20,11 @@ from .reports import ProbeReport
 from .simulate import Policy, SimConfig, path_blocks, wiener_increments
 
 
+def duplication_times(t0: float, T: float) -> tuple:
+    """The times the duplication probe compares its two solves at by default."""
+    return t0, 0.5 * (t0 + T), T
+
+
 def duplication_consistency(u_small: GridValueFunction, u_big: GridValueFunction, test_points,
                             compare_times=None, threshold: float = 2e-2) -> ProbeReport:
     """Compare two independent solves, u_n and u_{mn} with m = u_big.n / u_small.n,
@@ -31,7 +36,7 @@ def duplication_consistency(u_small: GridValueFunction, u_big: GridValueFunction
     if not len(test_points):
         raise ValueError("duplication consistency needs at least one test point")
     t0, T = ends[0].tolist()
-    times = list(compare_times) if compare_times is not None else [t0, 0.5 * (t0 + T), T]
+    times = list(duplication_times(t0, T) if compare_times is None else compare_times)
     small = np.stack([_as_atoms(x).reshape(-1) for x in test_points])
     big = np.stack([duplicate_atoms(x, m).reshape(-1) for x in test_points])
     gaps = np.array([np.abs(u_big.value_at(t, big) - u_small.value_at(t, small))
@@ -224,11 +229,12 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
     atom_families maps n -> atom array (n, d). For n*d <= MAX_AXES the value
     comes from a grid solve; beyond that from the Monte Carlo cost of the
     per-atom application of the smallest-n synthesized feedback (an upper
-    bound; exact for decoupled benchmarks), which needs that n to be 1.
+    bound; exact for decoupled benchmarks), which needs that n to be 1. A grid
+    row keeps only its t0 slice unless its feedback drives Monte Carlo rows.
     Returns rows of dicts.
     """
-    if max(atom_families) * model.d > MAX_AXES and (
-            mc_cfg is None or min(atom_families) != 1 or model.d > MAX_AXES):
+    mc_rows = max(atom_families) * model.d > MAX_AXES
+    if mc_rows and (mc_cfg is None or min(atom_families) != 1 or model.d > MAX_AXES):
         raise ValueError("MC mode needs mc_cfg and a grid-feasible smallest n = 1, "
                          "whose feedback is applied atom by atom")
     rows = []
@@ -237,11 +243,13 @@ def convergence_sweep(model: ModelSpec, atom_families: dict, grid_axis, t0: floa
         atoms = _as_atoms(atom_families[n])
         nd = n * model.d
         if nd <= MAX_AXES:
-            u = solve_hjb(model, n, sized_grid(model, n, [grid_axis] * nd, t0, T), t0, T)
+            feeds_mc = mc_rows and n == min(atom_families)
+            u = solve_hjb(model, n, sized_grid(model, n, [grid_axis] * nd, t0, T), t0, T,
+                          read_times=None if feeds_mc else [t0])
             value = u.value_at(t0, atoms.reshape(-1))
             se = 0.0
             mode = "grid"
-            if n == min(atom_families):
+            if feeds_mc:
                 base_feedback = synthesize_feedback(u)
         else:
             def per_atom(k, t, states, fb=base_feedback):

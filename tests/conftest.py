@@ -29,6 +29,18 @@ def cut_into_blocks(monkeypatch, block_paths, steps, n, d=1):
     return calls
 
 
+def recording_solves(monkeypatch, module):
+    """Replace module.solve_hjb with the real one that also records each call's
+    arguments and solve, as (args, kwargs, u) in the returned list."""
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append((args, kwargs, m.solve_hjb(*args, **kwargs)))
+        return calls[-1][2]
+    monkeypatch.setattr(module, "solve_hjb", solve)
+    return calls
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that Python and numpy allocate while fn() runs, over what was
     allocated before (tracemalloc)."""

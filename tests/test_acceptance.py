@@ -47,8 +47,8 @@ def test_criterion_2_duplication_consistency(lq_model, meanrev_model):
     points = [np.array([[a]]) for a in (-1.0, 0.0, 1.0)]
     gaps = {}
     for model in (lq_model, meanrev_model):
-        u1 = m.solve_hjb(model, 1, sized_grid(model, 1, AXIS_1D), 0.0, 1.0)
-        u2 = m.solve_hjb(model, 2, sized_grid(model, 2, AXIS_2D), 0.0, 1.0)
+        u1, u2 = (m.solve_hjb(model, n, sized_grid(model, n, axis), 0.0, 1.0,
+                              read_times=[0.0, 1.0]) for n, axis in ((1, AXIS_1D), (2, AXIS_2D)))
         rep = m.duplication_consistency(u1, u2, points, compare_times=[0.0, 1.0],
                                         threshold=2e-2)
         gaps[model.name] = (rep.statistic, rep.details["terminal_gap"])

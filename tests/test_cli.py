@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cut_into_blocks, traced_peak
+from conftest import cut_into_blocks, recording_solves, traced_peak
 import mfclab
 from mfclab import (REGISTRY, CFLError, EvaluationError, ExpressionSyntaxError,
                     UnsupportedShapeError, cli, reports, simulate, sized_grid, solve_hjb)
@@ -1147,6 +1147,31 @@ def test_sweep_kind(tmp_path):
     rows = (out / "results.csv").read_text().strip().splitlines()
     assert rows[0] == "n,value,std_error,mode,gap_to_previous"
     assert len(rows) == 3
+
+
+def test_duplication_probe_keeps_the_compared_slices(tmp_path, monkeypatch):
+    """Both solves of the duplication probe keep at most the three slices it
+    compares (t0, the midpoint and T), and read at each of those times bit for
+    bit what a solve keeping every stored slice reads. The small solve's 604
+    steps store every third slice, so its midpoint, step 302, is not one of
+    them: it reads the nearest stored slice, step 303."""
+    calls = recording_solves(monkeypatch, cli)
+    spec = {"probe": "duplication-consistency", "t0": 0.1, "T": 0.7, "base_n": 1, "m": 3,
+            "grid_small": {"axes": [[-2.0, 2.0, 41]], "time_steps": 604},
+            "grid_big": {"axes": [[-2.0, 2.0, 9]] * 3}, "test_points": [[0.5]],
+            "threshold": 0.1}
+    cfg = _write(tmp_path / "c.json", {"kind": "verify", "seed": 1, "probes": [spec]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    times = (0.1, 0.5 * (0.1 + 0.7), 0.7)
+    pts = np.random.default_rng(2).uniform(-2.0, 2.0, (16, 3))
+    assert sorted(u.n for _, _, u in calls) == [1, 3]
+    for args, kwargs, u in calls:
+        full = solve_hjb(*args)
+        assert kwargs == {"read_times": times} and u.values.shape[0] <= 3
+        assert full.values.shape[0] > 3
+        for t in times:
+            got = u.value_at(t, pts[:, :u.n])
+            assert got.tobytes() == full.value_at(t, pts[:, :u.n]).tobytes()
 
 
 @pytest.mark.parametrize("name", LISTED_PROBES)

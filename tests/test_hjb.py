@@ -280,6 +280,47 @@ def test_last_stored_time_is_T():
     assert u.times[0] == 0.0 and u.times[-1] == 1.0
 
 
+@pytest.mark.parametrize("n, points, max_stored", [(1, 41, 7), (1, 41, 257), (3, 9, 257)])
+def test_read_times_keep_the_slices_a_full_store_reads(lq_model, n, points, max_stored):
+    """A solve given the duplication probe's compare times keeps the t0 and T
+    slices and the stored one nearest the midpoint, and reads at each of those
+    times bit for bit what the solve that keeps every stored slice reads."""
+    t0, T = 0.1, 0.7
+    grid = sized_grid(lq_model, n, (-2.0, 2.0, points), t0, T)
+    times = m.verify.duplication_times(t0, T)
+    full = m.solve_hjb(lq_model, n, grid, t0, T, max_stored)
+    u = m.solve_hjb(lq_model, n, grid, t0, T, max_stored, read_times=times)
+    assert u.read_times == times and u.values.shape[0] == 3 < full.values.shape[0]
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, (16, n))
+    for t in times:
+        assert u.times[u.slice_for_time(t)] == full.times[full.slice_for_time(t)]
+        assert u.value_at(t, pts).tobytes() == full.value_at(t, pts).tobytes()
+
+
+def test_read_times_break_ties_as_a_full_store_does(lq_model):
+    """A read time halfway between two stored slices reads the earlier one, as
+    the nearest-slice lookup of a full store does (dt = 1/16, all exact)."""
+    grid = m.GridSpec(axes=((-2.0, 2.0, 9),), time_steps=4)
+    full = m.solve_hjb(lq_model, 1, grid, 0.0, 0.25)
+    u = m.solve_hjb(lq_model, 1, grid, 0.0, 0.25, read_times=[0.03125, 0.09375])
+    assert np.array_equal(u.times, [0.0, 0.0625, 0.25])
+    for t in u.read_times:
+        assert np.array_equal(u.values[u.slice_for_time(t)], full.values[full.slice_for_time(t)])
+
+
+def test_a_solve_reads_only_at_its_read_times(lq_model):
+    """Any other time raises, naming it, even one whose nearest slice is kept:
+    a read never moves to a slice farther than a full store would read."""
+    grid = m.GridSpec(axes=((-2.0, 2.0, 9),), time_steps=4)
+    u = m.solve_hjb(lq_model, 1, grid, 0.0, 0.25, read_times=[0.125])
+    u.value_at(0.125, [0.5])
+    for t in (0.0, 0.0625, 0.25, 0.125 + 1e-12):
+        with pytest.raises(ValueError, match=f"time {t} is not a read time"):
+            u.value_at(t, [0.5])
+    with pytest.raises(ValueError, match="time 0.0 is not a read time"):
+        m.synthesize_feedback(u).fn(0, 0.0, np.zeros((2, 1, 1)))
+
+
 # SHA-256 of solve_hjb(...).values for each registry model and n on the grids
 # of test_solve_values_match_their_pins. A march restructured without changing
 # its arithmetic matches them bit for bit; only a change to the scheme may

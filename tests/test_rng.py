@@ -158,3 +158,21 @@ def test_broadcast_batch_over_several_tiles_equals_row_calls():
         for w, row in zip(words, rng._philox4x32(i0[i], i1[0], 7, rng.TAG_WIENER, 3, 4)):
             np.testing.assert_array_equal(w[i], row)
         np.testing.assert_array_equal(z[i], rng.normals(3, rng.TAG_WIENER, i0[i], i1[0], 3))
+
+
+@pytest.mark.parametrize("i0, i1, count", [
+    (np.arange(50, dtype=np.uint64)[:, None], np.arange(9, dtype=np.uint64)[None, :], 3),
+    (np.arange(4, dtype=np.uint64)[:, None, None], np.arange(30).reshape(1, 5, 6), 2),
+    (np.arange(40, dtype=np.uint64), np.uint64(7), 1),
+    (5, 6, 4),
+    (np.arange(0, dtype=np.uint64), 3, 2),
+])
+def test_tiled_blocks_change_no_bit(monkeypatch, i0, i1, count):
+    """Drawn a few index rows per tile (and in rows longer than a tile), a
+    request gives what it gives in one tile, in the same shape."""
+    want = {f: f(9, rng.TAG_WIENER, i0, i1, count) for f in (rng.normals, rng.uniforms)}
+    for tile in (1, 7, 64):
+        monkeypatch.setattr(rng, "_TILE", tile)
+        for f, w in want.items():
+            got = f(9, rng.TAG_WIENER, i0, i1, count)
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()

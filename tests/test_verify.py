@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mfclab as m
-from conftest import lq_exact, sized_grid
+from conftest import lq_exact, recording_solves, sized_grid
 
 
 def test_cost_identity_sweep():
@@ -221,6 +221,31 @@ def test_convergence_sweep_mc_mode_needs_a_single_atom_feedback(lq_model, monkey
         with pytest.raises(ValueError, match="smallest n = 1"):
             m.convergence_sweep(lq_model, fams, (-3.0, 3.0, 17), 0.0, 1.0, mc_cfg=mc_cfg)
     assert solves == []
+
+
+def test_convergence_sweep_grid_rows_keep_two_slices(lq_model, monkeypatch):
+    """A grid row that drives no Monte Carlo row keeps only its t0 and T slices,
+    and its value is bit for bit the one a solve keeping every slice gives."""
+    calls = recording_solves(monkeypatch, m.verify)
+    fams = {1: np.array([[0.5]]), 2: np.array([[0.5], [-0.25]])}
+    rows = m.convergence_sweep(lq_model, fams, (-2.0, 2.0, 21), 0.1, 0.7)
+    for row, (args, kwargs, u) in zip(rows, calls):
+        assert kwargs == {"read_times": [0.1]} and u.values.shape[0] == 2
+        full = m.solve_hjb(*args)
+        assert full.values.shape[0] > 2
+        assert row["value"] == full.value_at(0.1, fams[row["n"]].reshape(-1))
+
+
+def test_convergence_sweep_feedback_row_keeps_every_slice(lq_model, monkeypatch):
+    """The grid row whose feedback drives the Monte Carlo rows is read at every
+    step of them, so it keeps every stored slice."""
+    calls = recording_solves(monkeypatch, m.verify)
+    fams = {1: np.array([[0.5]]), 4: np.full((4, 1), 0.5)}
+    cfg = m.SimConfig(t0=0.0, T=0.5, steps=8, n_paths=20, seed=3)
+    m.convergence_sweep(lq_model, fams, (-2.0, 2.0, 21), 0.0, 0.5, mc_cfg=cfg)
+    [(args, kwargs, u)] = calls
+    assert kwargs == {"read_times": None}
+    assert u.values.shape[0] == u.grid.time_steps + 1
 
 
 def test_semiconcavity_grid_sourced(lq_u1):
