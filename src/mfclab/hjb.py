@@ -17,14 +17,28 @@ already provides (lambda_min because the common-noise A_n is rank-deficient:
 its diagonal alone overstates the damping along degenerate directions). With
 nondegenerate diffusion and fine grids this reduces to plain central
 differencing, exact in space on the quadratic LQ benchmark; for sigma = 0 it is
-the classical monotone Lax-Friedrichs scheme. A solve writes each slice and its
-ghost layer into one reused buffer, whose shifted views every stencil reads.
-What is fixed in time becomes contiguous node arrays before the march, one per
-axis or atom (one value where it is the same at every node), and each step
-writes into per-axis buffers allocated once per solve. A step does the float
-operations of the textbook form in the same order, so no layout of the march
-moves a stored bit: -b.p is (-b) p, the atom average ((H_0 + H_1) + H_2)/n as
-numpy's mean(-1) sums it, and 2u is formed once per step.
+the classical monotone Lax-Friedrichs scheme.
+
+u_n(t, x) = V(t, mu_x) is symmetric in the particles. So when n >= 2, d = 1 and
+all axes are equal, a solve marches one node per permutation orbit: the sorted
+cone i_1 <= ... <= i_n, C(N + n - 1, n) packed nodes instead of N^n. Each step
+gathers the packed slice into one reused ghost buffer through a full -> packed
+index map, writes the ghost layer, and gathers every stencil operand at the
+packed nodes. This is the textbook march with one extra step per slice: the
+slice is projected onto its values at the sorted nodes before it is padded.
+The CFL rate takes the orbit maximum, n times the largest packed speed, which is
+the full grid's sum of per-axis maxima, so the step count is the full grid's.
+The kept slices are expanded to the full grid through the index map, so
+GridValueFunction.values and every reader see the full grid. Off the cone
+(n = 1, d > 1 or unequal axes) the map is the identity and every node is packed.
+
+What is fixed in time is evaluated at the packed nodes only and becomes
+contiguous node arrays before the march, one per axis or atom (one value where
+it is the same at every node), and each step writes into per-axis buffers
+allocated once per solve. A step does the float operations of the textbook form
+in the same order, so no layout of the march moves a stored bit: -b.p is
+(-b) p, the atom average ((H_0 + H_1) + H_2)/n as numpy's mean(-1) sums it, and
+2u is formed once per step.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +92,9 @@ class GridSpec:
         if not 0.0 <= self.margin < 0.5:
             raise ValueError("margin must lie in [0, 0.5)")
 
-    def coords(self):
-        return [np.linspace(lo, hi, pts) for lo, hi, pts in self.axes]
+    def coords(self) -> tuple:
+        """The node coordinates of each axis, read-only."""
+        return self._arrays[0]
 
     def node_atoms(self, n: int, d: int) -> np.ndarray:
         """The grid nodes read as n-atom tuples in R^d, shape (*shape, n, d)."""
@@ -93,9 +109,18 @@ class GridSpec:
     def shape(self) -> tuple:
         return tuple(pts for _, _, pts in self.axes)
 
-    def bounds(self):
-        """(lo, hi) arrays of the grid's extent, one entry per axis."""
-        return np.array([a[0] for a in self.axes]), np.array([a[1] for a in self.axes])
+    def bounds(self) -> tuple:
+        """(lo, hi) arrays of the grid's extent, one entry per axis, read-only."""
+        return self._arrays[1]
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """coords() and bounds(), built once per grid: a feedback query reads both."""
+        coords = tuple(np.linspace(lo, hi, pts) for lo, hi, pts in self.axes)
+        bounds = tuple(np.array([a[i] for a in self.axes]) for i in (0, 1))
+        for a in coords + bounds:
+            a.flags.writeable = False
+        return coords, bounds
 
     def core_bounds(self):
         return [
@@ -111,51 +136,84 @@ class GridSpec:
 _AT = (slice(1, -1), slice(2, None), slice(0, -2))
 
 
-def _ghosted(u: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Write u and its odd-reflection ghost layer into buf (u.shape + 2 per axis).
+def _ghosted(buf: np.ndarray) -> np.ndarray:
+    """Write the odd-reflection ghost layer of buf's interior u into buf's faces.
     The ghosts 2 u[0] - u[1] and 2 u[-1] - u[-2] make boundary gradients one-sided
     and boundary curvature zero. Axis by axis, each face spanning the earlier axes
     in full and the later ones' interior: numpy's odd-reflection pad order, bit for bit."""
-    buf[(_AT[0],) * u.ndim] = u
-    for a in range(u.ndim):
-        v = np.moveaxis(buf[(slice(None),) * (a + 1) + (_AT[0],) * (u.ndim - 1 - a)], a, 0)
+    for a in range(buf.ndim):
+        v = np.moveaxis(buf[(slice(None),) * (a + 1) + (_AT[0],) * (buf.ndim - 1 - a)], a, 0)
         v[0], v[-1] = 2 * v[1] - v[2], 2 * v[-2] - v[-3]
     return buf
 
 
-def _per_axis(x: np.ndarray) -> np.ndarray:
-    """Per-axis scalars (nd,) as a column that broadcasts over (nd, *shape) stacks."""
-    return x.reshape(-1, *(1,) * len(x))
+def _on_cone(grid: GridSpec, n: int, d: int) -> bool:
+    """Whether u_n is stored on the sorted cone: n >= 2 atoms in d = 1 on equal axes,
+    where u_n(t, x) = V(t, mu_x) is symmetric under every permutation of the axes."""
+    return n >= 2 and d == 1 and all(a == grid.axes[0] for a in grid.axes)
 
 
 class _Ghost:
-    """A ghost buffer (slice shape + 2 on each axis) and, built once, the views
-    of its shifted interior that the stencils read: (plus, minus) per axis, and
-    (a, b, corners ++ +- -+ --) per axis pair a < b."""
+    """The packed nodes of a slice, its ghost buffer and its stencil operands.
 
-    def __init__(self, shape: tuple):
-        self.buf = np.empty(tuple(s + 2 for s in shape))
-        unit = np.eye(len(shape), dtype=int)
+    A slice is stored packed, one value per node of `nodes` (their index arrays,
+    one per axis, in C order): on the sorted cone i_1 <= ... <= i_n when `cone`,
+    else every node. `index` (*shape) maps each grid node to its packed
+    node, on the cone the node of its sorted index tuple; off it, the identity.
+    `operands` gathers a packed slice into the buffer (shape + 2 per axis)
+    through that map, writes the ghost layer, and gathers every stencil operand
+    at the packed nodes into `ops`: (plus, minus) per axis and (a, b, corners
+    ++ +- -+ --) per axis pair a < b."""
 
-        def at(offsets):
-            return self.buf[tuple(_AT[o] for o in offsets)]
+    def __init__(self, shape: tuple, cone: bool = False):
+        nd = len(shape)
+        self.cone, self.buf = cone, np.empty(tuple(s + 2 for s in shape))
+        nodes = np.indices(shape, dtype=np.intp).reshape(nd, -1)
+        self.nodes = tuple(nodes[:, (np.diff(nodes, axis=0) >= 0).all(axis=0)] if cone else nodes)
+        inner = tuple(i + 1 for i in self.nodes)
+        fill = np.zeros(self.buf.shape, dtype=np.intp)    # _ghosted overwrites the faces
+        for perm in itertools.permutations(range(nd)) if cone else [range(nd)]:
+            fill[tuple(inner[a] for a in perm)] = np.arange(inner[0].size)
+        self.fill, self.index = fill.reshape(-1), fill[(_AT[0],) * nd]
+        unit = np.eye(nd, dtype=np.intp)
+        pairs = list(itertools.combinations(range(nd), 2))
+        offsets = [*unit, *-unit] + [sa * unit[a] + sb * unit[b] for a, b in pairs
+                                     for sa, sb in itertools.product((1, -1), repeat=2)]
+        steps = np.array(self.buf.strides) // self.buf.itemsize
+        self.at = np.ravel_multi_index(inner, self.buf.shape) + (np.array(offsets) @ steps)[:, None]
+        self.ops = np.empty(self.at.shape)
+        views = list(self.ops)
+        self.plus, self.minus = views[:nd], views[nd:2 * nd]
+        self.corners = [(a, b, views[2 * nd + 4 * j:2 * nd + 4 * j + 4])
+                        for j, (a, b) in enumerate(pairs)]
 
-        self.plus, self.minus = [at(e) for e in unit], [at(-e) for e in unit]
-        self.corners = [(a, b, [at(sa * unit[a] + sb * unit[b])
-                                for sa, sb in itertools.product((1, -1), repeat=2)])
-                        for a, b in itertools.combinations(range(len(shape)), 2)]
+    def operands(self, u: np.ndarray) -> None:
+        """Gather packed slice u into the buffer, write its ghost layer, and gather
+        every stencil operand at the packed nodes into ops."""
+        flat = self.buf.reshape(-1)
+        np.take(u, self.fill, out=flat, mode="clip")
+        _ghosted(self.buf)
+        np.take(flat, self.at, out=self.ops, mode="clip")
 
     def axis_gradients(self, u: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Ghost slice u into the buffer; write its central gradient into out, one
-        contiguous node array per axis (nd, *shape), and return out."""
-        _ghosted(u, self.buf)
+        """Central gradient of packed slice u into out, one packed array per axis
+        (nd, M); returns out."""
+        self.operands(u)
         for p, m, g in zip(self.plus, self.minus, out):
             np.subtract(p, m, out=g)
-        return np.divide(out, _per_axis(2.0 * h), out=out)
+        return np.divide(out, (2.0 * h)[:, None], out=out)
 
     def gradient(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Ghost slice u into the buffer; return its central gradient (*shape, nd)."""
-        return np.stack(list(self.axis_gradients(u, h, np.empty((len(h),) + u.shape))), -1)
+        """Central gradient (*shape, nd) of a full slice u (*shape); self is not a cone."""
+        g = self.axis_gradients(u.reshape(-1), h, np.empty((len(h), u.size)))
+        return np.stack(list(g.reshape((len(h),) + u.shape)), -1)
+
+    def rate(self, speeds: np.ndarray) -> float:
+        """The sum over axes of each axis's largest speed on the full grid, from
+        packed speeds (nd, M). On the cone a packed node's orbit moves each of its
+        speeds onto every axis, so that sum is nd times the largest packed speed."""
+        top = speeds.max(axis=1)
+        return float(len(top) * top.max() if self.cone else top.sum())
 
 
 def _multilinear(coords, data: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -242,37 +300,38 @@ def _compact(x: np.ndarray, lead: int = 1) -> np.ndarray:
     return np.ascontiguousarray(x[(Ellipsis,) + (slice(1),) * (x.ndim - lead)] if same else x)
 
 
-def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec):
-    """Node arrays fixed in time: the negated drift -b per axis a = i d + c (atom
-    i, component c), (nd, *shape); l1 per atom, (n, *shape) or _compact; A_n
-    (*shape, nd, nd); U_T; and the CFL constants (2 max_nodes Tr A_n / h_min^2,
-    h_min): the diffusion part of the CFL rate and the smallest spacing."""
+def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec, ghost: _Ghost):
+    """Packed node arrays fixed in time, evaluated at the packed nodes of ghost only:
+    the negated drift -b per axis a = i d + c (atom i, component c), (nd, M); l1
+    per atom, (n, M) or _compact; A_n (M, nd, nd); U_T (M,); and the CFL constants
+    (2 max Tr A_n / h_min^2 over the packed nodes, h_min): the diffusion part of
+    the CFL rate and the smallest spacing."""
     nd = n * model.d
-    shape = grid.shape()
-    b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
-    sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
-    A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (*shape, nd, nd)
+    atoms = np.stack([c[i] for c, i in zip(grid.coords(), ghost.nodes)], -1)
+    b, sig, l1, uT = _lifted_batch(model, atoms.reshape(-1, n, model.d))
+    sflat = sig.reshape(-1, nd, model.d_prime)
+    A = np.einsum("...am,...bm->...ab", sflat, sflat)    # (M, nd, nd)
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
     hmin = float(grid.spacings().min())
-    negb = np.moveaxis(-b.reshape(shape + (nd,)), -1, 0).copy()
-    return negb, _compact(np.moveaxis(l1, -1, 0)), A, (2.0 * Lam / hmin ** 2, hmin), uT
+    negb = (-b.reshape(-1, nd)).T.copy()
+    return negb, _compact(l1.T), A, (2.0 * Lam / hmin ** 2, hmin), uT
 
 
 def _march_terms(ghost: _Ghost, u: np.ndarray, h: np.ndarray, n: int, kappa: float,
                  negb: np.ndarray, cfl: tuple, p: np.ndarray, speeds: np.ndarray) -> float:
-    """Write the costate p = n Du of slice u and the speeds |-b + a| at the control
-    a = feedback_map(p) = p / kappa into the per-axis stacks p and speeds
-    (nd, *shape); return the explicit CFL bound on dt."""
+    """Write the costate p = n Du of packed slice u and the speeds |-b + a| at the
+    control a = feedback_map(p) = p / kappa into the packed stacks p and speeds
+    (nd, M); return the explicit CFL bound on dt."""
     np.multiply(ghost.axis_gradients(u, h, p), n, out=p)
     np.abs(np.add(negb, np.divide(p, kappa, out=speeds), out=speeds), out=speeds)
-    Theta = float(speeds.reshape(len(speeds), -1).max(axis=1).sum())
-    return CFL_SAFETY / (cfl[0] + Theta / cfl[1])
+    return CFL_SAFETY / (cfl[0] + ghost.rate(speeds) / cfl[1])
 
 
 def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
     """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
-    negb, _, _, cfl, uT = _node_coefficients(model, n, grid)
-    bound = _march_terms(_Ghost(uT.shape), uT, grid.spacings(), n, model.kappa, negb, cfl,
+    ghost = _Ghost(grid.shape(), _on_cone(grid, n, model.d))
+    negb, _, _, cfl, uT = _node_coefficients(model, n, grid, ghost)
+    bound = _march_terms(ghost, uT, grid.spacings(), n, model.kappa, negb, cfl,
                          np.empty_like(negb), np.empty_like(negb))
     return max(1, math.ceil(STEP_SAFETY * (T - t0) / bound))
 
@@ -294,15 +353,16 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
     Every stride-th slice is a stored one, for at most max_stored_slices. With
     read_times, the solve keeps of them only the t0 and T slices and the one
     nearest each read time (the first on ties, as the lookup of a full store
-    picks it), and is readable at those times alone."""
+    picks it), and is readable at those times alone. The march runs on the
+    packed nodes (_Ghost); each kept slice is stored on the full grid."""
     if T <= t0:
         raise ValueError("need T > t0")
     d, kappa = model.d, model.kappa
     nd = n * d
-    negb, l1, A, cfl, uT = _node_coefficients(model, n, grid)
+    ghost = _Ghost(grid.shape(), _on_cone(grid, n, d))    # the one ghost buffer of the solve
+    negb, l1, A, cfl, uT = _node_coefficients(model, n, grid, ghost)
     h = grid.spacings()
-    hcol = _per_axis(h)
-    ghost = _Ghost(uT.shape)    # the one ghost buffer of the solve
+    hcol = h[:, None]
     # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
     weights = _compact(np.stack([0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]))
     credit = _compact(np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None) / hcol)
@@ -320,8 +380,8 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         read_times = tuple(float(t) for t in read_times)
         kept = sorted({0, K} | {kept[np.argmin(np.abs(times[kept] - t))] for t in read_times})
     row = {k: i for i, k in enumerate(kept)}
-    values = np.empty((len(kept),) + uT.shape)
-    values[-1] = uT
+    values = np.empty((len(kept),) + grid.shape())
+    np.take(uT, ghost.index, out=values[-1])
 
     u = uT.copy()
     p, speeds, bp = (np.empty_like(negb) for _ in range(3))
@@ -353,7 +413,7 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite values while marching at slice {k}")
         if k in row:
-            values[row[k]] = u
+            np.take(u, ghost.index, out=values[row[k]])
 
     return GridValueFunction(grid=grid, model=model, n=n, dt=dt, times=times[kept],
                              values=values, read_times=read_times)

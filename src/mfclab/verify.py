@@ -167,8 +167,9 @@ def feedback_roundtrip(model: ModelSpec, cfg: SimConfig, x0,
 def permutation_invariance_probe(u: GridValueFunction, threshold: float = 1e-9) -> ProbeReport:
     """Max over core nodes and stored slices of |u(t,(a,b)) - u(t,(b,a))| (n=2, d=1).
 
-    The scheme's stencils are symmetric under the particle swap, so the
-    residual is rounding-level by construction.
+    On equal axes the solver stores u_2 on the sorted cone, one value per
+    orbit, so the residual is exactly 0.0 by construction and the probe
+    certifies a tautology (ROADMAP item 18).
     """
     if u.n != 2 or u.d != 1:
         raise ValueError("permutation probe implemented for n=2, d=1 grids")

