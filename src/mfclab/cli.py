@@ -154,9 +154,8 @@ def _probe_time_holder(spec, model, horizon, grids):
 
 
 def _probe_lipschitz(spec, model, horizon, grids):
-    base = FUNCTIONALS[spec["functional"]]
-    return [lipschitz_preservation_probe(base, k, spec.get("mc_reps", _MC_REPS), spec["seed"])
-            for k in spec["k_list"]]
+    return lipschitz_preservation_probe(FUNCTIONALS[spec["functional"]], spec["k_list"],
+                                        spec.get("mc_reps", _MC_REPS), spec["seed"])
 
 
 def _probe_uniform(spec, model, horizon, grids):

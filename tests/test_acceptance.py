@@ -148,9 +148,8 @@ def test_criterion_6_mollifier_suite():
 
     lip_ok = True
     for name in ("coordinate", "mean", "second-moment"):
-        for k in k_list:
-            rep = m.lipschitz_preservation_probe(reg[name], k, mc_reps=2000,
-                                                 seed=101, pair_count=16)
+        for rep in m.lipschitz_preservation_probe(reg[name], k_list, mc_reps=2000,
+                                                  seed=101, pair_count=16):
             lip_ok = lip_ok and rep.passed
 
     from mfclab.mollify import default_segment_family, default_test_family

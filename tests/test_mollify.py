@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,7 +80,7 @@ def test_coupled_values_are_independent_of_chunking(monkeypatch, d):
     for chunk in (mollify._CHUNK, 12, 3):
         monkeypatch.setattr(mollify, "_CHUNK", chunk)
         proposals.append(0)
-        runs.append(_coupled_values(base, 4, 0.25, 51, 29, queries))
+        runs.append(_coupled_values(base, [(4, 0.25)], 51, 29, queries)[0])
     assert runs[0].shape == (3, 51)
     assert runs[1].tobytes() == runs[0].tobytes() == runs[2].tobytes()
     assert proposals[0] == proposals[1] == proposals[2] > 51 * 5
@@ -193,7 +196,7 @@ def test_validation():
 
 def test_lipschitz_probe_constant_zero():
     base = BaseFunctional("const", ex.parse_coefficient("2"), 0.0, 1.0)
-    rep = m.lipschitz_preservation_probe(base, 4, 200, seed=5, pair_count=6)
+    [rep] = m.lipschitz_preservation_probe(base, [4], 200, seed=5, pair_count=6)
     assert rep.details["max_quotient"] == 0.0
     assert rep.passed
 
@@ -201,8 +204,80 @@ def test_lipschitz_probe_constant_zero():
 def test_lipschitz_probe_coordinate_and_mean():
     reg = m.FUNCTIONALS
     for name in ("coordinate", "mean"):
-        rep = m.lipschitz_preservation_probe(reg[name], 8, 1500, seed=6, pair_count=12)
+        [rep] = m.lipschitz_preservation_probe(reg[name], [8], 1500, seed=6, pair_count=12)
         assert rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("chunk", [3, 12])
+def test_lipschitz_k_list_matches_per_k_calls(monkeypatch, chunk):
+    """One k_list call, unsorted and with a repeated k, writes the reports of one
+    call per k bit for bit, also when chunk edges cut replicates: at 12 slots a
+    chunk draws 2 replicates of k = 4 (10 slots), so a 3-slot replicate of k = 2
+    straddles slot 10, and at 3 slots each chunk draws one replicate of k = 4."""
+    monkeypatch.setattr(mollify, "_CHUNK", chunk)
+    for name in ("coordinate", "second-moment"):
+        base = m.FUNCTIONALS[name]
+        together = m.lipschitz_preservation_probe(base, [4, 1, 4, 2], 31, seed=8, pair_count=5)
+        alone = [r for k in (4, 1, 4, 2)
+                 for r in m.lipschitz_preservation_probe(base, [k], 31, seed=8, pair_count=5)]
+        assert [r.name for r in together] == [f"lipschitz-preservation[{name},k={k}]"
+                                              for k in (4, 1, 4, 2)]
+        assert [json.dumps(r.to_json()) for r in together] == \
+            [json.dumps(r.to_json()) for r in alone]
+
+
+@pytest.mark.parametrize("chunk", [3, 12])
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_levels_match_single_level_calls(monkeypatch, chunk, d):
+    """Several (n_samples, eps) levels priced on one draw give each level's values
+    of a call of its own, bit for bit, in d = 1 and 2 (a functional reading the
+    mean's last coordinate, the state and the second moment)."""
+    monkeypatch.setattr(mollify, "_CHUNK", chunk)
+    base = BaseFunctional("mixed", ex.parse_coefficient(f"x[0] * m1[{d - 1}] + m2"), 1.0, 1.0)
+    g = np.random.default_rng(50 + d)
+    queries = [(g.uniform(-1, 1, d), g.uniform(-2, 2, (3, d))) for _ in range(2)]
+    levels = [(4, 0.3), (1, 0.5), (4, 0.3), (2, 0.1)]
+    together = _coupled_values(base, levels, 31, 12, queries)
+    assert together.shape == (4, 2, 31)
+    for got, level in zip(together, levels):
+        assert got.tobytes() == _coupled_values(base, [level], 31, 12, queries)[0].tobytes()
+
+
+def test_lipschitz_k_list_draws_each_slot_and_index_once(monkeypatch):
+    """A k_list call draws, per priced pair, the bump slots and index counters of
+    its largest k alone: pairs * mc_reps * (k_max + 1) and pairs * mc_reps * k_max."""
+    slots, indices = [], []
+
+    def counted_bumps(seed, slots_, dim):
+        slots.append(np.size(slots_))
+        return _bump_unit_draws(seed, slots_, dim)
+
+    def counted_uniforms(seed, tag, i0, i1, count):
+        if tag == rng.TAG_MOLLIFY_INDEX:
+            indices.append(np.broadcast(i0, i1).size * ((count + 1) // 2))
+        return uniforms(seed, tag, i0, i1, count)
+
+    uniforms = rng.uniforms
+    monkeypatch.setattr(mollify, "_bump_unit_draws", counted_bumps)
+    monkeypatch.setattr(rng, "uniforms", counted_uniforms)
+    reports = m.lipschitz_preservation_probe(m.FUNCTIONALS["mean"], [4, 16, 2], 40, seed=3,
+                                             pair_count=6)
+    pairs = reports[0].samples
+    assert pairs == 6
+    assert sum(slots) == pairs * 40 * 17
+    assert sum(indices) == pairs * 40 * 16
+
+
+@pytest.mark.parametrize("name", ["coordinate", "mean"])
+def test_lipschitz_probe_refuses_half_the_declared_constant(name):
+    """Negative control: the probe passes the registry's L = 1 and fails L = 0.5,
+    because the smoothed quotients of these linear functionals reach about 0.85."""
+    base = m.FUNCTIONALS[name]
+    declared = m.lipschitz_preservation_probe(base, [4, 16], 400, seed=11)
+    halved = m.lipschitz_preservation_probe(replace(base, lipschitz_L=0.5), [4, 16], 400,
+                                            seed=11)
+    assert all(r.passed for r in declared), [r.to_json() for r in declared]
+    assert not any(r.passed for r in halved), [r.to_json() for r in halved]
 
 
 def test_uniform_convergence_second_moment():
@@ -239,9 +314,9 @@ def test_convexity_endpoints_bitwise_zero():
     base = m.FUNCTIONALS["second-moment"]
     Xa, Ya = np.array([[0.5], [1.0]]), np.array([[-0.5], [0.2]])
     for lam in (0.0, 1.0):
-        vals = _coupled_values(base, 4, 0.25, 64, 19,
+        vals = _coupled_values(base, [(4, 0.25)], 64, 19,
                                [(np.zeros(1), Xa), (np.zeros(1), Ya),
-                                (np.zeros(1), lam * Xa + (1 - lam) * Ya)])
+                                (np.zeros(1), lam * Xa + (1 - lam) * Ya)])[0]
         delta = lam * vals[0] + (1 - lam) * vals[1] - vals[2]
         assert np.all(delta == 0.0)
 
@@ -250,8 +325,8 @@ def test_coupled_queries_must_share_atom_shape():
     """One index draw serves every query, so an atom count that differs is refused."""
     base = m.FUNCTIONALS["mean"]
     with pytest.raises(ValueError, match="one atom shape"):
-        _coupled_values(base, 4, 0.25, 8, 1, [(np.zeros(1), np.zeros((2, 1))),
-                                              (np.zeros(1), np.zeros((3, 1)))])
+        _coupled_values(base, [(4, 0.25)], 8, 1, [(np.zeros(1), np.zeros((2, 1))),
+                                                  (np.zeros(1), np.zeros((3, 1)))])
 
 
 def test_convexity_second_moment_pointwise():
@@ -264,8 +339,8 @@ def test_convexity_second_moment_pointwise():
     rep = m.convexity_preservation_probe(base, 4, 800, 21, segs)
     assert rep.passed
     for x, y, Xa, Ya, lam in segs:
-        vals = _coupled_values(base, 4, 0.25, 800, 23, [(x, Xa), (y, Ya),
-                               (lam * x + (1 - lam) * y, lam * Xa + (1 - lam) * Ya)])
+        vals = _coupled_values(base, [(4, 0.25)], 800, 23, [(x, Xa), (y, Ya),
+                               (lam * x + (1 - lam) * y, lam * Xa + (1 - lam) * Ya)])[0]
         delta = lam * vals[0] + (1 - lam) * vals[1] - vals[2]
         assert delta.min() >= -1e-12
 
