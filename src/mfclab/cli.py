@@ -23,7 +23,6 @@ from datetime import datetime, timezone
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__, verify
 from .costs import _estimate, _per_path_terms
@@ -548,6 +547,7 @@ def _cmd_run(args) -> int:
             write_csv(os.path.join(out_dir, "results.csv"), REPORT_HEADER, map(report_row, reports))
         atomic_write(os.path.join(out_dir, "summary.json"),
                      json.dumps(summary, indent=2, sort_keys=True, default=float))
+        import scipy    # for the manifest alone, so `mfclab list` never loads it
         manifest = {
             "config_sha256": hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()).hexdigest(),

@@ -33,12 +33,13 @@ GridValueFunction.values and every reader see the full grid. Off the cone
 (n = 1, d > 1 or unequal axes) the map is the identity and every node is packed.
 
 What is fixed in time is evaluated at the packed nodes only and becomes
-contiguous node arrays before the march, one per axis or atom (one value where
-it is the same at every node), and each step writes into per-axis buffers
-allocated once per solve. A step does the float operations of the textbook form
-in the same order, so no layout of the march moves a stored bit: -b.p is
-(-b) p, the atom average ((H_0 + H_1) + H_2)/n as numpy's mean(-1) sums it, and
-2u is formed once per step.
+contiguous packed arrays before the march, one per axis, atom or axis pair, and
+each step writes into per-axis buffers allocated once per solve. A step does the
+float operations of the textbook form in the same order, so no layout of the
+march moves a stored bit: -b.p is (-b) p, the atom average ((H_0 + H_1) + H_2)/n
+as numpy's mean(-1) sums it, and 2u is formed once per step. The gradient of a
+stored slice (grid_gradient, which the feedback reads) ghosts the full slice in
+one buffer and differences its shifted views, with the march's float operations.
 """
 
 from __future__ import annotations
@@ -122,12 +123,6 @@ class GridSpec:
             a.flags.writeable = False
         return coords, bounds
 
-    def core_bounds(self):
-        return [
-            (lo + self.margin * (hi - lo), hi - self.margin * (hi - lo))
-            for lo, hi, _ in self.axes
-        ]
-
     def to_json(self) -> dict:
         return dict(asdict(self), axes=[list(a) for a in self.axes])
 
@@ -147,26 +142,24 @@ def _ghosted(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _on_cone(grid: GridSpec, n: int, d: int) -> bool:
-    """Whether u_n is stored on the sorted cone: n >= 2 atoms in d = 1 on equal axes,
-    where u_n(t, x) = V(t, mu_x) is symmetric under every permutation of the axes."""
-    return n >= 2 and d == 1 and all(a == grid.axes[0] for a in grid.axes)
-
-
 class _Ghost:
-    """The packed nodes of a slice, its ghost buffer and its stencil operands.
+    """The packed nodes of the march of u_n on a grid, its ghost buffer and its
+    stencil operands.
 
     A slice is stored packed, one value per node of `nodes` (their index arrays,
-    one per axis, in C order): on the sorted cone i_1 <= ... <= i_n when `cone`,
-    else every node. `index` (*shape) maps each grid node to its packed
-    node, on the cone the node of its sorted index tuple; off it, the identity.
-    `operands` gathers a packed slice into the buffer (shape + 2 per axis)
-    through that map, writes the ghost layer, and gathers every stencil operand
-    at the packed nodes into `ops`: (plus, minus) per axis and (a, b, corners
-    ++ +- -+ --) per axis pair a < b."""
+    one per axis, in C order). With n >= 2 atoms in d = 1 on equal axes, u_n(t, x)
+    = V(t, mu_x) is symmetric under every permutation of the axes, and `cone`
+    packs the sorted cone i_1 <= ... <= i_n; else every node is packed. `index`
+    (*shape) maps each grid node to its packed node, on the cone the node of its
+    sorted index tuple; off it, the identity. `operands` gathers a packed slice
+    into the buffer (shape + 2 per axis) through that map, writes the ghost
+    layer, and gathers every stencil operand at the packed nodes into `ops`:
+    (plus, minus) per axis and (a, b, corners ++ +- -+ --) per axis pair a < b."""
 
-    def __init__(self, shape: tuple, cone: bool = False):
+    def __init__(self, grid: GridSpec, n: int, d: int):
+        shape = grid.shape()
         nd = len(shape)
+        cone = n >= 2 and d == 1 and all(a == grid.axes[0] for a in grid.axes)
         self.cone, self.buf = cone, np.empty(tuple(s + 2 for s in shape))
         nodes = np.indices(shape, dtype=np.intp).reshape(nd, -1)
         self.nodes = tuple(nodes[:, (np.diff(nodes, axis=0) >= 0).all(axis=0)] if cone else nodes)
@@ -202,11 +195,6 @@ class _Ghost:
         for p, m, g in zip(self.plus, self.minus, out):
             np.subtract(p, m, out=g)
         return np.divide(out, (2.0 * h)[:, None], out=out)
-
-    def gradient(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Central gradient (*shape, nd) of a full slice u (*shape); self is not a cone."""
-        g = self.axis_gradients(u.reshape(-1), h, np.empty((len(h), u.size)))
-        return np.stack(list(g.reshape((len(h),) + u.shape)), -1)
 
     def rate(self, speeds: np.ndarray) -> float:
         """The sum over axes of each axis's largest speed on the full grid, from
@@ -282,28 +270,19 @@ class GridValueFunction:
 
     def core_mask(self) -> np.ndarray:
         mask = np.ones(self.grid.shape(), dtype=bool)
-        for ax, ((clo, chi), c) in enumerate(zip(self.grid.core_bounds(), self.grid.coords())):
-            sel = (c >= clo - 1e-12) & (c <= chi + 1e-12)
+        for ax, ((lo, hi, _), c) in enumerate(zip(self.grid.axes, self.grid.coords())):
+            inset = self.grid.margin * (hi - lo)
+            sel = (c >= (lo + inset) - 1e-12) & (c <= (hi - inset) + 1e-12)
             shape = [1] * len(self.grid.axes)
             shape[ax] = c.size
             mask &= sel.reshape(shape)
         return mask
 
 
-def _compact(x: np.ndarray, lead: int = 1) -> np.ndarray:
-    """Node data x (*lead, *shape) as a contiguous array or, when each leading entry
-    holds one bit pattern at every node, as those values alone, (*lead, 1, ...):
-    a coefficient that is the same everywhere then holds no node array, and
-    broadcasting it gives the same bits."""
-    bits = x.reshape(x.shape[:lead] + (-1,)).view(np.int64)
-    same = (bits == bits[..., :1]).all()
-    return np.ascontiguousarray(x[(Ellipsis,) + (slice(1),) * (x.ndim - lead)] if same else x)
-
-
 def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec, ghost: _Ghost):
     """Packed node arrays fixed in time, evaluated at the packed nodes of ghost only:
     the negated drift -b per axis a = i d + c (atom i, component c), (nd, M); l1
-    per atom, (n, M) or _compact; A_n (M, nd, nd); U_T (M,); and the CFL constants
+    per atom, (n, M); A_n (M, nd, nd); U_T (M,); and the CFL constants
     (2 max Tr A_n / h_min^2 over the packed nodes, h_min): the diffusion part of
     the CFL rate and the smallest spacing."""
     nd = n * model.d
@@ -314,7 +293,7 @@ def _node_coefficients(model: ModelSpec, n: int, grid: GridSpec, ghost: _Ghost):
     Lam = float(np.einsum("...aa->...a", A).sum(axis=-1).max())
     hmin = float(grid.spacings().min())
     negb = (-b.reshape(-1, nd)).T.copy()
-    return negb, _compact(l1.T), A, (2.0 * Lam / hmin ** 2, hmin), uT
+    return negb, np.ascontiguousarray(l1.T), A, (2.0 * Lam / hmin ** 2, hmin), uT
 
 
 def _march_terms(ghost: _Ghost, u: np.ndarray, h: np.ndarray, n: int, kappa: float,
@@ -329,7 +308,7 @@ def _march_terms(ghost: _Ghost, u: np.ndarray, h: np.ndarray, n: int, kappa: flo
 
 def required_time_steps(model: ModelSpec, n: int, grid: GridSpec, t0: float, T: float) -> int:
     """Step count suggestion from the terminal-slice CFL estimate, times STEP_SAFETY."""
-    ghost = _Ghost(grid.shape(), _on_cone(grid, n, model.d))
+    ghost = _Ghost(grid, n, model.d)
     negb, _, _, cfl, uT = _node_coefficients(model, n, grid, ghost)
     bound = _march_terms(ghost, uT, grid.spacings(), n, model.kappa, negb, cfl,
                          np.empty_like(negb), np.empty_like(negb))
@@ -359,14 +338,14 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
         raise ValueError("need T > t0")
     d, kappa = model.d, model.kappa
     nd = n * d
-    ghost = _Ghost(grid.shape(), _on_cone(grid, n, d))    # the one ghost buffer of the solve
+    ghost = _Ghost(grid, n, d)    # the one ghost buffer of the solve
     negb, l1, A, cfl, uT = _node_coefficients(model, n, grid, ghost)
     h = grid.spacings()
     hcol = h[:, None]
     # fixed in time: diffusion weights, the LLF credit lambda_min/h, cross terms
-    weights = _compact(np.stack([0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)]))
-    credit = _compact(np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None) / hcol)
-    crosses = [(_compact(A[..., a, bb], 0), 4.0 * h[a] * h[bb], views)
+    weights = np.stack([0.5 * A[..., a, a] / h[a] ** 2 for a in range(nd)])
+    credit = np.clip(np.linalg.eigvalsh(A)[..., 0], 0.0, None) / hcol
+    crosses = [(A[..., a, bb].copy(), 4.0 * h[a] * h[bb], views)
                for a, bb, views in ghost.corners]
     del A
     K = grid.time_steps
@@ -421,8 +400,18 @@ def solve_hjb(model: ModelSpec, n: int, grid: GridSpec, t0: float = 0.0, T: floa
 
 def grid_gradient(u: GridValueFunction, k: int) -> np.ndarray:
     """Per-node spatial gradient D u of stored slice k, shape (*grid, nd): central
-    differences, which the ghost layer makes one-sided at the boundary."""
-    return _Ghost(u.grid.shape()).gradient(u.values[k], u.grid.spacings())
+    differences, which the ghost layer makes one-sided at the boundary. It reads
+    the shifted views of one ghosted buffer, with the float operations of
+    _Ghost.axis_gradients."""
+    nd = len(u.grid.axes)
+    buf = np.empty(tuple(s + 2 for s in u.grid.shape()))
+    buf[(_AT[0],) * nd] = u.values[k]
+    _ghosted(buf)
+    g = np.empty(u.grid.shape() + (nd,))
+    for a, h in enumerate(u.grid.spacings()):
+        plus, minus = (buf[(_AT[0],) * a + (_AT[o],) + (_AT[0],) * (nd - 1 - a)] for o in (1, -1))
+        np.divide(np.subtract(plus, minus, out=g[..., a]), 2.0 * h, out=g[..., a])
+    return g
 
 
 def synthesize_feedback(u: GridValueFunction) -> Policy:

@@ -1,5 +1,8 @@
 """Coefficient bundles (b, sigma, l1, l2, U_T), their lift to atom tuples, and
-the Hamiltonian and feedback map the HJB solver calls.
+the Hamiltonian and feedback map of the HJB equation. The solver's march
+inlines both, H per atom and a = p / kappa, with the same float operations;
+`hamiltonian` is the textbook form that the tests' reference march calls, and
+`feedback_map` turns a grid gradient into the synthesized feedback.
 
 The control cost is fixed to the quadratic family l2(a) = kappa |a|^2 / 2, so
 the convex conjugate and the gradient inverse have closed forms and the growth

@@ -548,7 +548,8 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
     a grid-feedback round trip and a mollify run (its Lipschitz denominators are
     d = 1 Wasserstein distances) never call the assignment solver, the
     quadrature or scipy's interpolators, so they must not import them. None of
-    them runs probes concurrently, so none imports the process pool either."""
+    them runs probes concurrently, so none imports the process pool either.
+    `list` imports no scipy at all: only a run's manifest reads its version."""
     configs = [_write(tmp_path / f"c{i}.json", doc) for i, doc in enumerate([
         {"kind": "simulate", "seed": 3, "model": {"registry": "tanh-interaction"},
          "sim": _SIM, "x0": [[0.5], [-0.5]]},
@@ -565,6 +566,7 @@ def test_scipy_submodules_load_only_where_called(tmp_path):
         "import sys\n"
         "from mfclab.cli import main\n"
         "assert main(['list']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
         f"for cfg in {configs!r}:\n"
         f"    assert main(['run', '--config', cfg, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
         # exit 1 is the second moment's failing uniform-convergence verdict
