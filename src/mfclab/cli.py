@@ -438,12 +438,22 @@ def _run_simulate(plan, out_dir, jobs):
 
 def _value_dump(u, cadence):
     """results.csv of a solve as text, one chunk per dumped slice: the bytes of
-    csv.writer's rows [slice, node_index, repr(value)], none of which needs quoting."""
+    csv.writer's rows [slice, node_index, repr(value)], none of which needs quoting.
+
+    A slice repeats its values (u_n is symmetric in the atoms, and many models
+    even in x), so each distinct bit pattern is formatted once, with the next
+    row's "\\r\\n{k}" appended, and spliced between the fixed ",{idx}," tails.
+    Bit patterns, not float equality, keep 0.0 apart from -0.0."""
     yield "slice,node_index,value\r\n"
-    tails = [f",{idx}," for idx in range(u.values[0].size)]
+    parts = [None] * (2 * u.values[0].size + 1)
+    parts[1::2] = [f",{idx}," for idx in range(u.values[0].size)]
     for k in range(0, u.values.shape[0], cadence):
-        reprs = map(repr, u.values[k].reshape(-1).tolist())
-        yield f"{k}" + f"\r\n{k}".join(map(str.__add__, tails, reprs)) + "\r\n"
+        bits, node_bits = np.unique(u.values[k].reshape(-1).view(np.int64), return_inverse=True)
+        sep = f"\r\n{k}"
+        cells = np.array([repr(v) + sep for v in bits.view(np.float64).tolist()], dtype=object)
+        parts[0] = f"{k}"
+        parts[2::2] = cells[node_bits].tolist()
+        yield "".join(parts)[:-len(parts[0])]
 
 
 def _run_solve(plan, out_dir, jobs):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1121,6 +1122,65 @@ def test_solve_dump_cadence_and_sidecar(tmp_path):
         text = io.StringIO(newline="")
         csv.writer(text).writerows([["slice", "node_index", "value"], *want])
         assert (out / "results.csv").read_bytes() == text.getvalue().encode()
+
+
+def _csv_writer_dump(values, cadence):
+    """What csv.writer writes for the rows [slice, node_index, repr(value)] of
+    every cadence-th slice of a stack."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([["slice", "node_index", "value"],
+                                *([k, idx, repr(v)] for k in range(0, len(values), cadence)
+                                  for idx, v in enumerate(values[k].reshape(-1).tolist()))])
+    return text.getvalue()
+
+
+def _dump_counting_reprs(monkeypatch, values, cadence):
+    """cli._value_dump of a stack of slices, and the number of values it formats
+    (calls to repr) for each dumped slice."""
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    chunks, counts = [], []
+    for chunk in cli._value_dump(SimpleNamespace(values=values), cadence):
+        chunks.append(chunk)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == 0       # the header
+    return "".join(chunks), counts[1:]
+
+
+def _distinct_bit_patterns(values, cadence):
+    return [np.unique(values[k].reshape(-1).view(np.int64)).size
+            for k in range(0, len(values), cadence)]
+
+
+@pytest.mark.parametrize("cadence", [1, 2, 3])
+def test_value_dump_formats_each_distinct_value_once(monkeypatch, cadence):
+    """Repeated values, 0.0 beside -0.0, a subnormal and both infinities dump as
+    csv.writer writes them, and each slice formats one value per distinct bit
+    pattern: 0.0 and -0.0 are two, 1.0 written three times is one."""
+    base = np.array([[0.0, -0.0, 1.0, 1.0], [5e-324, np.inf, -np.inf, 1.0], [0.1, -0.1, 0.0, 0.3]])
+    values = np.stack([base, 2.0 * base, np.full_like(base, -0.0), base[::-1], base.T.reshape(3, 4)])
+    text, counts = _dump_counting_reprs(monkeypatch, values, cadence)
+    assert text == _csv_writer_dump(values, cadence)
+    assert counts == _distinct_bit_patterns(values, cadence)
+    assert counts[0] == 9
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("n, points", [(1, 41), (2, 21), (3, 11)])
+def test_value_dump_of_a_solve_is_csv_writers(monkeypatch, name, n, points):
+    """A solve's dump is csv.writer's, byte for byte, at cadence 1 and 3. Each
+    slice formats one value per distinct bit pattern, which for n >= 2 is far
+    fewer than its nodes: u_n is symmetric in the atoms."""
+    model = REGISTRY[name]
+    grid = sized_grid(model, n, [[-2.0, 2.0, points]] * n, 0.0, 0.5)
+    values = solve_hjb(model, n, grid, 0.0, 0.5).values
+    for cadence in (1, 3):
+        text, counts = _dump_counting_reprs(monkeypatch, values, cadence)
+        assert text == _csv_writer_dump(values, cadence)
+        assert counts == _distinct_bit_patterns(values, cadence)
+    if n >= 2:
+        assert max(counts) <= math.comb(points + n - 1, n) < values[0].size
 
 
 def test_mollify_kind(tmp_path):

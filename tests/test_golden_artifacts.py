@@ -19,6 +19,8 @@ import pytest
 
 from mfclab.cli import main
 
+pytestmark = pytest.mark.pin
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # workload -> {seed: (exit code, {artifact: SHA-256})}; mollify-m2 exits 1 on its

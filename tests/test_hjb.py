@@ -167,6 +167,7 @@ def test_grid_gradient_memory_is_one_buffer_and_its_result():
     assert peak <= 2 ** 20
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("nd", [1, 2, 3])
 def test_ghost_buffer_is_odd_reflection_pad_bit_for_bit(nd):
     """Once u is in a buffer's interior, _ghosted fills its faces so that the
@@ -413,6 +414,7 @@ SOLVE_PINS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name,n", sorted(SOLVE_PINS))
 def test_solve_values_match_their_pins(name, n):
     """Every stored slice of a CFL-sized solve on [-2, 2]^n over [0, 0.5] is
@@ -503,6 +505,7 @@ def _march_model(name):
     return m.REGISTRY[name] if name in m.REGISTRY else m.model_from_json(MARCH_MODELS[name])
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name,n,axes", [
     ("tanh-interaction", 1, [(-2.0, 2.0, 21)]),
     ("LQ-mean-reverting", 2, [(-2.0, 2.0, 13), (-1.5, 2.5, 11)]),
@@ -526,6 +529,7 @@ def test_march_matches_its_reference_bit_for_bit(name, n, axes):
     assert u.values.tobytes() == want.tobytes()
 
 
+@pytest.mark.pin
 def test_undersized_march_raises_the_reference_cfl_error(monkeypatch):
     """A step count that passes the terminal slice but not a later one raises the
     reference's CFLError, message and step count, at the same step."""
@@ -546,6 +550,7 @@ def test_undersized_march_raises_the_reference_cfl_error(monkeypatch):
     assert len(seen) == len(done)
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name", sorted(m.REGISTRY))
 @pytest.mark.parametrize("n, points", [(2, 21), (3, 11)])
 def test_cone_march_is_the_unprojected_march_to_1e12(name, n, points):
@@ -570,6 +575,7 @@ def test_stored_slices_are_exactly_permutation_symmetric(name, n, points):
         assert values.transpose(0, *perm).tobytes() == values.tobytes()
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name", [*sorted(m.REGISTRY), "sigma0"])
 @pytest.mark.parametrize("n, axis, T", [(2, (-2.0, 2.0, 21), 0.5), (2, (-3.0, 3.0, 51), 1.0),
                                         (3, (-2.0, 2.0, 11), 0.5), (3, (-2.5, 2.5, 25), 1.0)])

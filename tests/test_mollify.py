@@ -356,3 +356,13 @@ def test_general_entry_decouples_width_and_samples():
     bump_m2 = m.bump_constants(1)["second_moment"]
     assert abs(wide - (0.25 + bump_m2 * 0.25)) < 3e-3
     assert abs(narrow - (0.25 + bump_m2 * 0.0025)) < 3e-3
+
+
+def test_smooth_eval_second_moment_at_a_dirac_is_the_bump_bias():
+    """phi_k of m2 at (0, delta_0) is E[(1/k) sum_i y_i^2] = eps^2 int z^2 eta dz,
+    eps = 1/k: the k samples sit at the atom, so only the width of the bump
+    shows. At k = 4 that is 0.009882; a doubled width reads four times it."""
+    want = m.bump_constants(1)["second_moment"] / 4 ** 2
+    [(mean, se)] = m.smooth_eval(m.FUNCTIONALS["second-moment"], 4, 2000, 3,
+                                 [(np.zeros(1), np.zeros((1, 1)))])
+    assert abs(mean - want) < 5.0 * se

@@ -324,3 +324,22 @@ def test_trajectory_dump(tmp_path):
         p, k, i, j, value = line.split(",")
         want = bundle.states[int(p), int(k), int(i), int(j)]
         assert np.float64(float(value)).tobytes() == want.tobytes()
+
+
+def test_multiplicative_noise_second_moment_is_exact():
+    """b = 0 and sigma = s0 + c x, uncontrolled: an Euler-Maruyama step gives
+    E[X_{k+1}^2] = E[X_k^2] (1 + c^2 dt) + (s0^2 + 2 s0 c x0) dt exactly, since
+    E[X_k] = x0. So the sample second moment at T has no discretisation bias
+    to allow for, and a sigma 5% too large moves it by about 11 SE."""
+    s0, c, x0 = 1.0, 0.3, 0.5
+    model = m.model_from_json({"d": 1, "d_prime": 1, "b": ["0"], "sigma": [[f"{s0} + {c}*x[0]"]],
+                               "l1": "0", "kappa": 1.0, "UT": "m2"})
+    cfg = _cfg(steps=50, n_paths=80_000, seed=5)
+    want = x0 ** 2
+    for _ in range(cfg.steps):
+        want = want * (1.0 + c * c * cfg.dt) + (s0 * s0 + 2.0 * s0 * c * x0) * cfg.dt
+    sq = np.concatenate(list(map(lambda b: b.states[:, -1, 0, 0] ** 2,
+                                 simulate.path_blocks(model, cfg, np.array([[x0]]),
+                                                      m.zero_control()))))
+    mean, se = mean_se(sq)
+    assert abs(mean - want) < 5.0 * se
