@@ -18,8 +18,8 @@ _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
-# counters per Philox tile: on 262,144 counters (2 MiB L2) 2^15 ran 43 ns per
-# counter, 2^14 46, 2^16 56 and one tile of all 262,144 82
+# counters per Philox tile in _blocks: on 262,144 counters (2 MiB L2) 2^15 ran
+# 43 ns per counter, 2^14 46, 2^16 56 and one tile of all 262,144 82
 _TILE = 1 << 15
 
 # domain-separation tags (counter word 3)
@@ -31,34 +31,26 @@ TAG_MOLLIFY_INDEX = 0x4D494458
 def _philox4x32(c0, c1, c2, c3, k0, k1):
     """10 Philox rounds on broadcastable uint64 word arrays (values < 2^32).
 
-    The rounds run in place on one C-order copy of the words (never on the
-    caller's arrays), _TILE counters at a time, so a tile's four words and two
-    products stay in L2 through all ten rounds. A counter's rounds read only its
-    own words, so the tiling changes no bit. The copies must be C order: a copy
-    of a broadcast view in numpy's default order may be Fortran-ordered, and
-    its reshape(-1) would then be a copy that the rounds never reach.
+    The rounds run in place on C-order copies of the words, never on the
+    caller's arrays. C order for all four gives them one layout (a copy of a
+    broadcast view in numpy's default order may be Fortran-ordered), so each
+    in-place ufunc below runs as one flat loop. Callers tile: see _blocks().
     """
-    words = [np.array(w, dtype=np.uint64, order="C") for w in np.broadcast_arrays(c0, c1, c2, c3)]
-    flat = [w.reshape(-1) for w in words]       # views: the rounds must write into `words`
-    keys = [((int(k0) + r * _W0) & 0xFFFFFFFF, (int(k1) + r * _W1) & 0xFFFFFFFF)
-            for r in range(10)]
-    size = flat[0].size
-    p0 = np.empty(min(size, _TILE), dtype=np.uint64)
-    p1 = np.empty_like(p0)
-    for start in range(0, size, _TILE):
-        c0, c1, c2, c3 = (w[start:start + _TILE] for w in flat)
-        q0, q1 = p0[:c0.size], p1[:c0.size]
-        for r0, r1 in keys:
-            np.multiply(c0, _M0, out=q0)
-            np.multiply(c2, _M1, out=q1)
-            np.right_shift(q1, _SHIFT32, out=c0)
-            c0 ^= c1
-            c0 ^= r0
-            np.bitwise_and(q1, _MASK32, out=c1)
-            np.right_shift(q0, _SHIFT32, out=c2)
-            c2 ^= c3
-            c2 ^= r1
-            np.bitwise_and(q0, _MASK32, out=c3)
+    c0, c1, c2, c3 = words = [np.array(w, dtype=np.uint64, order="C")
+                              for w in np.broadcast_arrays(c0, c1, c2, c3)]
+    p0 = np.empty_like(c0)
+    p1 = np.empty_like(c0)
+    for r in range(10):
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= (int(k0) + r * _W0) & 0xFFFFFFFF
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, _SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= (int(k1) + r * _W1) & 0xFFFFFFFF
+        np.bitwise_and(p0, _MASK32, out=c3)
     return tuple(words)
 
 
@@ -106,9 +98,9 @@ def _blocks(pair, seed: int, tag: int, i0, i1, count: int):
     Consecutive values come from counter blocks i2 = 0, 1, ... so the draw for a
     given (seed, tag, i0, i1, j) never depends on how many others were requested.
     For an odd `count` the last block's second value is not used, so it is not
-    computed (a sine per index pair for normals). The draws are made and written
-    into the result in tiles of about _TILE counters along the first index axis,
-    which changes no bit: each draw is a pure function of its counter.
+    computed (a sine per index pair for normals). Only here are draws tiled: whole
+    index rows, about _TILE counters at a time, so their Philox words stay in L2
+    through all ten rounds. That changes no bit: a draw depends on its counter only.
     """
     i0, i1 = np.broadcast_arrays(np.asarray(i0), np.asarray(i1))
     out = np.empty(i0.shape + (count,))

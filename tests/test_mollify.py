@@ -7,6 +7,7 @@ import pytest
 import mfclab as m
 from mfclab import expressions as ex
 from mfclab import mollify, rng
+from mfclab.measures import mean_se
 from mfclab.mollify import BaseFunctional, _bump_unit_draws, _coupled_values, default_test_family
 
 
@@ -17,8 +18,15 @@ def test_bump_constants_one_dim():
     assert abs(c["acceptance_rate"] - 0.60345016) < 1e-6
 
 
+def _bump_offsets(epsilon, d, seed, count):
+    """`count` offsets of eta_epsilon and their proposal count, drawn as the
+    smoothed evaluations draw them: unit bumps of slots 0 .. count - 1, scaled."""
+    draws, proposals = _bump_unit_draws(seed, np.arange(count, dtype=np.uint64), d)
+    return epsilon * draws, proposals
+
+
 def test_bump_support_and_symmetry():
-    offs, props = m.sample_bump(0.25, 1, seed=7, count=50_000)
+    offs, props = _bump_offsets(0.25, 1, seed=7, count=50_000)
     assert np.all(np.abs(offs) < 0.25)
     se = offs.std(ddof=1) / np.sqrt(offs.size)
     assert abs(offs.mean()) < 4.0 * se
@@ -26,7 +34,7 @@ def test_bump_support_and_symmetry():
 
 def test_bump_acceptance_rate_matches_quadrature():
     count = 50_000
-    offs, props = m.sample_bump(1.0, 1, seed=8, count=count)
+    offs, props = _bump_offsets(1.0, 1, seed=8, count=count)
     rate = count / props
     want = m.bump_constants(1)["acceptance_rate"]
     se = np.sqrt(want * (1 - want) / props)
@@ -34,7 +42,7 @@ def test_bump_acceptance_rate_matches_quadrature():
 
 
 def test_bump_second_moment():
-    offs, _ = m.sample_bump(1.0, 2, seed=9, count=50_000)
+    offs, _ = _bump_offsets(1.0, 2, seed=9, count=50_000)
     sq = (offs ** 2).sum(axis=1)
     want = m.bump_constants(2)["second_moment"]
     se = sq.std(ddof=1) / np.sqrt(sq.size)
@@ -174,11 +182,11 @@ def test_replicate_determinism():
 def test_sample_evaluations_share_one_draw():
     """One smooth_eval call over several queries prices each on the same draws
     as a call of its own: the results agree with per-point calls bit for bit."""
-    from mfclab.mollify import smooth_eval_general
     base = m.FUNCTIONALS["second-moment"]
     fam = default_test_family(count=3, seed=4)
     together = m.smooth_eval(base, 16, 300, 9, fam)
-    alone = [smooth_eval_general(base, 16, 1.0 / 16, 300, 9, x, a) for x, a in fam]
+    alone = [mean_se(_coupled_values(base, [(16, 1.0 / 16)], 300, 9, [(x, a)])[0, 0])
+             for x, a in fam]
     assert together == alone
     assert len({est for est in together}) == 3
 
@@ -347,12 +355,11 @@ def test_convexity_second_moment_pointwise():
 
 def test_general_entry_decouples_width_and_samples():
     """psi_{N,eps}: wider mollifier means larger second-moment bias at fixed N."""
-    from mfclab.mollify import smooth_eval_general
-
     base = m.FUNCTIONALS["second-moment"]
     mu = np.array([[0.5], [-0.5]])
-    wide, _ = smooth_eval_general(base, 8, 0.5, 40_000, 31, [0.0], mu)
-    narrow, _ = smooth_eval_general(base, 8, 0.05, 40_000, 31, [0.0], mu)
+    (wide, _), (narrow, _) = (mean_se(_coupled_values(base, [(8, eps)], 40_000, 31,
+                                                      [(np.zeros(1), mu)])[0, 0])
+                              for eps in (0.5, 0.05))
     bump_m2 = m.bump_constants(1)["second_moment"]
     assert abs(wide - (0.25 + bump_m2 * 0.25)) < 3e-3
     assert abs(narrow - (0.25 + bump_m2 * 0.0025)) < 3e-3

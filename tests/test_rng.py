@@ -42,7 +42,7 @@ def test_index_arrays_are_not_written():
     rng.pair_uniforms(3, rng.TAG_MOLLIFY_INDEX, idx, idx, idx)
     rng._philox4x32(idx, idx, idx, idx, 1, 2)
     np.testing.assert_array_equal(idx, keep)
-    long = np.arange(rng._TILE + 5, dtype=np.uint64)    # the rounds run tile by tile
+    long = np.arange(rng._TILE + 5, dtype=np.uint64)    # _blocks draws it in two tiles
     keep = long.copy()
     rng.uniforms(3, rng.TAG_MOLLIFY_OFFSET, long, np.uint64(1), 2)
     rng._philox4x32(long, long, long, long, 1, 2)
@@ -129,9 +129,10 @@ def test_philox_known_answers(ctr, key, want):
 
 @pytest.mark.parametrize("ctr, key, want", PHILOX_KAT)
 def test_philox_known_answers_across_tiles(ctr, key, want):
-    """One call over two tiles and three counters: the known-answer counter at
-    both ends of the first tile boundary and at either end of the call gives
-    its known answer, and every counter gives what a call within one tile does."""
+    """One untiled call of two tiles and three counters, more than _blocks ever
+    hands over: the known-answer counter at both ends of the first tile boundary
+    and at either end of the call gives its known answer, and every counter
+    gives what a call of 1,000 counters does."""
     size = 2 * rng._TILE + 3
     words = np.random.default_rng(5).integers(0, 1 << 32, (4, size), dtype=np.uint64)
     at = [0, rng._TILE - 1, rng._TILE, size - 1]
@@ -147,8 +148,9 @@ def test_philox_known_answers_across_tiles(ctr, key, want):
 
 def test_broadcast_batch_over_several_tiles_equals_row_calls():
     """An (N, 1) x (1, B) batch of more than one tile (whose broadcast copies
-    numpy would lay out in Fortran order unless asked for C order) draws what
-    its rows draw, word for word and value for value."""
+    numpy would lay out in Fortran order unless asked for C order), drawn by
+    _philox4x32 in one call and by normals in tiles, draws what its rows draw,
+    word for word and value for value."""
     i0 = np.arange(37, dtype=np.uint64)[:, None] * np.uint64(5)
     i1 = np.arange(1000, dtype=np.uint64)[None, :]
     assert i0.size * i1.size > rng._TILE
@@ -176,3 +178,38 @@ def test_tiled_blocks_change_no_bit(monkeypatch, i0, i1, count):
         for f, w in want.items():
             got = f(9, rng.TAG_WIENER, i0, i1, count)
             assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
+def _u64(*args):
+    return np.arange(*args, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("draw, i0, i1, count", [
+    # Wiener increments: P paths x K steps, d' values per (path, step)
+    (rng.normals, _u64(1000)[:, None], _u64(200)[None, :], 1),
+    (rng.normals, _u64(300)[:, None], _u64(500)[None, :], 3),
+    # bump rounds: (radius, accept) uniforms of pending slots x rounds ahead ...
+    (rng.uniforms, _u64(40_000)[:, None], np.uint64(1), 2),
+    (rng.uniforms, _u64(3)[:, None], _u64(1, 2731, 2), 2),
+    # ... then the direction normals of the accepted (slot, round) pairs
+    (rng.normals, _u64(50_000), _u64(50_000) % np.uint64(7), 3),
+    # atom index draws: replicates x k samples
+    (rng.uniforms, _u64(4000)[:, None], _u64(64)[None, :], 1),
+])
+def test_blocks_hand_philox_at_most_one_tile(monkeypatch, draw, i0, i1, count):
+    """_blocks is the one place draws are tiled: requests shaped like the
+    simulator's and the mollifier's reach _philox4x32 in calls of at most
+    _TILE counters that together hold every counter once."""
+    sizes = []
+    philox = rng._philox4x32
+
+    def counted(*words):
+        sizes.append(int(np.prod(np.broadcast_shapes(*map(np.shape, words[:4])))))
+        return philox(*words)
+
+    want = draw(13, rng.TAG_MOLLIFY_OFFSET, i0, i1, count)
+    monkeypatch.setattr(rng, "_philox4x32", counted)
+    got = draw(13, rng.TAG_MOLLIFY_OFFSET, i0, i1, count)
+    assert got.tobytes() == want.tobytes()
+    assert max(sizes) <= rng._TILE
+    assert sum(sizes) == np.broadcast(i0, i1).size * ((count + 1) // 2)
