@@ -71,7 +71,7 @@ def test_solver_converges_to_the_manufactured_solution(n, coarse, fine, tol, rat
     error falls under refinement at order 2 at n = 1 and about 1 at n >= 2,
     where the LLF viscosity switches on. Measured (64 points): 3.3e-4 -> 8.3e-5
     at n = 1, 7.8e-2 -> 3.8e-2 at n = 2 and 0.17 -> 0.11 at n = 3. Without the
-    running cost l1 in the march the errors are 0.4 to 0.75."""
+    running cost l1 in the march the errors are 0.48 to 0.75."""
     model = manufactured_model("-x[0]", SIGMA)
     e_coarse, e_fine = max_error(model, n, coarse), max_error(model, n, fine)
     assert e_fine <= tol
