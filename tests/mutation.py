@@ -1,8 +1,7 @@
 """Mutation battery: plant one defect at a time in a numerical kernel and see
 which tests that are not bit-pins fail.
 
-    python tests/mutation.py            # every mutant, about 10 minutes on 2 cores
-    python tests/mutation.py l1 philox  # the mutants whose names contain a word
+    python tests/mutation.py    # every mutant, about 10 minutes on 2 cores
 
 Each mutant is (name, file, exact old text, new text); the old text must occur
 exactly once in the file. A mutant is applied to a temporary copy of src/,
@@ -80,15 +79,13 @@ def run(mutant) -> list:
     return [line.split()[1] for line in out.splitlines() if line.startswith(("FAILED ", "ERROR "))]
 
 
-def main(words) -> int:
-    chosen = [mu for mu in MUTANTS
-              if mu[1] is None or not words or any(w.lower() in mu[0].lower() for w in words)]
-    for _, path, old, _ in chosen[1:]:
+def main() -> int:
+    for _, path, old, _ in MUTANTS[1:]:
         _matches_once(ROOT / path, old)     # before any run, so a stale mutant costs no time
     print("| Mutant | Failing tests not marked `pin` | First of them |")
     print("|---|---|---|")
     wrong = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         failed = run(mutant)
         first = ", ".join(f"`{t.split('::')[-1]}`" for t in failed[:3])
         print(f"| {mutant[0]} | {len(failed)} | {first} |", flush=True)
@@ -100,4 +97,4 @@ def main(words) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -22,7 +22,9 @@ def _bump_offsets(epsilon, d, seed, count):
     """`count` offsets of eta_epsilon and their proposal count, drawn as the
     smoothed evaluations draw them: unit bumps of slots 0 .. count - 1, scaled."""
     draws, proposals = _bump_unit_draws(seed, np.arange(count, dtype=np.uint64), d)
-    return epsilon * draws, proposals
+    offsets = epsilon * draws
+    assert np.all(np.linalg.norm(offsets, axis=-1) < epsilon)
+    return offsets, proposals
 
 
 def test_bump_support_and_symmetry():
